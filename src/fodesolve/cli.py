@@ -186,7 +186,10 @@ def _read_csv_pairs(path: str):
         v.append(float(parts[1]))
     if len(t) < 2:
         raise ValueError("need at least two samples")
-    return np.asarray(t), np.asarray(v)
+    t, v = np.asarray(t), np.asarray(v)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("input samples must be finite")
+    return t, v
 
 
 def _cmd_apply(args) -> int:

@@ -41,7 +41,6 @@ from .operators import (
     DEFAULT_ORDER_CAP,
     OperatorOrder,
     SampleSeries,
-    _integral_series,
     _integral_weights,
 )
 
@@ -451,6 +450,53 @@ class BabenkoResult:
     tail_norm: float
 
 
+def _babenko_bound(ratio: float, delta: float, t_end: float,
+                   terms: int) -> float:
+    """A-priori factor (|ratio| T^delta)^K / Gamma(1 + K delta): the last
+    retained series term on [0, T] is at most this times sup |w|."""
+    if ratio == 0.0:
+        return 0.0
+    log_f = (terms * (math.log(abs(ratio)) + delta * math.log(t_end))
+             - math.lgamma(1.0 + terms * delta))
+    return math.exp(log_f) if log_f < 709.0 else math.inf
+
+
+def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
+                     n: int) -> tuple:
+    """Fold the series powers k = 1..terms, which are linear in w, into
+    one quadrature (centre, boundary, interior); also return the k = terms
+    power alone, the truncation diagnostic.  Entries are summed over k in
+    a fixed order and do not depend on n: prefixes stay bitwise equal."""
+    powers = np.arange(n, dtype=np.float64)
+    centre, boundary, interior = 0.0, np.zeros(n), np.zeros(n)
+    sign = 1.0
+    for k in range(1, terms + 1):
+        order = k * delta
+        sign *= -ratio
+        c = sign * h ** order / (2.0 * gammafn.gamma(1.0 + order))
+        b = c * np.diff(powers ** order, prepend=0.0)
+        wts = c * _integral_weights(order, n)
+        centre += c
+        boundary += b
+        interior += wts
+    return (centre, boundary, interior), (c, b, wts)
+
+
+def _babenko_node(kernels: tuple, w: np.ndarray, i: int) -> tuple:
+    """Series inverse z1 at node i and the last retained term there.  A
+    kernel (centre, boundary, interior) sums to centre*w_i +
+    boundary[i]*w_0 + sum_{j=1..i-1} interior[i-j]*w_j; node 0 is w_0."""
+    if i == 0:
+        return w[0], 0.0
+    sums = []
+    for centre, boundary, interior in kernels:
+        acc = centre * w[i] + boundary[i] * w[0]
+        if i > 1:
+            acc += np.dot(w[i - 1:0:-1], interior[1:i])
+        sums.append(acc)
+    return w[i] + sums[0], sums[1]
+
+
 def babenko_invert(w: SampleSeries, ratio: float, delta: float,
                    terms: int = 30, tail_tol: float = 1e-8) -> BabenkoResult:
     """Recover z1 from w = (1 + ratio * I^delta) z1 by the operator
@@ -458,12 +504,12 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
 
         z1 = sum_{k=0..terms} (-ratio)^k I^(k*delta) w,
 
-    each power applied as a single integral of order k*delta.  The series
-    converges like (|ratio| t^delta)^k / Gamma(k delta + 1), so for a
-    fixed truncation it is only trustworthy while |ratio| t^delta stays
-    moderate; the sup norm of the k = terms term is returned as the
-    truncation diagnostic and additionally raises BabenkoTailWarning when
-    it exceeds tail_tol.
+    each power applied as a single integral of order k*delta, all of them
+    folded into one quadrature.  The series converges like
+    (|ratio| t^delta)^k / Gamma(k delta + 1), so for a fixed truncation it
+    is only trustworthy while |ratio| t^delta stays moderate; the sup norm
+    of the k = terms term is returned as the truncation diagnostic and
+    additionally raises BabenkoTailWarning when it exceeds tail_tol.
     """
     ratio = float(ratio)
     delta = float(delta)
@@ -474,14 +520,11 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
         raise ValueError("need at least one series term")
     if ratio == 0.0:
         return BabenkoResult(w, 0.0)
-    acc = w.values.copy()
-    sign_pow = 1.0
-    tail = None
-    for k in range(1, terms + 1):
-        sign_pow *= -ratio
-        tail = sign_pow * _integral_series(w.values, w.h, k * delta)
-        acc += tail
-    tail_norm = float(np.max(np.abs(tail)))
+    kernels = _babenko_kernels(ratio, delta, w.h, terms, len(w))
+    out = np.empty((2, len(w)))
+    for i in range(len(w)):
+        out[:, i] = _babenko_node(kernels, w.values, i)
+    tail_norm = float(np.max(np.abs(out[1])))
     if tail_norm > tail_tol:
         warnings.warn(
             f"series inversion truncated while its last term still has"
@@ -490,15 +533,25 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
             BabenkoTailWarning,
             stacklevel=2,
         )
-    return BabenkoResult(SampleSeries(w.h, acc), tail_norm)
+    return BabenkoResult(SampleSeries(w.h, out[0]), tail_norm)
 
 
-def _volterra_pivot(h: float, w_links) -> float:
+def _link_pref(h: float, link) -> float:
+    # Quadrature weight of the current node in ratio * I^order.
+    return (link.ratio * h ** link.order
+            / (2.0 * gammafn.gamma(1.0 + link.order)))
+
+
+def _checked_pivot(h: float, w_links) -> float:
+    """Current-node coefficient of the discrete relation; raises
+    SingularInversionError when it vanishes against the coupling scale."""
+    prefs = [_link_pref(h, l) for l in w_links]
     pivot = 1.0
-    for link in w_links:
-        pivot += (
-            link.ratio * h ** link.order
-            / (2.0 * gammafn.gamma(1.0 + link.order))
+    for p in prefs:
+        pivot += p
+    if abs(pivot) < 1e-14 * (1.0 + sum(abs(p) for p in prefs)):
+        raise SingularInversionError(
+            "inversion pivot vanished for this step and coupling"
         )
     return pivot
 
@@ -509,16 +562,12 @@ def _volterra_history(z1_values: np.ndarray, h: float, i: int,
     # node i, leaving out the current-node sample.
     acc = 0.0
     for link, weights in zip(w_links, tables):
-        pref = (
-            link.ratio * h ** link.order
-            / (2.0 * gammafn.gamma(1.0 + link.order))
-        )
         s = z1_values[0] * (
             float(i) ** link.order - float(i - 1) ** link.order
         )
         if i > 1:
             s += np.dot(z1_values[i - 1:0:-1], weights[1:i])
-        acc += pref * s
+        acc += _link_pref(h, link) * s
     return acc
 
 
@@ -544,15 +593,7 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
         raise ValueError("series must share the same step")
     h = w.h
     links = tuple(w_links)
-    pivot = _volterra_pivot(h, links)
-    scale = 1.0 + sum(
-        abs(l.ratio * h ** l.order / (2.0 * gammafn.gamma(1.0 + l.order)))
-        for l in links
-    )
-    if abs(pivot) < 1e-14 * scale:
-        raise SingularInversionError(
-            "inversion pivot vanished for this step and coupling"
-        )
+    pivot = _checked_pivot(h, links)
     tables = [
         _integral_weights(l.order, max(len(w), i + 1)) for l in links
     ]

@@ -269,8 +269,8 @@ def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
     if alpha == 0.0 and i > 0:
         return float(z.values[i])
     w = weight_table("derivative01", alpha, len(z)).weights
-    return _d01_node(z.values, _sample_diffs(z.values), alpha, i, w,
-                     _d01_pref(z.h, alpha))
+    return _d01_node(z.values, _sample_diffs(z.values[:i + 1]), alpha, i,
+                     w, _d01_pref(z.h, alpha))
 
 
 def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:

@@ -28,9 +28,13 @@ from .decompose import (
     ProblemSpec,
     SubclassKind,
     build_system,
-    _volterra_pivot,
+    _babenko_bound,
+    _babenko_kernels,
+    _babenko_node,
+    _checked_pivot,
+    _link_pref,
 )
-from .errors import BabenkoTailWarning, SingularInversionError
+from .errors import BabenkoTailWarning
 from .operators import (
     SampleSeries,
     apply_operator,
@@ -96,10 +100,15 @@ class Diagnostics:
     """babenko_tail: largest sup of the truncated inversion's last term
     seen during the run (None when the direct inverter ran).  nan_node:
     index of the first node whose value came out non-finite (None for a
-    clean run); the trajectory is cut just before that node."""
+    clean run); the trajectory is cut just before that node.
+    babenko_bound: the a-priori factor (|ratio| T^delta)^K /
+    Gamma(1 + K delta) bounding that last term relative to sup |w| on
+    the grid, known before the first step (None for the direct
+    inverter)."""
 
     babenko_tail: float | None = None
     nan_node: int | None = None
+    babenko_bound: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,37 +239,22 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     ]
     nu_eval = _LinkEval(1.0, nu, h, n) if nu > 0.0 else None
 
-    use_babenko = isinstance(system.inversion, Babenko)
-    if dependent and use_babenko:
+    use_babenko = dependent and isinstance(system.inversion, Babenko)
+    bound = None
+    if use_babenko:
         link = system.w_links[0]
-        kcount = system.inversion.terms
-        bab_tables = [
-            (
-                (-link.ratio) ** k,
-                h ** (k * link.order)
-                / (2.0 * gammafn.gamma(1.0 + k * link.order)),
-                k * link.order,
-                _integral_weights(k * link.order, n),
-            )
-            for k in range(1, kcount + 1)
-        ]
+        bab = system.inversion
+        bound = _babenko_bound(link.ratio, link.order, big_n * h, bab.terms)
+        if bound > bab.tail_tol:
+            warnings.warn(
+                f"series inversion's a-priori term factor is {bound:.3g}"
+                f" at t = {big_n * h:g}; the result will be unreliable",
+                BabenkoTailWarning, stacklevel=2)
+        kernels = _babenko_kernels(link.ratio, link.order, h, bab.terms, n)
     elif dependent:
-        pivot = _volterra_pivot(h, system.w_links)
-        scale = 1.0 + sum(
-            abs(l.ratio * h ** l.order / (2.0 * gammafn.gamma(1.0 + l.order)))
-            for l in system.w_links
-        )
-        if abs(pivot) < 1e-14 * scale:
-            raise SingularInversionError(
-                "inversion pivot vanished for this step and coupling"
-            )
-        w_tables = [
-            (
-                l.ratio * h ** l.order / (2.0 * gammafn.gamma(1.0 + l.order)),
-                _integral_weights(l.order, n),
-            )
-            for l in system.w_links
-        ]
+        pivot = _checked_pivot(h, system.w_links)
+        w_tables = [(_link_pref(h, l), _integral_weights(l.order, n))
+                    for l in system.w_links]
 
     z1 = np.zeros(n, dtype=np.float64)
     dz = np.zeros(n, dtype=np.float64)
@@ -280,31 +274,17 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 acc += pref * np.dot(z1[i - 1:0:-1], weights[1:i])
         return (wser[i] - acc) / pivot
 
-    def _invert_babenko(i):
-        nonlocal bab_tail
-        val = wser[i]
-        term = 0.0
-        for sgn, pref, order, weights in bab_tables:
-            s = wser[i] + wser[0] * (
-                float(i) ** order - float(i - 1) ** order
-            ) if i > 0 else 0.0
-            if i > 1:
-                s += np.dot(wser[i - 1:0:-1], weights[1:i])
-            term = sgn * pref * s
-            val += term
-        if abs(term) > bab_tail:
-            bab_tail = abs(term)
-        return val
-
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            if dependent:
-                wser[i] = u[0]
-                z1[i] = _invert_babenko(i) if use_babenko else (
-                    _invert_direct(i) if i > 0 else 0.0
-                )
-            else:
+            if not dependent:
                 z1[i] = u[0]
+            elif use_babenko:
+                wser[i] = u[0]
+                z1[i], term = _babenko_node(kernels, wser, i)
+                bab_tail = max(bab_tail, abs(term))
+            else:
+                wser[i] = u[0]
+                z1[i] = _invert_direct(i) if i > 0 else 0.0
             dz[i] = z1[i] - z1[i - 1] if i > 0 else z1[0]
             dnu = z1[i] if nu_eval is None else nu_eval.at(z1, dz, i)
             yi = ic_poly[i] + dnu
@@ -341,20 +321,19 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
             z1_series, system.initial_conditions, problem.leading_order, m1
         )
     tail = None
-    if use_babenko and dependent:
-        tail = bab_tail
+    if use_babenko:
+        tail = float(bab_tail)
         if tail > system.inversion.tail_tol:
             warnings.warn(
                 f"truncated inversion's last term reached sup norm"
-                f" {tail:.3g} during the run",
-                BabenkoTailWarning,
-                stacklevel=2,
-            )
+                f" {tail:.3g} during the run", BabenkoTailWarning,
+                stacklevel=2)
     return Trajectory(
         h=h,
         num_steps=len(y) - 1,
         y=y_series,
         z1=z1_series,
         y_derivs=derivs,
-        diagnostics=Diagnostics(babenko_tail=tail, nan_node=nan_node),
+        diagnostics=Diagnostics(babenko_tail=tail, nan_node=nan_node,
+                                babenko_bound=bound),
     )

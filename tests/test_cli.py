@@ -258,6 +258,16 @@ class TestApply:
         assert main(["apply", "--in", str(src), "--order", "-0.5",
                      "--out", str(tmp_path / "out.csv")]) == 2
 
+    @pytest.mark.parametrize("row", ["0.1,nan", "0.1,inf", "nan,1"])
+    def test_non_finite_sample_rejected(self, row, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"t,value\n0,0\n{row}\n0.2,2\n")
+        out = tmp_path / "out.csv"
+        assert main(["apply", "--in", str(src), "--order", "-0.5",
+                     "--out", str(out)]) == 2
+        assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_order_beyond_cap_is_usage_error(self, ramp_csv):
         assert main(["apply", "--in", ramp_csv, "--order", "20"]) == 1
 

@@ -26,7 +26,7 @@ from fodesolve.errors import (
     SingularInversionError,
     UnsupportedProblemError,
 )
-from fodesolve.operators import SampleSeries, apply_operator
+from fodesolve.operators import OperatorOrder, SampleSeries, apply_operator
 
 # Gamma(3)/Gamma(3.5), frozen: the half-integral of t^2 is this times
 # t^2.5.
@@ -320,3 +320,31 @@ class TestBabenkoInvert:
             babenko_invert(w, 0.5, 0.0)
         with pytest.raises(ValueError):
             babenko_invert(w, 0.5, 0.5, terms=0)
+
+    @pytest.mark.parametrize("terms,t_end", [(30, 5.0), (80, 30.0)])
+    def test_matches_explicit_power_sum(self, terms, t_end):
+        # The folded kernel must reproduce the series term by term: w
+        # plus each power applied as its own whole-series integral.  The
+        # nonzero first sample exercises the boundary weights.
+        h, ratio, delta = 0.01, 0.5, 0.5
+        t = h * np.arange(round(t_end / h) + 1)
+        w = SampleSeries(h, np.cos(t) + 0.1 * t)
+        res = babenko_invert(w, ratio, delta, terms=terms)
+        acc = w.values.copy()
+        for k in range(1, terms + 1):
+            last = (-ratio) ** k * apply_operator(
+                w, OperatorOrder(-k * delta, cap=100)).values
+            acc += last
+        scale = np.max(np.abs(w.values))
+        assert np.max(np.abs(res.series.values - acc)) <= 1e-12 * scale
+        last_norm = np.max(np.abs(last))
+        assert abs(res.tail_norm - last_norm) <= 1e-12 * last_norm
+
+    def test_prefix_causal_bitwise(self):
+        h = 0.005
+        t = h * np.arange(1001)
+        w = SampleSeries(h, np.cos(t) + 0.1 * t)
+        whole = babenko_invert(w, 0.5, 0.5, terms=30).series.values
+        part = babenko_invert(SampleSeries(h, w.values[:400]), 0.5, 0.5,
+                              terms=30).series.values
+        assert np.array_equal(part, whole[:400])

@@ -184,6 +184,16 @@ class TestDerivative01:
         assert math.isnan(out.values[0])
         assert np.all(np.isfinite(out.values[1:]))
 
+    def test_node_equals_series_bitwise(self):
+        # The node kernel differences only samples 0..i, so its value
+        # must match the whole-series application exactly.
+        t = 0.01 * np.arange(400)
+        for z in (SampleSeries(0.01, np.sin(3.0 * t) + t),
+                  SampleSeries(0.01, 1.0 + np.cos(t))):
+            whole = apply_operator(z, 0.35).values
+            for i in (1, 2, 17, 200, 399):
+                assert frac_derivative01(z, 0.35, i) == whole[i]
+
 
 class TestGeneralDerivative:
     def test_order_one_is_backward_difference(self):

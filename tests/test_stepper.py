@@ -207,6 +207,42 @@ class TestInversionRoutes:
             solve(plate, SolverConfig(h=0.1, t_end=30.0,
                                       inversion=Babenko(terms=10)))
 
+    def test_horizon_checked_before_stepping(self, plate):
+        # The a-priori warning comes first, so turned into an error it
+        # stops the run before any node is stepped.
+        cfg = SolverConfig(h=0.01, t_end=30.0, inversion=Babenko(terms=30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BabenkoTailWarning)
+            with pytest.raises(BabenkoTailWarning, match="a-priori"):
+                solve(plate, cfg)
+
+    @pytest.mark.parametrize("terms,h,t_end", [
+        (30, 0.01, 30.0), (80, 0.01, 30.0), (30, 0.00125, 5.0),
+    ])
+    def test_babenko_bound_recorded(self, plate, terms, h, t_end):
+        # Plate coupling: ratio = delta = 0.5.  The factors are 10.2,
+        # 1.2e-13 and 2.2e-11.
+        expect = (0.5 * t_end ** 0.5) ** terms / math.gamma(1 + terms / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BabenkoTailWarning)
+            diag = solve(plate, SolverConfig(
+                h=h, t_end=t_end, inversion=Babenko(terms=terms))).diagnostics
+        assert diag.babenko_bound == pytest.approx(expect, rel=1e-12)
+        assert type(diag.babenko_bound) is float
+        assert type(diag.babenko_tail) is float
+
+    def test_direct_route_has_no_bound(self, plate):
+        diag = solve(plate, SolverConfig(h=0.01, t_end=2.0)).diagnostics
+        assert diag.babenko_bound is None and diag.babenko_tail is None
+
+    def test_series_route_is_prefix_causal(self, plate):
+        inv = Babenko(terms=30)
+        short = solve(plate, SolverConfig(h=0.01, t_end=2.5, inversion=inv))
+        whole = solve(plate, SolverConfig(h=0.01, t_end=5.0, inversion=inv))
+        n = len(short.y)
+        assert np.array_equal(short.y.values, whole.y.values[:n])
+        assert np.array_equal(short.z1.values, whole.z1.values[:n])
+
 
 class TestDerivativeOutput:
     def test_disabled_by_default(self, plate):
