@@ -41,7 +41,8 @@ from .operators import (
     DEFAULT_ORDER_CAP,
     OperatorOrder,
     SampleSeries,
-    _integral_weights,
+    _history,
+    _weights,
 )
 
 __all__ = [
@@ -475,7 +476,9 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
         sign *= -ratio
         c = sign * h ** order / (2.0 * gammafn.gamma(1.0 + order))
         b = c * np.diff(powers ** order, prepend=0.0)
-        wts = c * _integral_weights(order, n)
+        # Each order-k*delta table serves only this fold, so it is built
+        # outside the shared weight cache.
+        wts = c * _weights.__wrapped__("integral", order, n)
         centre += c
         boundary += b
         interior += wts
@@ -488,12 +491,9 @@ def _babenko_node(kernels: tuple, w: np.ndarray, i: int) -> tuple:
     boundary[i]*w_0 + sum_{j=1..i-1} interior[i-j]*w_j; node 0 is w_0."""
     if i == 0:
         return w[0], 0.0
-    sums = []
-    for centre, boundary, interior in kernels:
-        acc = centre * w[i] + boundary[i] * w[0]
-        if i > 1:
-            acc += np.dot(w[i - 1:0:-1], interior[1:i])
-        sums.append(acc)
+    sums = [centre * w[i] + boundary[i] * w[0]
+            + _history(interior, w, i, 1, i - 1)
+            for centre, boundary, interior in kernels]
     return w[i] + sums[0], sums[1]
 
 
@@ -542,6 +542,14 @@ def _link_pref(h: float, link) -> float:
             / (2.0 * gammafn.gamma(1.0 + link.order)))
 
 
+def _guard_pivot(pivot: float, scale: float, message: str) -> float:
+    """The pivot of a direct inversion, or SingularInversionError with the
+    given message when it vanishes against the scale of its parts."""
+    if abs(pivot) < 1e-14 * scale:
+        raise SingularInversionError(message)
+    return pivot
+
+
 def _checked_pivot(h: float, w_links) -> float:
     """Current-node coefficient of the discrete relation; raises
     SingularInversionError when it vanishes against the coupling scale."""
@@ -549,25 +557,24 @@ def _checked_pivot(h: float, w_links) -> float:
     pivot = 1.0
     for p in prefs:
         pivot += p
-    if abs(pivot) < 1e-14 * (1.0 + sum(abs(p) for p in prefs)):
-        raise SingularInversionError(
-            "inversion pivot vanished for this step and coupling"
-        )
-    return pivot
+    return _guard_pivot(pivot, 1.0 + sum(abs(p) for p in prefs),
+                        "inversion pivot vanished for this step and coupling")
 
 
-def _volterra_history(z1_values: np.ndarray, h: float, i: int,
-                      w_links, tables) -> float:
-    # Contribution of nodes 0..i-1 to sum_j ratio_j I^(delta_j) z1 at
-    # node i, leaving out the current-node sample.
+def _volterra_tables(h: float, w_links, n: int) -> list:
+    """(current-node weight, order, interior weights) of each folded link
+    on an n-node grid, the input of _volterra_history."""
+    return [(_link_pref(h, l), l.order, _weights("integral", l.order, n))
+            for l in w_links]
+
+
+def _volterra_history(z1_values: np.ndarray, i: int, tables) -> float:
+    # Contribution of nodes 0..i-1 (i >= 1) to sum_j ratio_j I^(delta_j) z1
+    # at node i, leaving out the current-node sample.
     acc = 0.0
-    for link, weights in zip(w_links, tables):
-        s = z1_values[0] * (
-            float(i) ** link.order - float(i - 1) ** link.order
-        )
-        if i > 1:
-            s += np.dot(z1_values[i - 1:0:-1], weights[1:i])
-        acc += _link_pref(h, link) * s
+    for pref, order, weights in tables:
+        s = z1_values[0] * (float(i) ** order - float(i - 1) ** order)
+        acc += pref * (s + _history(weights, z1_values, i, 1, i - 1))
     return acc
 
 
@@ -591,11 +598,8 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
         raise ValueError("z1 history must cover nodes 0..i-1")
     if z1_history.h != w.h:
         raise ValueError("series must share the same step")
-    h = w.h
     links = tuple(w_links)
-    pivot = _checked_pivot(h, links)
-    tables = [
-        _integral_weights(l.order, max(len(w), i + 1)) for l in links
-    ]
-    hist = _volterra_history(z1_history.values, h, i, links, tables)
+    pivot = _checked_pivot(w.h, links)
+    tables = _volterra_tables(w.h, links, len(w))
+    hist = _volterra_history(z1_history.values, i, tables)
     return float((w.values[i] - hist) / pivot)

@@ -113,64 +113,56 @@ class WeightTable:
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
-def _integral_weights(alpha: float, n: int) -> np.ndarray:
-    # Interior weights (j+1)^a - (j-1)^a for j >= 1; slot 0 is unused and
-    # kept zero so the table can be convolved directly.  The subtraction
-    # loses at most ~j*eps relative accuracy, far below quadrature error
-    # at any grid this package targets.
+def _weights(kind: str, order: float, n: int) -> np.ndarray:
+    """Read-only weights of one kind and order for an n-sample series.
+
+    The one weight cache behind every internal caller.  The order is not
+    validated here (the oracle needs binomial weights below order 1);
+    weight_table does that.  Tables used only once can skip the cache
+    through the uncached builder, _weights.__wrapped__.
+    """
     j = np.arange(n, dtype=np.float64)
-    w = (j + 1.0) ** alpha - np.maximum(j - 1.0, 0.0) ** alpha
-    w[0] = 0.0
+    if kind == "integral":
+        # Interior weights (j+1)^a - (j-1)^a for j >= 1; slot 0 is unused
+        # and kept zero.  The subtraction loses at most ~j*eps relative
+        # accuracy, far below quadrature error at any grid this package
+        # targets.
+        w = (j + 1.0) ** order - np.maximum(j - 1.0, 0.0) ** order
+        w[0] = 0.0
+    elif kind == "derivative01":
+        w = (j + 1.0) ** (1.0 - order) - j ** (1.0 - order)
+    else:
+        # Binomial: w_0 = 1, w_j = w_{j-1} * (1 - (order+1)/j).  For an
+        # integer order the factor hits zero at j = order+1 and the
+        # weights terminate exactly.
+        w = np.empty(n, dtype=np.float64)
+        w[0] = 1.0
+        w[1:] = np.cumprod(1.0 - (order + 1.0) / j[1:])
     w.setflags(write=False)
     return w
 
 
-@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
-def _d01_weights(alpha: float, n: int) -> np.ndarray:
-    j = np.arange(n, dtype=np.float64)
-    w = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
-    w.setflags(write=False)
-    return w
-
-
-@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
-def _gl_weights(alpha: float, n: int) -> np.ndarray:
-    # w_0 = 1, w_j = w_{j-1} * (1 - (alpha+1)/j).  For integer alpha the
-    # factor hits zero at j = alpha+1 and the weights terminate exactly.
-    w = np.empty(n, dtype=np.float64)
-    w[0] = 1.0
-    if n > 1:
-        j = np.arange(1, n, dtype=np.float64)
-        w[1:] = np.cumprod(1.0 - (alpha + 1.0) / j)
-    w.setflags(write=False)
-    return w
-
-
-@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def weight_table(kind: str, order: float, n: int) -> WeightTable:
-    """Fetch (building and caching on first use) the weight table of the
-    given kind and order, long enough for an n-sample series.
+    """The weight table of the given kind and order, long enough for an
+    n-sample series.
 
-    Repeated calls with the same arguments return the same table object;
-    the weight array inside is read-only."""
+    Repeated calls with the same arguments wrap the same cached weight
+    array, built on first use; the array is read-only."""
     order = float(order)
     if n < 1:
         raise ValueError("table length must be at least 1")
     if kind == "integral":
         if order <= 0.0:
             raise ValueError("integral order must be positive")
-        w = _integral_weights(order, n)
     elif kind == "derivative01":
         if not 0.0 <= order < 1.0:
             raise ValueError("derivative01 order must lie in [0, 1)")
-        w = _d01_weights(order, n)
     elif kind == "binomial":
         if order < 1.0:
             raise ValueError("binomial order must be at least 1")
-        w = _gl_weights(order, n)
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
-    return WeightTable(order=order, kind=kind, weights=w)
+    return WeightTable(order=order, kind=kind, weights=_weights(kind, order, n))
 
 
 def _check_node(z: SampleSeries, i: int) -> int:
@@ -180,12 +172,29 @@ def _check_node(z: SampleSeries, i: int) -> int:
     return i
 
 
-# The node kernels below are also the series kernels' inner loop, so a
+# The node kernels below are also apply_operator's inner loop, so a
 # whole-series application and a node-by-node one agree bitwise, and the
 # output at node i depends only on samples 0..i (causality holds exactly,
 # not just to rounding).  Summation therefore runs per node over slices
 # whose content is independent of the container length; a convolution
 # would reassociate the sums differently for different lengths.
+
+
+def _history(weights: np.ndarray, values: np.ndarray, i: int,
+             lo: int, hi: int) -> float:
+    """Causal product-quadrature sum over the lags lo..hi at node i,
+    sum_j weights[j] * values[i - j]; 0 for an empty lag range.  Needs
+    0 <= lo <= i and hi <= i.  Every history sum in the package is this
+    one."""
+    # The operand layout is fixed here and nowhere else: weights forward,
+    # values reversed (negative stride).  With one negative-stride operand
+    # `@` stays in numpy's own single-threaded loop (numpy 2.4, OpenBLAS
+    # 0.3.31), so the sum is bitwise the same for any BLAS thread count.
+    # np.dot, or `@` on two forward-contiguous operands, calls the BLAS
+    # ddot, which splits long sums across threads and so changes the last
+    # bits with the thread count.  einsum is invariant too but slower.
+    stop = i - hi - 1 if hi < i else None
+    return weights[lo:hi + 1] @ values[i - lo:stop:-1]
 
 
 def _integral_pref(h: float, alpha: float) -> float:
@@ -200,9 +209,8 @@ def _integral_node(values: np.ndarray, alpha: float, i: int,
                    weights: np.ndarray, pref: float) -> float:
     if i == 0:
         return 0.0
-    acc = values[0] * (float(i) ** alpha - float(i - 1) ** alpha) + values[i]
-    if i > 1:
-        acc += np.dot(values[i - 1:0:-1], weights[1:i])
+    acc = (values[0] * (float(i) ** alpha - float(i - 1) ** alpha)
+           + values[i] + _history(weights, values, i, 1, i - 1))
     return float(pref * acc)
 
 
@@ -214,9 +222,7 @@ def _d01_node(values: np.ndarray, dz: np.ndarray, alpha: float, i: int,
         raise SingularOriginError(
             "derivative at t = 0 of a series with nonzero first sample"
         )
-    if alpha == 0.0:
-        return float(values[i])
-    acc = np.dot(dz[i:0:-1], weights[0:i])
+    acc = _history(weights, dz, i, 0, i - 1)
     acc += (1.0 - alpha) * values[0] / float(i) ** alpha
     return float(pref * acc)
 
@@ -227,7 +233,23 @@ def _gl_node(values: np.ndarray, alpha: float, i: int,
         raise NonzeroOriginError(
             "binomial-weight derivative needs a series starting at zero"
         )
-    return float(pref * np.dot(weights[0:i + 1], values[i::-1]))
+    return float(pref * _history(weights, values, i, 0, i))
+
+
+def _node_kernel(mu: float, h: float, n: int):
+    """Evaluator (values, dz, i) -> operator of signed order mu != 0 at
+    node i of an n-sample series with step h.  dz holds the sample
+    differences and is read only for 0 < mu < 1; mu < 0 integrates and
+    mu >= 1 takes the binomial weights."""
+    if mu < 0.0:
+        a = -mu
+        w, pref = _weights("integral", a, n), _integral_pref(h, a)
+        return lambda v, dz, i: _integral_node(v, a, i, w, pref)
+    if mu < 1.0:
+        w, pref = _weights("derivative01", mu, n), _d01_pref(h, mu)
+        return lambda v, dz, i: _d01_node(v, dz, mu, i, w, pref)
+    w, pref = _weights("binomial", mu, n), h ** (-mu)
+    return lambda v, dz, i: _gl_node(v, mu, i, w, pref)
 
 
 def _sample_diffs(values: np.ndarray) -> np.ndarray:
@@ -249,8 +271,7 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
     if alpha <= 0.0:
         raise ValueError("integral order must be positive")
     i = _check_node(z, i)
-    w = weight_table("integral", alpha, len(z)).weights
-    return _integral_node(z.values, alpha, i, w, _integral_pref(z.h, alpha))
+    return _node_kernel(-alpha, z.h, len(z))(z.values, None, i)
 
 
 def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
@@ -268,9 +289,8 @@ def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
     i = _check_node(z, i)
     if alpha == 0.0 and i > 0:
         return float(z.values[i])
-    w = weight_table("derivative01", alpha, len(z)).weights
-    return _d01_node(z.values, _sample_diffs(z.values[:i + 1]), alpha, i,
-                     w, _d01_pref(z.h, alpha))
+    node = _node_kernel(alpha, z.h, len(z))
+    return node(z.values, _sample_diffs(z.values[:i + 1]), i)
 
 
 def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
@@ -287,52 +307,7 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     if alpha < 1.0:
         raise ValueError("general derivative order must be at least 1")
     i = _check_node(z, i)
-    w = weight_table("binomial", alpha, len(z)).weights
-    return _gl_node(z.values, alpha, i, w, z.h ** (-alpha))
-
-
-def _integral_series(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    n = values.size
-    w = _integral_weights(alpha, n)
-    pref = _integral_pref(h, alpha)
-    out = np.empty(n, dtype=np.float64)
-    out[0] = 0.0
-    for i in range(1, n):
-        out[i] = _integral_node(values, alpha, i, w, pref)
-    return out
-
-
-def _d01_series(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    n = values.size
-    if alpha == 0.0:
-        out = values.copy()
-        if values[0] != 0.0:
-            out[0] = np.nan
-        return out
-    w = _d01_weights(alpha, n)
-    pref = _d01_pref(h, alpha)
-    dz = _sample_diffs(values)
-    out = np.empty(n, dtype=np.float64)
-    # The derivative of a non-vanishing series is singular at t = 0;
-    # report that sample as nan rather than inventing a number.
-    out[0] = 0.0 if values[0] == 0.0 else np.nan
-    for i in range(1, n):
-        out[i] = _d01_node(values, dz, alpha, i, w, pref)
-    return out
-
-
-def _gl_series(values: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    if values[0] != 0.0:
-        raise NonzeroOriginError(
-            "binomial-weight derivative needs a series starting at zero"
-        )
-    n = values.size
-    w = _gl_weights(alpha, n)
-    pref = h ** (-alpha)
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        out[i] = _gl_node(values, alpha, i, w, pref)
-    return out
+    return _node_kernel(alpha, z.h, len(z))(z.values, None, i)
 
 
 def apply_operator(z: SampleSeries, mu) -> SampleSeries:
@@ -349,10 +324,13 @@ def apply_operator(z: SampleSeries, mu) -> SampleSeries:
     if mu.is_identity:
         return z
     m = mu.mu
-    if m < 0.0:
-        out = _integral_series(z.values, z.h, -m)
-    elif m < 1.0:
-        out = _d01_series(z.values, z.h, m)
-    else:
-        out = _gl_series(z.values, z.h, m)
+    v = z.values
+    node = _node_kernel(m, z.h, v.size)
+    dz = _sample_diffs(v)
+    out = np.empty(v.size, dtype=np.float64)
+    # The derivative of a non-vanishing series is singular at t = 0;
+    # report that sample as nan rather than inventing a number.
+    out[0] = np.nan if 0.0 < m < 1.0 and v[0] != 0.0 else node(v, dz, 0)
+    for i in range(1, v.size):
+        out[i] = node(v, dz, i)
     return SampleSeries(z.h, out)

@@ -20,9 +20,10 @@ from .decompose import (
     PowerSumForcing,
     ProblemSpec,
     integer_order,
+    _guard_pivot,
 )
-from .errors import SingularInversionError, UnsupportedProblemError
-from .operators import SampleSeries, _gl_weights
+from .errors import UnsupportedProblemError
+from .operators import SampleSeries, _history, _weights
 from .stepper import Diagnostics, SolverConfig, Trajectory, solve
 
 __all__ = [
@@ -144,12 +145,10 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     n = config.num_steps + 1
     fvec = np.asarray(problem.forcing.sample(h, n), dtype=np.float64)
     scales = [h ** (-tm.order) * tm.coefficient for tm in problem.terms]
-    tables = [_gl_weights(tm.order, n) for tm in problem.terms]
-    pivot = sum(scales) + c_lin
-    if abs(pivot) < 1e-14 * (sum(abs(s) for s in scales) + abs(c_lin)):
-        raise SingularInversionError(
-            "direct discretization pivot vanished for this step"
-        )
+    tables = [_weights("binomial", tm.order, n) for tm in problem.terms]
+    pivot = _guard_pivot(sum(scales) + c_lin,
+                         sum(abs(s) for s in scales) + abs(c_lin),
+                         "direct discretization pivot vanished for this step")
 
     y = np.zeros(n, dtype=np.float64)
     nan_node = None
@@ -157,7 +156,7 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
         for i in range(1, n):
             acc = fvec[i]
             for s, w in zip(scales, tables):
-                acc -= s * np.dot(w[1:i + 1], y[:i][::-1])
+                acc -= s * _history(w, y, i, 1, i)
             y[i] = acc / pivot
             if not np.isfinite(y[i]):
                 nan_node = i

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gammafn
 from .decompose import (
     Babenko,
     DirectVolterra,
@@ -32,16 +31,15 @@ from .decompose import (
     _babenko_kernels,
     _babenko_node,
     _checked_pivot,
-    _link_pref,
+    _volterra_history,
+    _volterra_tables,
 )
 from .errors import BabenkoTailWarning
 from .operators import (
     SampleSeries,
     apply_operator,
     frac_derivative01,
-    _d01_weights,
-    _gl_weights,
-    _integral_weights,
+    _node_kernel,
 )
 
 __all__ = [
@@ -175,37 +173,6 @@ def reconstruct_derivatives(z1: SampleSeries, ics, alpha1: float,
     return tuple(out)
 
 
-class _LinkEval:
-    """Per-node evaluation of coefficient * D^order applied to z1, fed
-    incrementally as z1 grows."""
-
-    def __init__(self, coefficient, order, h, n):
-        self.c = float(coefficient)
-        self.mu = float(order)
-        self.h = float(h)
-        if self.mu == 0.0:
-            self.kind = "identity"
-        elif self.mu < 1.0:
-            self.kind = "d01"
-            self.w = _d01_weights(self.mu, n)
-            self.pref = h ** (-self.mu) / gammafn.gamma(2.0 - self.mu)
-        else:
-            self.kind = "gl"
-            self.w = _gl_weights(self.mu, n)
-
-    def at(self, z1: np.ndarray, dz: np.ndarray, i: int) -> float:
-        # z1[0] = 0 by construction, so the d01 boundary term drops out.
-        if self.kind == "identity":
-            return self.c * z1[i]
-        if self.kind == "d01":
-            if i == 0:
-                return 0.0
-            return self.c * self.pref * np.dot(dz[i:0:-1], self.w[:i])
-        return self.c * self.h ** (-self.mu) * np.dot(
-            self.w[: i + 1], z1[i::-1]
-        )
-
-
 def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     """Integrate the problem over [0, t_end] and return the trajectory.
 
@@ -234,10 +201,11 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     ic_poly = _ic_poly_values(system.initial_conditions, t)
     monomials = problem.nonlinearity.monomials()
 
-    links = [
-        _LinkEval(l.coefficient, l.order, h, n) for l in system.rhs_links
-    ]
-    nu_eval = _LinkEval(1.0, nu, h, n) if nu > 0.0 else None
+    # Every coupling order is positive, and z1[0] = 0 makes the d01
+    # kernel's first-sample boundary term an exact 0.
+    links = [(l.coefficient, _node_kernel(l.order, h, n))
+             for l in system.rhs_links]
+    nu_node = _node_kernel(nu, h, n) if nu > 0.0 else None
 
     use_babenko = dependent and isinstance(system.inversion, Babenko)
     bound = None
@@ -253,8 +221,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
         kernels = _babenko_kernels(link.ratio, link.order, h, bab.terms, n)
     elif dependent:
         pivot = _checked_pivot(h, system.w_links)
-        w_tables = [(_link_pref(h, l), _integral_weights(l.order, n))
-                    for l in system.w_links]
+        w_tables = _volterra_tables(h, system.w_links, n)
 
     z1 = np.zeros(n, dtype=np.float64)
     dz = np.zeros(n, dtype=np.float64)
@@ -264,15 +231,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     a1 = system.a1
     nan_node = None
     bab_tail = 0.0
-
-    def _invert_direct(i):
-        # z1[0] = 0, so the quadrature's first-sample boundary term is
-        # absent and only the interior history contributes.
-        acc = 0.0
-        for pref, weights in w_tables:
-            if i > 1:
-                acc += pref * np.dot(z1[i - 1:0:-1], weights[1:i])
-        return (wser[i] - acc) / pivot
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
@@ -284,17 +242,19 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 bab_tail = max(bab_tail, abs(term))
             else:
                 wser[i] = u[0]
-                z1[i] = _invert_direct(i) if i > 0 else 0.0
+                if i > 0:
+                    hist = _volterra_history(z1, i, w_tables)
+                    z1[i] = (wser[i] - hist) / pivot
             dz[i] = z1[i] - z1[i - 1] if i > 0 else z1[0]
-            dnu = z1[i] if nu_eval is None else nu_eval.at(z1, dz, i)
+            dnu = z1[i] if nu_node is None else nu_node(z1, dz, i)
             yi = ic_poly[i] + dnu
             y[i] = yi
             if not (np.isfinite(yi) and np.isfinite(z1[i])):
                 nan_node = i
                 break
             acc = fvec[i]
-            for link in links:
-                acc -= link.at(z1, dz, i)
+            for c, node in links:
+                acc -= c * node(z1, dz, i)
             for c, p in monomials:
                 acc -= c * yi ** p
             rhs = acc / a1

@@ -26,7 +26,12 @@ from fodesolve.errors import (
     SingularInversionError,
     UnsupportedProblemError,
 )
-from fodesolve.operators import OperatorOrder, SampleSeries, apply_operator
+from fodesolve.operators import (
+    OperatorOrder,
+    SampleSeries,
+    apply_operator,
+    _weights,
+)
 
 # Gamma(3)/Gamma(3.5), frozen: the half-integral of t^2 is this times
 # t^2.5.
@@ -348,3 +353,11 @@ class TestBabenkoInvert:
         part = babenko_invert(SampleSeries(h, w.values[:400]), 0.5, 0.5,
                               terms=30).series.values
         assert np.array_equal(part, whole[:400])
+
+    def test_fold_leaves_shared_weight_cache_alone(self):
+        # The K order-k*delta tables serve only the fold; caching them
+        # would leave K never-reused tables behind.
+        w = SampleSeries(0.01, np.cos(0.01 * np.arange(501)))
+        before = _weights.cache_info()
+        babenko_invert(w, 0.5, 0.5, terms=100)
+        assert _weights.cache_info() == before

@@ -1,0 +1,94 @@
+"""Results are reproducible bit for bit whatever the BLAS thread count.
+
+Every causal history sum in the package goes through one reduction,
+operators._history, whose summation order does not depend on BLAS
+threading.  The subprocess test checks the promise end to end through
+the CLI; the source scan keeps a thread-dependent reduction from coming
+back in some other function.
+"""
+
+import ast
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fodesolve"
+
+# np.dot and friends call the BLAS for long operands, and the BLAS
+# splits the sum across threads.
+THREADED = {"dot", "inner", "vdot", "convolve"}
+REDUCTIONS = {"matmul", "einsum", "tensordot"}
+
+
+def _cli_hash(args, out, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fodesolve", *args, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _assert_same_bytes_on_1_and_2_threads(args, tmp_path):
+    one = _cli_hash(args, tmp_path / "one.csv", 1)
+    two = _cli_hash(args, tmp_path / "two.csv", 2)
+    assert one == two
+
+
+def test_solve_bytes_independent_of_blas_threads(tmp_path):
+    # N = 15 000: the direct inversion and the derivative reconstruction
+    # both sum histories long enough for a BLAS ddot to use threads.
+    _assert_same_bytes_on_1_and_2_threads(
+        ["solve", "--problem", str(ROOT / "problems/bagley_torvik.fode"),
+         "--step", "0.002", "--t-end", "30", "--derivatives"], tmp_path)
+
+
+def test_apply_bytes_independent_of_blas_threads(tmp_path):
+    t = 0.001 * np.arange(12001)
+    rows = ["t,value"] + [f"{a:.17g},{b:.17g}"
+                          for a, b in zip(t, np.sin(3.0 * t) + t)]
+    signal = tmp_path / "signal.csv"
+    signal.write_text("\n".join(rows) + "\n")
+    _assert_same_bytes_on_1_and_2_threads(
+        ["apply", "--in", str(signal), "--order", "-0.5"], tmp_path)
+
+
+def _reductions(path):
+    """(enclosing function, construct) for each `@`, and each attribute
+    named like a reduction, in one source file."""
+    hits = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            hits.append((func, "@"))
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in THREADED | REDUCTIONS):
+            hits.append((func, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return hits
+
+
+def test_no_thread_dependent_reduction():
+    for path in sorted(PACKAGE.glob("*.py")):
+        bad = [h for h in _reductions(path) if h[1] in THREADED]
+        assert not bad, f"{path.name}: {bad}"
+
+
+def test_history_primitive_is_the_only_reduction():
+    owners = {(path.name, func)
+              for path in sorted(PACKAGE.glob("*.py"))
+              for func, _ in _reductions(path)}
+    assert owners == {("operators.py", "_history")}

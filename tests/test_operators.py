@@ -105,7 +105,7 @@ class TestWeightTables:
     def test_tables_are_cached(self):
         a = weight_table("integral", 0.5, 100)
         b = weight_table("integral", 0.5, 100)
-        assert a is b
+        assert a.weights is b.weights
 
     def test_kind_and_range_gating(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from fodesolve.stepper import (
     reconstruct_y,
     solve,
 )
-from fodesolve.operators import SampleSeries
+from fodesolve.operators import SampleSeries, apply_operator
 
 HALF_DERIVATIVE_OF_T_AT_1 = 1.1283791670955126
 
@@ -186,6 +186,19 @@ class TestStructuralInvariants:
         b = solve(plate, cfg)
         assert np.array_equal(a.y.values, b.y.values)
         assert np.array_equal(a.z1.values, b.z1.values)
+
+    def test_reconstruction_shares_the_operator_kernel(self):
+        # Independent class (orders 1.5 and 0.7): y is the IC polynomial
+        # plus D^0.5 z1, evaluated node by node with apply_operator's
+        # own kernel, so the two agree bitwise.
+        p = ProblemSpec(terms=((1.0, 1.5), (0.3, 0.7)),
+                        nonlinearity=Polynomial((0.0, 0.5)),
+                        forcing=PiecewiseForcing((
+                            ForcingSegment(0.0, math.inf, (1.0,)),)),
+                        initial_conditions=(1.0, 0.5))
+        traj = solve(p, SolverConfig(h=0.01, t_end=5.0))
+        expect = 1.0 + 0.5 * traj.times + apply_operator(traj.z1, 0.5).values
+        assert np.array_equal(traj.y.values, expect)
 
     def test_times_cover_requested_span(self, plate):
         traj = solve(plate, SolverConfig(h=0.01, t_end=2.0))
