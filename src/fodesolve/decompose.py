@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import gammafn
 from .errors import (
     BabenkoTailWarning,
     SingularInversionError,
@@ -41,7 +40,9 @@ from .operators import (
     DEFAULT_ORDER_CAP,
     OperatorOrder,
     SampleSeries,
-    _history,
+    _integral_pref,
+    _node_kernel,
+    _product_node,
     _weights,
 )
 
@@ -465,36 +466,24 @@ def _babenko_bound(ratio: float, delta: float, t_end: float,
 def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
                      n: int) -> tuple:
     """Fold the series powers k = 1..terms, which are linear in w, into
-    one quadrature (centre, boundary, interior); also return the k = terms
-    power alone, the truncation diagnostic.  Entries are summed over k in
-    a fixed order and do not depend on n: prefixes stay bitwise equal."""
-    powers = np.arange(n, dtype=np.float64)
-    centre, boundary, interior = 0.0, np.zeros(n), np.zeros(n)
+    one quadrature in the operators' node form (pref, centre, boundary,
+    lag); also return the k = terms power alone, the truncation
+    diagnostic.  Entries are summed over k in a fixed order and do not
+    depend on n: prefixes stay bitwise equal."""
+    centre, boundary, lag = 0.0, np.zeros(n), np.zeros(n)
     sign = 1.0
     for k in range(1, terms + 1):
         order = k * delta
         sign *= -ratio
-        c = sign * h ** order / (2.0 * gammafn.gamma(1.0 + order))
-        b = c * np.diff(powers ** order, prepend=0.0)
+        c = sign * _integral_pref(h, order)
         # Each order-k*delta table serves only this fold, so it is built
         # outside the shared weight cache.
+        b = c * _weights.__wrapped__("integral_boundary", order, n)
         wts = c * _weights.__wrapped__("integral", order, n)
         centre += c
         boundary += b
-        interior += wts
-    return (centre, boundary, interior), (c, b, wts)
-
-
-def _babenko_node(kernels: tuple, w: np.ndarray, i: int) -> tuple:
-    """Series inverse z1 at node i and the last retained term there.  A
-    kernel (centre, boundary, interior) sums to centre*w_i +
-    boundary[i]*w_0 + sum_{j=1..i-1} interior[i-j]*w_j; node 0 is w_0."""
-    if i == 0:
-        return w[0], 0.0
-    sums = [centre * w[i] + boundary[i] * w[0]
-            + _history(interior, w, i, 1, i - 1)
-            for centre, boundary, interior in kernels]
-    return w[i] + sums[0], sums[1]
+        lag += wts
+    return (1.0, centre, boundary, lag), (1.0, c, b, wts)
 
 
 def babenko_invert(w: SampleSeries, ratio: float, delta: float,
@@ -520,11 +509,10 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
         raise ValueError("need at least one series term")
     if ratio == 0.0:
         return BabenkoResult(w, 0.0)
-    kernels = _babenko_kernels(ratio, delta, w.h, terms, len(w))
-    out = np.empty((2, len(w)))
-    for i in range(len(w)):
-        out[:, i] = _babenko_node(kernels, w.values, i)
-    tail_norm = float(np.max(np.abs(out[1])))
+    fold, last = _babenko_kernels(ratio, delta, w.h, terms, len(w))
+    v = w.values
+    z1 = np.array([v[i] + _product_node(fold, v, i) for i in range(v.size)])
+    tail_norm = max(abs(_product_node(last, v, i)) for i in range(v.size))
     if tail_norm > tail_tol:
         warnings.warn(
             f"series inversion truncated while its last term still has"
@@ -533,13 +521,7 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
             BabenkoTailWarning,
             stacklevel=2,
         )
-    return BabenkoResult(SampleSeries(w.h, out[0]), tail_norm)
-
-
-def _link_pref(h: float, link) -> float:
-    # Quadrature weight of the current node in ratio * I^order.
-    return (link.ratio * h ** link.order
-            / (2.0 * gammafn.gamma(1.0 + link.order)))
+    return BabenkoResult(SampleSeries(w.h, z1), tail_norm)
 
 
 def _guard_pivot(pivot: float, scale: float, message: str) -> float:
@@ -553,29 +535,12 @@ def _guard_pivot(pivot: float, scale: float, message: str) -> float:
 def _checked_pivot(h: float, w_links) -> float:
     """Current-node coefficient of the discrete relation; raises
     SingularInversionError when it vanishes against the coupling scale."""
-    prefs = [_link_pref(h, l) for l in w_links]
+    prefs = [l.ratio * _integral_pref(h, l.order) for l in w_links]
     pivot = 1.0
     for p in prefs:
         pivot += p
     return _guard_pivot(pivot, 1.0 + sum(abs(p) for p in prefs),
                         "inversion pivot vanished for this step and coupling")
-
-
-def _volterra_tables(h: float, w_links, n: int) -> list:
-    """(current-node weight, order, interior weights) of each folded link
-    on an n-node grid, the input of _volterra_history."""
-    return [(_link_pref(h, l), l.order, _weights("integral", l.order, n))
-            for l in w_links]
-
-
-def _volterra_history(z1_values: np.ndarray, i: int, tables) -> float:
-    # Contribution of nodes 0..i-1 (i >= 1) to sum_j ratio_j I^(delta_j) z1
-    # at node i, leaving out the current-node sample.
-    acc = 0.0
-    for pref, order, weights in tables:
-        s = z1_values[0] * (float(i) ** order - float(i - 1) ** order)
-        acc += pref * (s + _history(weights, z1_values, i, 1, i - 1))
-    return acc
 
 
 def volterra_direct_invert(w: SampleSeries, w_links, i: int,
@@ -600,6 +565,9 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
         raise ValueError("series must share the same step")
     links = tuple(w_links)
     pivot = _checked_pivot(w.h, links)
-    tables = _volterra_tables(w.h, links, len(w))
-    hist = _volterra_history(z1_history.values, i, tables)
+    # The links' own integral kernels, with the unknown node-i sample at 0.
+    z1 = np.zeros(i + 1)
+    z1[:i] = z1_history.values[:i]
+    hist = sum(l.ratio * _node_kernel(-l.order, w.h, len(w))(z1, i)
+               for l in links)
     return float((w.values[i] - hist) / pivot)

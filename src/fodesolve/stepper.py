@@ -29,10 +29,7 @@ from .decompose import (
     build_system,
     _babenko_bound,
     _babenko_kernels,
-    _babenko_node,
     _checked_pivot,
-    _volterra_history,
-    _volterra_tables,
 )
 from .errors import BabenkoTailWarning
 from .operators import (
@@ -40,6 +37,7 @@ from .operators import (
     apply_operator,
     frac_derivative01,
     _node_kernel,
+    _product_node,
 )
 
 __all__ = [
@@ -218,13 +216,15 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 f"series inversion's a-priori term factor is {bound:.3g}"
                 f" at t = {big_n * h:g}; the result will be unreliable",
                 BabenkoTailWarning, stacklevel=2)
-        kernels = _babenko_kernels(link.ratio, link.order, h, bab.terms, n)
+        fold, last = _babenko_kernels(link.ratio, link.order, h, bab.terms, n)
     elif dependent:
+        # Each folded link is the operators' integral kernel, evaluated
+        # while the unknown sample z1[i] still holds 0.
         pivot = _checked_pivot(h, system.w_links)
-        w_tables = _volterra_tables(h, system.w_links, n)
+        w_nodes = [(l.ratio, _node_kernel(-l.order, h, n))
+                   for l in system.w_links]
 
     z1 = np.zeros(n, dtype=np.float64)
-    dz = np.zeros(n, dtype=np.float64)
     wser = np.zeros(n, dtype=np.float64) if dependent else None
     y = np.zeros(n, dtype=np.float64)
     u = np.zeros(m1, dtype=np.float64)
@@ -238,15 +238,14 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 z1[i] = u[0]
             elif use_babenko:
                 wser[i] = u[0]
-                z1[i], term = _babenko_node(kernels, wser, i)
-                bab_tail = max(bab_tail, abs(term))
+                z1[i] = wser[i] + _product_node(fold, wser, i)
+                bab_tail = max(bab_tail, abs(_product_node(last, wser, i)))
             else:
                 wser[i] = u[0]
                 if i > 0:
-                    hist = _volterra_history(z1, i, w_tables)
+                    hist = sum(r * node(z1, i) for r, node in w_nodes)
                     z1[i] = (wser[i] - hist) / pivot
-            dz[i] = z1[i] - z1[i - 1] if i > 0 else z1[0]
-            dnu = z1[i] if nu_node is None else nu_node(z1, dz, i)
+            dnu = z1[i] if nu_node is None else nu_node(z1, i)
             yi = ic_poly[i] + dnu
             y[i] = yi
             if not (np.isfinite(yi) and np.isfinite(z1[i])):
@@ -254,7 +253,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 break
             acc = fvec[i]
             for c, node in links:
-                acc -= c * node(z1, dz, i)
+                acc -= c * node(z1, i)
             for c, p in monomials:
                 acc -= c * yi ** p
             rhs = acc / a1

@@ -3,8 +3,8 @@
 Every causal history sum in the package goes through one reduction,
 operators._history, whose summation order does not depend on BLAS
 threading.  The subprocess test checks the promise end to end through
-the CLI; the source scan keeps a thread-dependent reduction from coming
-back in some other function.
+the CLI; the source scans keep a thread-dependent reduction, or a
+hand-written history sum, from coming back in some other function.
 """
 
 import ast
@@ -60,20 +60,17 @@ def test_apply_bytes_independent_of_blas_threads(tmp_path):
         ["apply", "--in", str(signal), "--order", "-0.5"], tmp_path)
 
 
-def _reductions(path):
-    """(enclosing function, construct) for each `@`, and each attribute
-    named like a reduction, in one source file."""
+def _walk(path, match):
+    """(enclosing function, match(node)) for each AST node of one source
+    file for which match returns a name."""
     hits = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, (ast.BinOp, ast.AugAssign))
-                and isinstance(node.op, ast.MatMult)):
-            hits.append((func, "@"))
-        elif (isinstance(node, ast.Attribute)
-              and node.attr in THREADED | REDUCTIONS):
-            hits.append((func, node.attr))
+        name = match(node)
+        if name:
+            hits.append((func, name))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -81,14 +78,43 @@ def _reductions(path):
     return hits
 
 
+def _reduction(node):
+    # Each `@`, and each attribute named like a reduction.
+    if (isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.MatMult)):
+        return "@"
+    if isinstance(node, ast.Attribute) and node.attr in THREADED | REDUCTIONS:
+        return node.attr
+    return None
+
+
+def _history_call(node):
+    # Each call of _history, by bare name or as an attribute.
+    if isinstance(node, ast.Call):
+        f = node.func
+        if getattr(f, "id", getattr(f, "attr", None)) == "_history":
+            return "_history"
+    return None
+
+
 def test_no_thread_dependent_reduction():
     for path in sorted(PACKAGE.glob("*.py")):
-        bad = [h for h in _reductions(path) if h[1] in THREADED]
+        bad = [h for h in _walk(path, _reduction) if h[1] in THREADED]
         assert not bad, f"{path.name}: {bad}"
 
 
 def test_history_primitive_is_the_only_reduction():
     owners = {(path.name, func)
               for path in sorted(PACKAGE.glob("*.py"))
-              for func, _ in _reductions(path)}
+              for func, _ in _walk(path, _reduction)}
     assert owners == {("operators.py", "_history")}
+
+
+def test_history_is_summed_only_by_the_node_form_and_the_oracle():
+    # Every product quadrature goes through operators._product_node; the
+    # whole-history oracle keeps its own per-term sums as a cross-check.
+    callers = {(path.name, func)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for func, _ in _walk(path, _history_call)}
+    assert callers == {("operators.py", "_product_node"),
+                       ("oracle.py", "gl_direct_solve")}

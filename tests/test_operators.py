@@ -154,9 +154,10 @@ class TestIntegral:
 
 class TestDerivative01:
     def test_zero_order_is_identity_bitwise(self):
-        z = SampleSeries(0.1, [0.0, 0.3, -0.7, 2.0])
-        for i in range(1, 4):
-            assert frac_derivative01(z, 0.0, i) == z.values[i]
+        for vals in ([0.0, 0.3, -0.7, 2.0], [1.5, 0.3, -0.7, 2.0]):
+            z = SampleSeries(0.1, vals)
+            for i in range(4):
+                assert frac_derivative01(z, 0.0, i) == z.values[i]
 
     def test_half_derivative_of_ramp(self):
         z = ramp()
@@ -193,6 +194,25 @@ class TestDerivative01:
             whole = apply_operator(z, 0.35).values
             for i in (1, 2, 17, 200, 399):
                 assert frac_derivative01(z, 0.35, i) == whole[i]
+
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_matches_difference_form(self, alpha):
+        # The node kernel sums samples with differenced weights; the
+        # quadrature is defined on sample differences:
+        # sum_{j<i} w_j (z_{i-j} - z_{i-j-1}) + (1-alpha) z_0 / i^alpha.
+        n, h = 4001, 1.0 / 4000
+        w = weight_table("derivative01", alpha, n).weights
+        pref = h ** -alpha / math.gamma(2.0 - alpha)
+        t = h * np.arange(n)
+        for vals in (t ** 2 + 1.0, t ** 3 - 0.5, np.sin(3.0 * t) + 2.0):
+            z = SampleSeries(h, vals)
+            bound = 1e-12 * np.max(np.abs(apply_operator(z, alpha).values[1:]))
+            for i in (1, 2, 3, 50, 1000, 2999, 4000):
+                dz = vals[i:0:-1] - vals[i - 1::-1]
+                want = pref * math.fsum(
+                    [*(w[:i] * dz), (1.0 - alpha) * vals[0] / i ** alpha])
+                assert abs(frac_derivative01(z, alpha, i) - want) <= bound
 
 
 class TestGeneralDerivative:
