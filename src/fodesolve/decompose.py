@@ -41,7 +41,7 @@ from .operators import (
     OperatorOrder,
     SampleSeries,
     _integral_pref,
-    _node_kernel,
+    _integral_quad,
     _product_node,
     _weights,
 )
@@ -469,13 +469,22 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
     one quadrature in the operators' node form (pref, centre, boundary,
     lag); also return the k = terms power alone, the truncation
     diagnostic.  Entries are summed over k in a fixed order and do not
-    depend on n: prefixes stay bitwise equal."""
+    depend on n: prefixes stay bitwise equal.
+
+    The fold ends early at the first power whose coefficient
+    (-ratio)^k h^(k delta) / (2 Gamma(1 + k delta)) underflows to 0: the
+    coefficients only fall from there, so no later power adds anything
+    in double precision (their tables would overflow, and Gamma with
+    them).  The diagnostic is then that power, the zero quadrature."""
     centre, boundary, lag = 0.0, np.zeros(n), np.zeros(n)
     sign = 1.0
     for k in range(1, terms + 1):
         order = k * delta
         sign *= -ratio
         c = sign * _integral_pref(h, order)
+        if c == 0.0:
+            zero = np.zeros(n)
+            return (1.0, centre, boundary, lag), (1.0, 0.0, zero, zero)
         # Each order-k*delta table serves only this fold, so it is built
         # outside the shared weight cache.
         b = c * _weights.__wrapped__("integral_boundary", order, n)
@@ -532,21 +541,30 @@ def _guard_pivot(pivot: float, scale: float, message: str) -> float:
     return pivot
 
 
-def _checked_pivot(h: float, w_links) -> float:
-    """Current-node coefficient of the discrete relation; raises
-    SingularInversionError when it vanishes against the coupling scale."""
-    prefs = [l.ratio * _integral_pref(h, l.order) for l in w_links]
-    pivot = 1.0
-    for p in prefs:
-        pivot += p
-    return _guard_pivot(pivot, 1.0 + sum(abs(p) for p in prefs),
-                        "inversion pivot vanished for this step and coupling")
+def _direct_inverter(h: float, w_links, n: int):
+    """Node map (w_i, z1, i) -> z1_i of the discrete relation
+    w = z1 + sum_j ratio_j I^(delta_j) z1 on an n-sample grid with step h.
+
+    Each link is the operators' integral quadrature with the unknown
+    current sample set to 0, so z1 is read at nodes 0..i-1 only; the
+    current sample's weights make the pivot 1 + sum_j ratio_j pref_j
+    centre_j.  Without links the pivot is 1 and z1_i = w_i exactly.
+    A vanishing pivot raises SingularInversionError here, before any
+    node is inverted.
+    """
+    links = [(l.ratio, _integral_quad(l.order, h, n)) for l in w_links]
+    parts = [r * q[0] * q[1] for r, q in links]
+    pivot = _guard_pivot(sum(parts, 1.0), sum(map(abs, parts), 1.0),
+                         "inversion pivot vanished for this step and coupling")
+    return lambda w_i, z1, i: (
+        w_i - sum(r * _product_node(q, z1, i, 0.0) for r, q in links)) / pivot
 
 
 def volterra_direct_invert(w: SampleSeries, w_links, i: int,
                            z1_history: SampleSeries) -> float:
     """Recover z1 at node i from w = z1 + sum_j ratio_j I^(delta_j) z1,
-    given z1 at nodes 0..i-1.
+    given z1 at nodes 0..i-1 (a longer history is fine: its samples
+    from node i on are never read).
 
     The quadrature puts weight h^delta / (2 Gamma(1+delta)) on the
     current node, so the relation is a triangular system whose pivot is
@@ -563,11 +581,5 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
         raise ValueError("z1 history must cover nodes 0..i-1")
     if z1_history.h != w.h:
         raise ValueError("series must share the same step")
-    links = tuple(w_links)
-    pivot = _checked_pivot(w.h, links)
-    # The links' own integral kernels, with the unknown node-i sample at 0.
-    z1 = np.zeros(i + 1)
-    z1[:i] = z1_history.values[:i]
-    hist = sum(l.ratio * _node_kernel(-l.order, w.h, len(w))(z1, i)
-               for l in links)
-    return float((w.values[i] - hist) / pivot)
+    invert = _direct_inverter(w.h, w_links, len(w))
+    return float(invert(w.values[i], z1_history.values, i))

@@ -225,18 +225,29 @@ def _history(weights: np.ndarray, values: np.ndarray, i: int,
     return weights[lo:hi + 1] @ values[i - lo:stop:-1]
 
 
-def _product_node(quad: tuple, values: np.ndarray, i: int) -> float:
+def _product_node(quad: tuple, values: np.ndarray, i: int,
+                  current: float | None = None) -> float:
     """A quadrature (pref, centre, boundary, lag) in the node form above,
-    evaluated at node i of values."""
+    evaluated at node i of values.  A given current stands in for v_i,
+    and values[i] is then never read: values need only cover 0..i-1."""
     if i == 0:
         return 0.0
     pref, centre, boundary, lag = quad
-    return float(pref * (centre * values[i] + boundary[i] * values[0]
+    v_i = values[i] if current is None else current
+    return float(pref * (centre * v_i + boundary[i] * values[0]
                          + _history(lag, values, i, 1, i - 1)))
 
 
 def _integral_pref(h: float, alpha: float) -> float:
     return h ** alpha / (2.0 * gammafn.gamma(1.0 + alpha))
+
+
+def _integral_quad(alpha: float, h: float, n: int) -> tuple:
+    """The order-alpha integral quadrature of an n-sample series with
+    step h, in the node form above."""
+    return (_integral_pref(h, alpha), 1.0,
+            _weights("integral_boundary", alpha, n),
+            _weights("integral", alpha, n))
 
 
 def _node_kernel(mu: float, h: float, n: int):
@@ -245,9 +256,7 @@ def _node_kernel(mu: float, h: float, n: int):
     takes the difference quadrature summed by parts, mu >= 1 the binomial
     weights (whose sum covers v_0 as boundary[i] = w_i)."""
     if mu < 0.0:
-        a = -mu
-        quad = (_integral_pref(h, a), 1.0,
-                _weights("integral_boundary", a, n), _weights("integral", a, n))
+        quad = _integral_quad(-mu, h, n)
         return lambda v, i: _product_node(quad, v, i)
     if mu < 1.0:
         quad = (h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0,

@@ -25,11 +25,10 @@ from .decompose import (
     Babenko,
     DirectVolterra,
     ProblemSpec,
-    SubclassKind,
     build_system,
     _babenko_bound,
     _babenko_kernels,
-    _checked_pivot,
+    _direct_inverter,
 )
 from .errors import BabenkoTailWarning
 from .operators import (
@@ -163,11 +162,9 @@ def reconstruct_derivatives(z1: SampleSeries, ics, alpha1: float,
     out = []
     t = z1.times
     for k in range(1, m1):
-        poly = np.zeros_like(t)
-        for j in range(k, m1):
-            poly += (ics[j] / math.factorial(j - k)) * t ** (j - k)
         frac = apply_operator(z1, nu + k)
-        out.append(SampleSeries(z1.h, poly + frac.values))
+        out.append(SampleSeries(z1.h, _ic_poly_values(ics[k:], t)
+                                + frac.values))
     return tuple(out)
 
 
@@ -192,7 +189,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     n = big_n + 1
     m1 = system.m1
     nu = system.nu
-    dependent = system.classification.kind is SubclassKind.DEPENDENT
 
     t = np.arange(n) * h
     fvec = np.asarray(problem.forcing.sample(h, n), dtype=np.float64)
@@ -205,7 +201,10 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
              for l in system.rhs_links]
     nu_node = _node_kernel(nu, h, n) if nu > 0.0 else None
 
-    use_babenko = dependent and isinstance(system.inversion, Babenko)
+    # The series route needs a folded link; every other problem, with or
+    # without links, takes the direct inverter.
+    use_babenko = bool(system.w_links) and isinstance(system.inversion,
+                                                      Babenko)
     bound = None
     if use_babenko:
         link = system.w_links[0]
@@ -217,15 +216,11 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 f" at t = {big_n * h:g}; the result will be unreliable",
                 BabenkoTailWarning, stacklevel=2)
         fold, last = _babenko_kernels(link.ratio, link.order, h, bab.terms, n)
-    elif dependent:
-        # Each folded link is the operators' integral kernel, evaluated
-        # while the unknown sample z1[i] still holds 0.
-        pivot = _checked_pivot(h, system.w_links)
-        w_nodes = [(l.ratio, _node_kernel(-l.order, h, n))
-                   for l in system.w_links]
+        wser = np.zeros(n, dtype=np.float64)
+    else:
+        invert = _direct_inverter(h, system.w_links, n)
 
     z1 = np.zeros(n, dtype=np.float64)
-    wser = np.zeros(n, dtype=np.float64) if dependent else None
     y = np.zeros(n, dtype=np.float64)
     u = np.zeros(m1, dtype=np.float64)
     a1 = system.a1
@@ -234,17 +229,12 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            if not dependent:
-                z1[i] = u[0]
-            elif use_babenko:
+            if use_babenko:
                 wser[i] = u[0]
                 z1[i] = wser[i] + _product_node(fold, wser, i)
                 bab_tail = max(bab_tail, abs(_product_node(last, wser, i)))
             else:
-                wser[i] = u[0]
-                if i > 0:
-                    hist = sum(r * node(z1, i) for r, node in w_nodes)
-                    z1[i] = (wser[i] - hist) / pivot
+                z1[i] = invert(u[0], z1, i)
             dnu = z1[i] if nu_node is None else nu_node(z1, i)
             yi = ic_poly[i] + dnu
             y[i] = yi

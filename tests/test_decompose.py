@@ -255,6 +255,24 @@ class TestVolterraDirect:
                 w, links, i, SampleSeries(h, rec if i else np.zeros(1)))
         assert np.max(np.abs(rec - t ** 2)) <= 1e-4
 
+    def test_node_i_of_the_history_is_never_read(self):
+        # A history longer than i, with nan from node i on, must give the
+        # bits of a history of exactly i samples.
+        h, n = 0.02, 51
+        t = h * np.arange(n)
+        links = (WLink(0.5, 0.5), WLink(0.25, 0.3))
+        w = _w_from(SampleSeries(h, t ** 2 * np.exp(-t)), links)
+        z1 = np.sin(t)
+        z1[0] = 0.0
+        for i in (1, 2, 17, n - 1):
+            padded = z1.copy()
+            padded[i:] = np.nan
+            got = volterra_direct_invert(w, links, i, SampleSeries(h, padded))
+            want = volterra_direct_invert(w, links, i,
+                                          SampleSeries(h, z1[:i]))
+            assert math.isfinite(got)
+            assert got == want
+
     def test_singular_pivot(self):
         h = 0.04
         from fodesolve.gammafn import gamma

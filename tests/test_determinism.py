@@ -97,6 +97,17 @@ def _history_call(node):
     return None
 
 
+def _call_of(name):
+    # Each call of the named function, by bare name or as an attribute.
+    def match(node):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", getattr(f, "attr", None)) == name:
+                return name
+        return None
+    return match
+
+
 def test_no_thread_dependent_reduction():
     for path in sorted(PACKAGE.glob("*.py")):
         bad = [h for h in _walk(path, _reduction) if h[1] in THREADED]
@@ -118,3 +129,17 @@ def test_history_is_summed_only_by_the_node_form_and_the_oracle():
                for func, _ in _walk(path, _history_call)}
     assert callers == {("operators.py", "_product_node"),
                        ("oracle.py", "gl_direct_solve")}
+
+
+def test_one_direct_inverter_owns_the_pivot():
+    # Both direct-inversion callers share decompose._direct_inverter; the
+    # oracle keeps its own pivot.  Outside the series fold, decompose
+    # takes its link prefactors from the operators' integral quadrature.
+    callers = {(path.name, func)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for func, _ in _walk(path, _call_of("_guard_pivot"))}
+    assert callers == {("decompose.py", "_direct_inverter"),
+                       ("oracle.py", "gl_direct_solve")}
+    prefs = {func for func, _ in _walk(PACKAGE / "decompose.py",
+                                       _call_of("_integral_pref"))}
+    assert prefs == {"_babenko_kernels"}

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +66,23 @@ def test_overflow_guard():
     gamma(GAMMA_MAX)  # largest admissible argument still evaluates
     with pytest.raises(OverflowError):
         gamma(GAMMA_MAX + 1e-6)
+
+
+@pytest.mark.parametrize("x", [-171.5, -180.5])
+def test_far_negative_arguments_stay_finite(x):
+    # Gamma(-171.5) ~ 1.9e-310 is representable; only x > GAMMA_MAX may
+    # overflow.
+    assert math.isfinite(gamma(x))
+
+
+def test_matches_mpmath_at_40_digits():
+    xs = [0.05 * k for k in range(1, 801)] + [-0.25, -0.5, -1.5, -2.5, -3.7]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in xs:
+            want = mpmath.gamma(mpmath.mpf(x))
+            worst = max(worst, float(abs((gamma(x) - want) / want)))
+    assert worst <= 2e-15
 
 
 @given(st.floats(min_value=0.1, max_value=80.0))

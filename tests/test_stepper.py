@@ -257,6 +257,23 @@ class TestInversionRoutes:
         assert np.array_equal(short.z1.values, whole.z1.values[:n])
 
 
+    @pytest.mark.parametrize("h,terms,settled", [
+        (0.01, 250, 200), (0.1, 400, 300),
+    ])
+    def test_series_fold_ends_where_its_powers_underflow(
+            self, plate, h, terms, settled):
+        # Past about 160 powers (h = 0.01) the coefficients underflow to
+        # 0 while the power tables overflow, and past 342 powers Gamma
+        # itself overflows; every power beyond the first zero
+        # coefficient adds nothing, so more terms change no bit.
+        def run(k):
+            return solve(plate, SolverConfig(
+                h=h, t_end=5.0, inversion=Babenko(terms=k)))
+        many = run(terms)
+        assert many.diagnostics.nan_node is None
+        assert np.all(np.isfinite(many.y.values))
+        assert np.array_equal(many.y.values, run(settled).y.values)
+
     def test_three_shared_leading_orders(self):
         # Three terms share m1 = 2, so two folded links go through the
         # direct inverter together; the plate's reaction and step load.
