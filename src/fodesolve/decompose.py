@@ -40,9 +40,12 @@ from .operators import (
     DEFAULT_ORDER_CAP,
     OperatorOrder,
     SampleSeries,
+    _evaluator,
     _integral_pref,
     _integral_quad,
-    _product_node,
+    _quadrature,
+    _running,
+    _table_length,
     _weights,
 )
 
@@ -467,32 +470,36 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
                      n: int) -> tuple:
     """Fold the series powers k = 1..terms, which are linear in w, into
     one quadrature in the operators' node form (pref, centre, boundary,
-    lag); also return the k = terms power alone, the truncation
-    diagnostic.  Entries are summed over k in a fixed order and do not
-    depend on n: prefixes stay bitwise equal.
+    lag), and return running evaluators (see operators._running) of it
+    and of the k = terms power alone, the truncation diagnostic, on an
+    n-sample grid.  Entries are summed over k in a fixed order and do
+    not depend on n: prefixes stay bitwise equal.
 
     The fold ends early at the first power whose coefficient
     (-ratio)^k h^(k delta) / (2 Gamma(1 + k delta)) underflows to 0: the
     coefficients only fall from there, so no later power adds anything
     in double precision (their tables would overflow, and Gamma with
     them).  The diagnostic is then that power, the zero quadrature."""
-    centre, boundary, lag = 0.0, np.zeros(n), np.zeros(n)
+    m = _table_length(n)
+    centre, boundary, lag = 0.0, np.zeros(m), np.zeros(m)
     sign = 1.0
     for k in range(1, terms + 1):
         order = k * delta
         sign *= -ratio
         c = sign * _integral_pref(h, order)
         if c == 0.0:
-            zero = np.zeros(n)
-            return (1.0, centre, boundary, lag), (1.0, 0.0, zero, zero)
+            last = (0.0, np.zeros(m), np.zeros(m))
+            break
         # Each order-k*delta table serves only this fold, so it is built
         # outside the shared weight cache.
-        b = c * _weights.__wrapped__("integral_boundary", order, n)
-        wts = c * _weights.__wrapped__("integral", order, n)
+        b = c * _weights.__wrapped__("integral_boundary", order, m)
+        wts = c * _weights.__wrapped__("integral", order, m)
         centre += c
         boundary += b
         lag += wts
-    return (1.0, centre, boundary, lag), (1.0, c, b, wts)
+        last = (c, b, wts)
+    return (_running(_quadrature(1.0, centre, boundary, lag), n),
+            _running(_quadrature(1.0, *last), n))
 
 
 def babenko_invert(w: SampleSeries, ratio: float, delta: float,
@@ -520,8 +527,8 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
         return BabenkoResult(w, 0.0)
     fold, last = _babenko_kernels(ratio, delta, w.h, terms, len(w))
     v = w.values
-    z1 = np.array([v[i] + _product_node(fold, v, i) for i in range(v.size)])
-    tail_norm = max(abs(_product_node(last, v, i)) for i in range(v.size))
+    z1 = np.array([v[i] + fold(v, i) for i in range(v.size)])
+    tail_norm = max(abs(last(v, i)) for i in range(v.size))
     if tail_norm > tail_tol:
         warnings.warn(
             f"series inversion truncated while its last term still has"
@@ -541,9 +548,10 @@ def _guard_pivot(pivot: float, scale: float, message: str) -> float:
     return pivot
 
 
-def _direct_inverter(h: float, w_links, n: int):
+def _direct_inverter(h: float, w_links, n: int, running: bool = True):
     """Node map (w_i, z1, i) -> z1_i of the discrete relation
-    w = z1 + sum_j ratio_j I^(delta_j) z1 on an n-sample grid with step h.
+    w = z1 + sum_j ratio_j I^(delta_j) z1 on an n-sample grid with step h;
+    a running map (nodes in increasing order) unless running is False.
 
     Each link is the operators' integral quadrature with the unknown
     current sample set to 0, so z1 is read at nodes 0..i-1 only; the
@@ -552,12 +560,13 @@ def _direct_inverter(h: float, w_links, n: int):
     A vanishing pivot raises SingularInversionError here, before any
     node is inverted.
     """
-    links = [(l.ratio, _integral_quad(l.order, h, n)) for l in w_links]
-    parts = [r * q[0] * q[1] for r, q in links]
+    quads = [(l.ratio, _integral_quad(l.order, h, n)) for l in w_links]
+    parts = [r * q.pref * q.centre for r, q in quads]
     pivot = _guard_pivot(sum(parts, 1.0), sum(map(abs, parts), 1.0),
                          "inversion pivot vanished for this step and coupling")
+    links = [(r, _evaluator(q, n, running)) for r, q in quads]
     return lambda w_i, z1, i: (
-        w_i - sum(r * _product_node(q, z1, i, 0.0) for r, q in links)) / pivot
+        w_i - sum(r * node(z1, i, 0.0) for r, node in links)) / pivot
 
 
 def volterra_direct_invert(w: SampleSeries, w_links, i: int,
@@ -581,5 +590,5 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
         raise ValueError("z1 history must cover nodes 0..i-1")
     if z1_history.h != w.h:
         raise ValueError("series must share the same step")
-    invert = _direct_inverter(w.h, w_links, len(w))
+    invert = _direct_inverter(w.h, w_links, len(w), running=False)
     return float(invert(w.values[i], z1_history.values, i))

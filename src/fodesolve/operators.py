@@ -18,14 +18,19 @@ All three, and every other product quadrature in the package, are
 evaluated in one node form (see _product_node).  The difference
 quadrature is summed by parts into it: samples times differenced
 weights rather than weights times sample differences.  That is the same
-quadrature; only the rounding differs, by about 1e-13 relative on a few
-thousand samples and growing with the history length and the order.
+quadrature; only the rounding differs, and it grows with the history
+length and the order.
+
+The node form sums the lags near node i directly and the older ones by
+block FFT, so a whole series costs O(n log^2 n) rather than O(n^2);
+tables whose weights grow (integral orders above 1) keep one direct sum.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,17 +208,38 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # apply_operator's inner loop, so a whole-series application and a
 # node-by-node one agree bitwise, and the output at node i depends only
 # on samples 0..i (causality holds exactly, not just to rounding).
-# Summation therefore runs per node over slices whose content is
-# independent of the container length; a convolution would reassociate
-# the sums differently for different lengths.
+#
+# The lag sum is split in two (Hairer, Lubich & Schlichte 1985).  The
+# near field, the lags inside node i's aligned leaf of _LEAF samples, is
+# one _history.  The far field covers the samples before that leaf with
+# aligned dyadic blocks: each node k that is a multiple of _LEAF closes
+# the block of the b = k & -k samples before it, and one FFT of size 2b
+# convolves that block with lag[0:2b] for the nodes k..k+b-1.  Node i's
+# blocks are the binary prefixes of its leaf start, O(log i) of them.
+# Every piece has bounds fixed by the node index alone and content
+# independent of the container length, so prefixes stay bitwise equal.
+# A running evaluator (_running) transforms each block once and
+# accumulates it, O(n log^2 n) for a whole series; a single-node call
+# transforms node i's own blocks; both add them in increasing k, so they
+# agree bitwise.  The FFT is numpy's pocketfft, which uses no BLAS
+# threads.
+_LEAF = 64
+
+
+def _table_length(n: int) -> int:
+    """Length of the lag tables of an n-sample series: the far blocks
+    need lags up to 2b - 1, so n is rounded up to a power of two.  Every
+    table is built element by element, so a longer one only extends a
+    shorter one."""
+    return max(n, 1 << (n - 1).bit_length())
 
 
 def _history(weights: np.ndarray, values: np.ndarray, i: int,
              lo: int, hi: int) -> float:
     """Causal product-quadrature sum over the lags lo..hi at node i,
     sum_j weights[j] * values[i - j]; 0 for an empty lag range.  Needs
-    0 <= lo <= i and hi <= i.  Every history sum in the package is this
-    one."""
+    0 <= lo <= i and hi <= i.  Every direct history sum in the package
+    is this one."""
     # The operand layout is fixed here and nowhere else: weights forward,
     # values reversed (negative stride).  With one negative-stride operand
     # `@` stays in numpy's own single-threaded loop (numpy 2.4, OpenBLAS
@@ -225,60 +251,192 @@ def _history(weights: np.ndarray, values: np.ndarray, i: int,
     return weights[lo:hi + 1] @ values[i - lo:stop:-1]
 
 
-def _product_node(quad: tuple, values: np.ndarray, i: int,
-                  current: float | None = None) -> float:
+class _Quadrature(NamedTuple):
     """A quadrature (pref, centre, boundary, lag) in the node form above,
-    evaluated at node i of values.  A given current stands in for v_i,
-    and values[i] is then never read: values need only cover 0..i-1."""
+    with its summation plan, read once from the lag table by
+    _quadrature:
+
+    support  the last nonzero lag, where a direct sum stops (an
+             integer-order binomial table ends at lag = order, so the
+             first derivative sums one lag);
+    period   _LEAF when the far field takes the lags beyond the leaf,
+             else longer than the table, so one direct sum takes them;
+    cap      0, or the smallest block size the far field leaves to a
+             direct sum;
+    spectra  the far blocks' lag spectra by block size, filled on use.
+    """
+
+    pref: float
+    centre: float
+    boundary: np.ndarray
+    lag: np.ndarray
+    support: int
+    period: int
+    cap: int
+    spectra: dict
+
+
+def _quadrature(pref: float, centre: float, boundary: np.ndarray,
+                lag: np.ndarray) -> _Quadrature:
+    """The quadrature with its summation plan.
+
+    The far field's rounding error scales with the largest lag it is
+    given, so a block of b samples is transformed only while the
+    largest |lag_j|, 1 <= j < 2b, lies inside the leaf.  That holds for
+    every block of the decaying tables (integral order <= 1, order
+    (0, 1), non-integer binomial orders); a growing table (integral
+    order > 1) keeps one direct sum and its accuracy; the series fold,
+    which decays until its truncated powers take over, transforms its
+    blocks up to that point.  Each block's choice reads lag[0:2b] only,
+    so it does not depend on n.  For an n-sample series the lag table
+    must be _table_length(n) long, the boundary n long.
+    """
+    mag = np.abs(lag[1:])
+    nonzero = mag != 0.0
+    support = mag.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+    leaf = mag[:_LEAF - 1].max(initial=0.0)
+    # The first lag beyond the leaf that outgrows it (nan counts);
+    # blocks with 2b <= that lag are transformed.
+    over = ~(mag[_LEAF - 1:] <= leaf)
+    cap = (1 << ((int(np.argmax(over)) + _LEAF).bit_length() - 1)
+           if over.any() else 0)
+    far = support >= _LEAF and cap != _LEAF
+    return _Quadrature(pref, centre, boundary, lag, support,
+                       _LEAF if far else lag.size + 1, cap, {})
+
+
+def _far_block(quad: _Quadrature, values: np.ndarray, k: int) -> np.ndarray:
+    """Far-field sums sum_{m=k-b..k-1} lag[i-m]*v_m of the block that node
+    k closes (b = k & -k), for the nodes i = k..k+b-1.  Sample 0 belongs
+    to the boundary term and counts as 0 here."""
+    b = k & -k
+    spectrum = quad.spectra.get(b)
+    if spectrum is None:
+        # Lag 0 never reaches the outputs kept below; zeroed, it adds no
+        # rounding either.
+        lag = quad.lag[:2 * b].copy()
+        lag[0] = 0.0
+        spectrum = quad.spectra[b] = np.fft.rfft(lag)
+    x = values[k - b:k]
+    if k == b:
+        x = x.copy()
+        x[0] = 0.0
+    # A circular convolution of size 2b: the outputs b..2b-1 take lags
+    # 1..2b-1 only, so none of them wraps.
+    return np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[b:]
+
+
+def _far_sum(quad: _Quadrature, values: np.ndarray, i: int) -> float:
+    """Node i's far field from its own blocks, the binary prefixes of its
+    leaf start, added in increasing order as _running adds them."""
+    closing = []
+    k = i - i % _LEAF
+    while k & (quad.cap - 1):
+        closing.append(k)
+        k &= k - 1
+    far = 0.0
+    for k in reversed(closing):
+        far += _far_block(quad, values, k)[i - k]
+    return far
+
+
+def _product_node(quad: _Quadrature, values: np.ndarray, i: int,
+                  current: float | None = None,
+                  far: float | None = None) -> float:
+    """quad in the node form above, evaluated at node i of values.  A
+    given current stands in for v_i, and values[i] is then never read:
+    values need only cover 0..i-1.  far is node i's far-field sum when a
+    running evaluator holds it; otherwise it is summed here."""
     if i == 0:
         return 0.0
-    pref, centre, boundary, lag = quad
+    pref, centre, boundary, lag, support, period, cap, _ = quad
+    if far is None:
+        far = _far_sum(quad, values, i) if i >= period else 0.0
     v_i = values[i] if current is None else current
-    return float(pref * (centre * v_i + boundary[i] * values[0]
-                         + _history(lag, values, i, 1, i - 1)))
+    near = i % period
+    hi = near if near < i else i - 1
+    lags = far + _history(lag, values, i, 1, hi if hi < support else support)
+    # Samples 1..start-1 lie in blocks too large for the far field.
+    start = (i - near) & -cap
+    if start > 1:
+        lags += _history(lag, values, i, i - start + 1, i - 1)
+    return float(pref * (centre * v_i + boundary[i] * values[0] + lags))
+
+
+def _running(quad: _Quadrature, n: int):
+    """Evaluator (values, i, current=None) -> _product_node(quad, values,
+    i, current) for the nodes of one n-sample series, visited in
+    increasing order.  It holds the far field in an accumulator over the
+    grid and transforms each block once, when it first reaches the node
+    that closes it."""
+    if quad.period > n:
+        return functools.partial(_product_node, quad)
+    acc = np.zeros(n)
+    k = _LEAF  # the next node that closes a block
+
+    def node(values, i, current=None):
+        nonlocal k
+        while k <= i:
+            if k & (quad.cap - 1):
+                block = _far_block(quad, values, k)
+                acc[k:k + block.size] += block[:n - k]
+            k += _LEAF
+        return _product_node(quad, values, i, current, acc[i])
+    return node
+
+
+def _evaluator(quad: _Quadrature, n: int, running: bool):
+    """A running evaluator of quad (see _running) or, for calls at single
+    nodes in any order, the plain node form."""
+    if running:
+        return _running(quad, n)
+    return functools.partial(_product_node, quad)
 
 
 def _integral_pref(h: float, alpha: float) -> float:
     return h ** alpha / (2.0 * gammafn.gamma(1.0 + alpha))
 
 
-def _integral_quad(alpha: float, h: float, n: int) -> tuple:
+def _integral_quad(alpha: float, h: float, n: int) -> _Quadrature:
     """The order-alpha integral quadrature of an n-sample series with
     step h, in the node form above."""
-    return (_integral_pref(h, alpha), 1.0,
-            _weights("integral_boundary", alpha, n),
-            _weights("integral", alpha, n))
+    m = _table_length(n)
+    return _quadrature(_integral_pref(h, alpha), 1.0,
+                       _weights("integral_boundary", alpha, m),
+                       _weights("integral", alpha, m))
 
 
-def _node_kernel(mu: float, h: float, n: int):
+def _node_kernel(mu: float, h: float, n: int, running: bool = True):
     """Evaluator (values, i) -> operator of signed order mu != 0 at node i
-    of an n-sample series with step h.  mu < 0 integrates, 0 < mu < 1
-    takes the difference quadrature summed by parts, mu >= 1 the binomial
+    of an n-sample series with step h; a running one (nodes in increasing
+    order) unless running is False.  mu < 0 integrates, 0 < mu < 1 takes
+    the difference quadrature summed by parts, mu >= 1 the binomial
     weights (whose sum covers v_0 as boundary[i] = w_i)."""
+    m = _table_length(n)
     if mu < 0.0:
-        quad = _integral_quad(-mu, h, n)
-        return lambda v, i: _product_node(quad, v, i)
+        return _evaluator(_integral_quad(-mu, h, n), n, running)
     if mu < 1.0:
-        quad = (h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0,
-                _weights("derivative01_boundary", mu, n),
-                _weights("derivative01_lag", mu, n))
+        node = _evaluator(
+            _quadrature(h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0,
+                        _weights("derivative01_boundary", mu, m),
+                        _weights("derivative01_lag", mu, m)), n, running)
 
         def d01_node(v, i):
             if i == 0 and v[0] != 0.0:
                 raise SingularOriginError(
                     "derivative at t = 0 of a series with nonzero first"
                     " sample")
-            return _product_node(quad, v, i)
+            return node(v, i)
         return d01_node
-    w = _weights("binomial", mu, n)
-    quad = (h ** (-mu), w[0], w, w)
+    w = _weights("binomial", mu, m)
+    node = _evaluator(_quadrature(h ** (-mu), w[0], w, w), n, running)
 
     def binomial_node(v, i):
         if v[0] != 0.0:
             raise NonzeroOriginError(
                 "binomial-weight derivative needs a series starting at zero"
             )
-        return _product_node(quad, v, i)
+        return node(v, i)
     return binomial_node
 
 
@@ -294,7 +452,7 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
     if alpha <= 0.0:
         raise ValueError("integral order must be positive")
     i = _check_node(z, i)
-    return _node_kernel(-alpha, z.h, len(z))(z.values, i)
+    return _node_kernel(-alpha, z.h, len(z), running=False)(z.values, i)
 
 
 def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
@@ -313,7 +471,7 @@ def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
     i = _check_node(z, i)
     if alpha == 0.0:
         return float(z.values[i])
-    return _node_kernel(alpha, z.h, len(z))(z.values, i)
+    return _node_kernel(alpha, z.h, len(z), running=False)(z.values, i)
 
 
 def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
@@ -330,7 +488,7 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     if alpha < 1.0:
         raise ValueError("general derivative order must be at least 1")
     i = _check_node(z, i)
-    return _node_kernel(alpha, z.h, len(z))(z.values, i)
+    return _node_kernel(alpha, z.h, len(z), running=False)(z.values, i)
 
 
 def apply_operator(z: SampleSeries, mu) -> SampleSeries:

@@ -17,6 +17,7 @@ from fodesolve.decompose import (
     WLink,
     babenko_invert,
     build_system,
+    _direct_inverter,
     classify,
     integer_order,
     volterra_direct_invert,
@@ -273,6 +274,39 @@ class TestVolterraDirect:
             assert math.isfinite(got)
             assert got == want
 
+    def test_node_i_is_never_read_beyond_the_leaf(self):
+        # Past node 64 the far field sums blocks of the history; they are
+        # sized by the grid and never reach node i.
+        h, n = 0.002, 1001
+        t = h * np.arange(n)
+        links = (WLink(0.5, 0.5), WLink(0.25, 0.3))
+        w = _w_from(SampleSeries(h, t ** 2 * np.exp(-t)), links)
+        z1 = np.sin(t)
+        z1[0] = 0.0
+        for i in (64, 65, 129, 700, n - 1):
+            padded = z1.copy()
+            padded[i:] = np.nan
+            got = volterra_direct_invert(w, links, i, SampleSeries(h, padded))
+            want = volterra_direct_invert(w, links, i,
+                                          SampleSeries(h, z1[:i]))
+            assert math.isfinite(got)
+            assert got == want
+
+    def test_single_node_equals_the_running_inverter(self):
+        # The stepper's running node map accumulates every far block
+        # once; a single-node call sums its own blocks in the same order.
+        h, n = 0.002, 1001
+        t = h * np.arange(n)
+        links = (WLink(0.5, 0.5), WLink(0.25, 0.3))
+        w = _w_from(SampleSeries(h, t ** 2 * np.exp(-t)), links)
+        invert = _direct_inverter(h, links, n)
+        z1 = np.zeros(n)
+        for i in range(n):
+            z1[i] = invert(w.values[i], z1, i)
+        for i in (63, 64, 65, 128, 999, n - 1):
+            assert volterra_direct_invert(
+                w, links, i, SampleSeries(h, z1[:i])) == z1[i]
+
     def test_singular_pivot(self):
         h = 0.04
         from fodesolve.gammafn import gamma
@@ -371,6 +405,22 @@ class TestBabenkoInvert:
         part = babenko_invert(SampleSeries(h, w.values[:400]), 0.5, 0.5,
                               terms=30).series.values
         assert np.array_equal(part, whole[:400])
+
+    def test_prefix_causal_where_the_truncated_fold_grows(self):
+        # 30 terms stop converging near t = 20, where the folded weights
+        # start to grow and larger far blocks give way to direct sums.
+        # Each block's choice depends on its own lags only, so a prefix
+        # still reproduces the whole run.
+        h = 0.01
+        t = h * np.arange(6001)
+        w = SampleSeries(h, np.cos(t) + 0.1 * t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BabenkoTailWarning)
+            whole = babenko_invert(w, 0.5, 0.5, terms=30).series.values
+            for cut in (1000, 3000):
+                part = babenko_invert(SampleSeries(h, w.values[:cut]), 0.5,
+                                      0.5, terms=30).series.values
+                assert np.array_equal(part, whole[:cut])
 
     def test_fold_leaves_shared_weight_cache_alone(self):
         # The K order-k*delta tables serve only the fold; caching them

@@ -1,10 +1,12 @@
 """Results are reproducible bit for bit whatever the BLAS thread count.
 
-Every causal history sum in the package goes through one reduction,
-operators._history, whose summation order does not depend on BLAS
-threading.  The subprocess test checks the promise end to end through
-the CLI; the source scans keep a thread-dependent reduction, or a
-hand-written history sum, from coming back in some other function.
+Every causal history sum in the package goes through two reductions,
+neither of which depends on BLAS threading: operators._history, one `@`
+over the near lags (and over every lag where the far field does not
+apply), and operators._far_block, one pocketfft transform per far
+block.  The subprocess test checks the promise end to end
+through the CLI; the source scans keep a thread-dependent reduction, or
+a hand-written history sum, from coming back in some other function.
 """
 
 import ast
@@ -23,6 +25,8 @@ PACKAGE = ROOT / "src" / "fodesolve"
 # splits the sum across threads.
 THREADED = {"dot", "inner", "vdot", "convolve"}
 REDUCTIONS = {"matmul", "einsum", "tensordot"}
+# numpy's pocketfft runs on one thread.
+FFT = {"fft", "rfft", "irfft"}
 
 
 def _cli_hash(args, out, threads):
@@ -88,6 +92,14 @@ def _reduction(node):
     return None
 
 
+def _fft(node):
+    # Each FFT named as an attribute (np.fft.rfft) or bare (rfft).
+    name = getattr(node, "attr", getattr(node, "id", None))
+    if isinstance(node, (ast.Attribute, ast.Name)) and name in FFT:
+        return name
+    return None
+
+
 def _history_call(node):
     # Each call of _history, by bare name or as an attribute.
     if isinstance(node, ast.Call):
@@ -119,6 +131,13 @@ def test_history_primitive_is_the_only_reduction():
               for path in sorted(PACKAGE.glob("*.py"))
               for func, _ in _walk(path, _reduction)}
     assert owners == {("operators.py", "_history")}
+
+
+def test_far_field_is_the_only_fft():
+    owners = {(path.name, func)
+              for path in sorted(PACKAGE.glob("*.py"))
+              for func, _ in _walk(path, _fft)}
+    assert owners == {("operators.py", "_far_block")}
 
 
 def test_history_is_summed_only_by_the_node_form_and_the_oracle():

@@ -14,6 +14,8 @@ from fodesolve.operators import (
     frac_derivative_general,
     frac_integral,
     weight_table,
+    _history,
+    _weights,
 )
 
 # Closed-form values Gamma(p+1)/Gamma(p+1 -+ alpha), frozen from 40-digit
@@ -261,6 +263,96 @@ class TestApplyOperator:
         z = ramp(h=0.01, t_end=0.2)
         out = apply_operator(z, -0.5)
         assert out.h == z.h and len(out) == len(z)
+
+
+def _node_form(mu, h, n):
+    """The operator of order mu as (pref, centre, boundary, lag), with
+    tables of the series' own length."""
+    if mu < 0.0:
+        return (h ** -mu / (2.0 * math.gamma(1.0 - mu)), 1.0,
+                _weights("integral_boundary", -mu, n),
+                _weights("integral", -mu, n))
+    if mu < 1.0:
+        return (h ** -mu / math.gamma(2.0 - mu), 1.0,
+                _weights("derivative01_boundary", mu, n),
+                _weights("derivative01_lag", mu, n))
+    w = _weights("binomial", mu, n)
+    return h ** -mu, w[0], w, w
+
+
+def _direct_sum(form, v, i):
+    """Node i of a node form, its lag sum one _history over every lag."""
+    pref, centre, boundary, lag = form
+    return pref * (centre * v[i] + boundary[i] * v[0]
+                   + _history(lag, v, i, 1, i - 1))
+
+
+class TestFarField:
+    """Histories longer than the 64-sample leaf reach the block-FFT far
+    field, which the 32-sample hypothesis test below never does."""
+
+    N = 1001
+    NODES = (63, 64, 65, 128, 999)
+
+    def signal(self):
+        t = 0.001 * np.arange(self.N)
+        return SampleSeries(0.001, np.sin(3.0 * t) + t)  # z_0 = 0
+
+    @pytest.mark.parametrize("mu", [-0.5, 0.35, 1.6])
+    def test_prefix_reproduces_the_whole_run(self, mu):
+        z = self.signal()
+        whole = apply_operator(z, mu).values
+        for cut in (64, 65, 127, 128, 129, 513, 1000):
+            part = apply_operator(SampleSeries(z.h, z.values[:cut]), mu)
+            assert np.array_equal(part.values, whole[:cut]), cut
+
+    @pytest.mark.parametrize("mu,node", [(-0.5, frac_integral),
+                                         (0.35, frac_derivative01),
+                                         (1.6, frac_derivative_general)])
+    def test_single_node_equals_the_series(self, mu, node):
+        # A single-node call sums its own blocks, the series sums every
+        # block once; both add a node's blocks in the same order.
+        z = self.signal()
+        whole = apply_operator(z, mu).values
+        for i in self.NODES:
+            assert node(z, abs(mu), i) == whole[i]
+
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    def test_integer_binomial_sums_only_its_support(self, order):
+        # The weights end exactly at lag = order; the lags beyond are
+        # exact zeros, so stopping there changes no bit.
+        n = 2001
+        t = 0.001 * np.arange(n)
+        v = np.sin(3.0 * t) + t
+        out = apply_operator(SampleSeries(0.001, v), order).values
+        form = _node_form(order, 0.001, n)
+        for i in range(1, n):
+            assert out[i] == _direct_sum(form, v, i)
+
+    def test_accuracy_against_an_exact_sum(self):
+        # Error of each node against math.fsum of the same terms,
+        # relative to sup |out|: the far field must be no worse than one
+        # direct sum over every lag.  Order -20 has growing weights, so
+        # it keeps the direct sum itself.
+        n, h = 16001, 0.00025
+        t = h * np.arange(n)
+        v = t ** 2 + 0.2 * t ** 3
+        z = SampleSeries(h, v)
+        nodes = [*range(1, n, 97), n - 1]
+        for mu in (-0.5, 0.5, 1.5, -20.0):
+            out = apply_operator(z, OperatorOrder(mu, cap=100)).values
+            scale = np.max(np.abs(out[1:]))
+            form = pref, centre, boundary, lag = _node_form(mu, h, n)
+            err_far = err_direct = 0.0
+            for i in nodes:
+                direct = _direct_sum(form, v, i)
+                exact = pref * math.fsum([centre * v[i], boundary[i] * v[0],
+                                          *(lag[1:i] * v[i - 1:0:-1])])
+                err_far = max(err_far, abs(out[i] - exact) / scale)
+                err_direct = max(err_direct, abs(direct - exact) / scale)
+                if mu == -20.0:
+                    assert out[i] == direct
+            assert err_far <= err_direct, (mu, err_far, err_direct)
 
 
 @settings(max_examples=40, deadline=None)
