@@ -40,9 +40,8 @@ from .operators import (
     DEFAULT_ORDER_CAP,
     OperatorOrder,
     SampleSeries,
-    _evaluator,
     _integral_pref,
-    _integral_quad,
+    _kernel_quad,
     _quadrature,
     _running,
     _table_length,
@@ -548,10 +547,10 @@ def _guard_pivot(pivot: float, scale: float, message: str) -> float:
     return pivot
 
 
-def _direct_inverter(h: float, w_links, n: int, running: bool = True):
+def _direct_inverter(h: float, w_links, n: int):
     """Node map (w_i, z1, i) -> z1_i of the discrete relation
-    w = z1 + sum_j ratio_j I^(delta_j) z1 on an n-sample grid with step h;
-    a running map (nodes in increasing order) unless running is False.
+    w = z1 + sum_j ratio_j I^(delta_j) z1 on an n-sample grid with step h,
+    for nodes visited in increasing order (see operators._running).
 
     Each link is the operators' integral quadrature with the unknown
     current sample set to 0, so z1 is read at nodes 0..i-1 only; the
@@ -560,11 +559,12 @@ def _direct_inverter(h: float, w_links, n: int, running: bool = True):
     A vanishing pivot raises SingularInversionError here, before any
     node is inverted.
     """
-    quads = [(l.ratio, _integral_quad(l.order, h, n)) for l in w_links]
+    m = _table_length(n)
+    quads = [(l.ratio, _kernel_quad(-l.order, h, m)) for l in w_links]
     parts = [r * q.pref * q.centre for r, q in quads]
     pivot = _guard_pivot(sum(parts, 1.0), sum(map(abs, parts), 1.0),
                          "inversion pivot vanished for this step and coupling")
-    links = [(r, _evaluator(q, n, running)) for r, q in quads]
+    links = [(r, _running(q, n)) for r, q in quads]
     return lambda w_i, z1, i: (
         w_i - sum(r * node(z1, i, 0.0) for r, node in links)) / pivot
 
@@ -580,6 +580,10 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
     1 + sum_j ratio_j h^(delta_j) / (2 Gamma(1+delta_j)); the node value
     follows by one division.  Node 0 is 0 by construction.  A vanishing
     pivot raises SingularInversionError.
+
+    One call transforms node i's O(log i) far blocks of the history
+    afresh, work of order i log i; solve's direct inversion serves every
+    node and transforms each block once.
     """
     i = int(i)
     if i < 0 or i >= len(w):
@@ -590,5 +594,5 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
         raise ValueError("z1 history must cover nodes 0..i-1")
     if z1_history.h != w.h:
         raise ValueError("series must share the same step")
-    invert = _direct_inverter(w.h, w_links, len(w), running=False)
+    invert = _direct_inverter(w.h, w_links, len(w))
     return float(invert(w.values[i], z1_history.values, i))

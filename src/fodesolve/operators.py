@@ -53,6 +53,9 @@ __all__ = [
 DEFAULT_ORDER_CAP = 10.0
 
 _WEIGHT_CACHE_SIZE = 256
+# Each cached quadrature also holds block spectra about twice the size
+# of its lag table.
+_QUAD_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +221,11 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # blocks are the binary prefixes of its leaf start, O(log i) of them.
 # Every piece has bounds fixed by the node index alone and content
 # independent of the container length, so prefixes stay bitwise equal.
-# A running evaluator (_running) transforms each block once and
-# accumulates it, O(n log^2 n) for a whole series; a single-node call
-# transforms node i's own blocks; both add them in increasing k, so they
-# agree bitwise.  The FFT is numpy's pocketfft, which uses no BLAS
-# threads.
+# One running evaluator (_running) transforms each block once, when a
+# visited node first needs it, and accumulates it in increasing k: a
+# whole series costs O(n log^2 n), a single node its own O(log i)
+# blocks, and both give the same bits.  The FFT is numpy's pocketfft,
+# which uses no BLAS threads.
 _LEAF = 64
 
 
@@ -326,32 +329,15 @@ def _far_block(quad: _Quadrature, values: np.ndarray, k: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[b:]
 
 
-def _far_sum(quad: _Quadrature, values: np.ndarray, i: int) -> float:
-    """Node i's far field from its own blocks, the binary prefixes of its
-    leaf start, added in increasing order as _running adds them."""
-    closing = []
-    k = i - i % _LEAF
-    while k & (quad.cap - 1):
-        closing.append(k)
-        k &= k - 1
-    far = 0.0
-    for k in reversed(closing):
-        far += _far_block(quad, values, k)[i - k]
-    return far
-
-
 def _product_node(quad: _Quadrature, values: np.ndarray, i: int,
-                  current: float | None = None,
-                  far: float | None = None) -> float:
-    """quad in the node form above, evaluated at node i of values.  A
-    given current stands in for v_i, and values[i] is then never read:
-    values need only cover 0..i-1.  far is node i's far-field sum when a
-    running evaluator holds it; otherwise it is summed here."""
+                  current: float | None = None, far: float = 0.0) -> float:
+    """quad in the node form above, evaluated at node i of values, given
+    node i's far-field sum (held by _running).  A given current stands
+    in for v_i, and values[i] is then never read: values need only cover
+    0..i-1."""
     if i == 0:
         return 0.0
     pref, centre, boundary, lag, support, period, cap, _ = quad
-    if far is None:
-        far = _far_sum(quad, values, i) if i >= period else 0.0
     v_i = values[i] if current is None else current
     near = i % period
     hi = near if near < i else i - 1
@@ -364,63 +350,70 @@ def _product_node(quad: _Quadrature, values: np.ndarray, i: int,
 
 
 def _running(quad: _Quadrature, n: int):
-    """Evaluator (values, i, current=None) -> _product_node(quad, values,
-    i, current) for the nodes of one n-sample series, visited in
-    increasing order.  It holds the far field in an accumulator over the
-    grid and transforms each block once, when it first reaches the node
-    that closes it."""
+    """Evaluator (values, i, current=None) -> quad at node i of one
+    n-sample series, for nodes visited in increasing order (a single
+    node is one such visit).  It holds the far field in an accumulator
+    over the grid.  A visit transforms node i's blocks (the binary
+    prefixes of its leaf start) that start after the last leaf start
+    visited: a block that starts at or before it and holds node i also
+    held that visit's node, so it is already in.  Each block is thus
+    transformed at most once, only when a visited node needs it, and
+    every node's blocks are added in increasing k."""
     if quad.period > n:
         return functools.partial(_product_node, quad)
     acc = np.zeros(n)
-    k = _LEAF  # the next node that closes a block
+    mask = quad.cap - 1
+    done = 0  # the last leaf start visited
 
     def node(values, i, current=None):
-        nonlocal k
-        while k <= i:
-            if k & (quad.cap - 1):
+        nonlocal done
+        start = i - i % _LEAF
+        if start > done:
+            closing, k = [], start
+            while k > done and k & mask:
+                closing.append(k)
+                k &= k - 1
+            done = start
+            for k in reversed(closing):
                 block = _far_block(quad, values, k)
                 acc[k:k + block.size] += block[:n - k]
-            k += _LEAF
         return _product_node(quad, values, i, current, acc[i])
     return node
-
-
-def _evaluator(quad: _Quadrature, n: int, running: bool):
-    """A running evaluator of quad (see _running) or, for calls at single
-    nodes in any order, the plain node form."""
-    if running:
-        return _running(quad, n)
-    return functools.partial(_product_node, quad)
 
 
 def _integral_pref(h: float, alpha: float) -> float:
     return h ** alpha / (2.0 * gammafn.gamma(1.0 + alpha))
 
 
-def _integral_quad(alpha: float, h: float, n: int) -> _Quadrature:
-    """The order-alpha integral quadrature of an n-sample series with
-    step h, in the node form above."""
-    m = _table_length(n)
-    return _quadrature(_integral_pref(h, alpha), 1.0,
-                       _weights("integral_boundary", alpha, m),
-                       _weights("integral", alpha, m))
-
-
-def _node_kernel(mu: float, h: float, n: int, running: bool = True):
-    """Evaluator (values, i) -> operator of signed order mu != 0 at node i
-    of an n-sample series with step h; a running one (nodes in increasing
-    order) unless running is False.  mu < 0 integrates, 0 < mu < 1 takes
-    the difference quadrature summed by parts, mu >= 1 the binomial
-    weights (whose sum covers v_0 as boundary[i] = w_i)."""
-    m = _table_length(n)
+@functools.lru_cache(maxsize=_QUAD_CACHE_SIZE)
+def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
+    """The quadrature of signed order mu != 0 with step h and lag tables
+    of length m (see _table_length), in the node form above.  mu < 0
+    integrates, 0 < mu < 1 takes the difference quadrature summed by
+    parts, mu >= 1 the binomial weights (whose sum covers v_0 as
+    boundary[i] = w_i).  Cached with its plan and the block spectra it
+    fills, so kernels built again on the same grid (single-node calls
+    among them) share them."""
     if mu < 0.0:
-        return _evaluator(_integral_quad(-mu, h, n), n, running)
+        return _quadrature(_integral_pref(h, -mu), 1.0,
+                           _weights("integral_boundary", -mu, m),
+                           _weights("integral", -mu, m))
     if mu < 1.0:
-        node = _evaluator(
-            _quadrature(h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0,
-                        _weights("derivative01_boundary", mu, m),
-                        _weights("derivative01_lag", mu, m)), n, running)
+        return _quadrature(h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0,
+                           _weights("derivative01_boundary", mu, m),
+                           _weights("derivative01_lag", mu, m))
+    w = _weights("binomial", mu, m)
+    return _quadrature(h ** (-mu), w[0], w, w)
 
+
+def _node_kernel(mu: float, h: float, n: int):
+    """Running evaluator (values, i) -> operator of signed order mu != 0
+    at node i of an n-sample series with step h (see _running), with the
+    origin checks of the derivatives."""
+    node = _running(_kernel_quad(mu, h, _table_length(n)), n)
+    if mu < 0.0:
+        return node
+    if mu < 1.0:
         def d01_node(v, i):
             if i == 0 and v[0] != 0.0:
                 raise SingularOriginError(
@@ -428,8 +421,6 @@ def _node_kernel(mu: float, h: float, n: int, running: bool = True):
                     " sample")
             return node(v, i)
         return d01_node
-    w = _weights("binomial", mu, m)
-    node = _evaluator(_quadrature(h ** (-mu), w[0], w, w), n, running)
 
     def binomial_node(v, i):
         if v[0] != 0.0:
@@ -447,12 +438,16 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
     boundary weights, interior samples the weights (j+1)^a - (j-1)^a.
     Node 0 is the empty integral and returns 0.  Reduces to the composite
     trapezoid rule at alpha = 1.
+
+    One call transforms node i's O(log i) far blocks of samples afresh,
+    work of order i log i; apply_operator serves every node of a series
+    and transforms each block once.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("integral order must be positive")
     i = _check_node(z, i)
-    return _node_kernel(-alpha, z.h, len(z), running=False)(z.values, i)
+    return _node_kernel(-alpha, z.h, len(z))(z.values, i)
 
 
 def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
@@ -464,6 +459,10 @@ def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
     diverges: the routine returns 0 when z_0 = 0 and raises
     SingularOriginError otherwise.  alpha = 0 is the identity and returns
     z_i exactly at every node.
+
+    One call transforms node i's O(log i) far blocks of samples afresh,
+    work of order i log i; apply_operator serves every node of a series
+    and transforms each block once.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
@@ -471,7 +470,7 @@ def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
     i = _check_node(z, i)
     if alpha == 0.0:
         return float(z.values[i])
-    return _node_kernel(alpha, z.h, len(z), running=False)(z.values, i)
+    return _node_kernel(alpha, z.h, len(z))(z.values, i)
 
 
 def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
@@ -483,12 +482,16 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     derivative, which is exactly the situation the solver produces for
     its internal series.  At alpha = 1 this is the plain backward
     difference.
+
+    One call transforms node i's O(log i) far blocks of samples afresh,
+    work of order i log i; apply_operator serves every node of a series
+    and transforms each block once.
     """
     alpha = float(alpha)
     if alpha < 1.0:
         raise ValueError("general derivative order must be at least 1")
     i = _check_node(z, i)
-    return _node_kernel(alpha, z.h, len(z), running=False)(z.values, i)
+    return _node_kernel(alpha, z.h, len(z))(z.values, i)
 
 
 def apply_operator(z: SampleSeries, mu) -> SampleSeries:

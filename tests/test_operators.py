@@ -15,6 +15,7 @@ from fodesolve.operators import (
     frac_integral,
     weight_table,
     _history,
+    _node_kernel,
     _weights,
 )
 
@@ -316,6 +317,21 @@ class TestFarField:
         whole = apply_operator(z, mu).values
         for i in self.NODES:
             assert node(z, abs(mu), i) == whole[i]
+
+    def test_sparse_visits_and_a_cold_cache_give_the_series_bits(self):
+        # A running evaluator transforms only the blocks its visited nodes
+        # need, and any caller may fill the cached block spectra first:
+        # neither changes a bit.  The step is one no other test uses, so
+        # the single-node calls below start from an empty cache.
+        z = SampleSeries(0.0011, self.signal().values)
+        backwards = (999, 128, 65)
+        singles = [frac_integral(z, 0.5, i) for i in backwards]
+        visits = (65, 70, 128, 200, 640, 641, 999)
+        node = _node_kernel(-0.5, z.h, self.N)
+        sparse = [node(z.values, i) for i in visits]
+        whole = apply_operator(z, -0.5).values
+        assert singles == [whole[i] for i in backwards]
+        assert sparse == [whole[i] for i in visits]
 
     @pytest.mark.parametrize("order", [1.0, 2.0])
     def test_integer_binomial_sums_only_its_support(self, order):
