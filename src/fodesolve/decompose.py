@@ -44,6 +44,7 @@ from .operators import (
     _kernel_quad,
     _quadrature,
     _running,
+    _series,
     _table_length,
     _weights,
 )
@@ -469,10 +470,9 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
                      n: int) -> tuple:
     """Fold the series powers k = 1..terms, which are linear in w, into
     one quadrature in the operators' node form (pref, centre, boundary,
-    lag), and return running evaluators (see operators._running) of it
-    and of the k = terms power alone, the truncation diagnostic, on an
-    n-sample grid.  Entries are summed over k in a fixed order and do
-    not depend on n: prefixes stay bitwise equal.
+    lag), and return it and the k = terms power alone, the truncation
+    diagnostic, for an n-sample grid.  Entries are summed over k in a
+    fixed order and do not depend on n: prefixes stay bitwise equal.
 
     The fold ends early at the first power whose coefficient
     (-ratio)^k h^(k delta) / (2 Gamma(1 + k delta)) underflows to 0: the
@@ -497,8 +497,7 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
         boundary += b
         lag += wts
         last = (c, b, wts)
-    return (_running(_quadrature(1.0, centre, boundary, lag), n),
-            _running(_quadrature(1.0, *last), n))
+    return _quadrature(1.0, centre, boundary, lag), _quadrature(1.0, *last)
 
 
 def babenko_invert(w: SampleSeries, ratio: float, delta: float,
@@ -526,8 +525,10 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
         return BabenkoResult(w, 0.0)
     fold, last = _babenko_kernels(ratio, delta, w.h, terms, len(w))
     v = w.values
-    z1 = np.array([v[i] + fold(v, i) for i in range(v.size)])
-    tail_norm = max(abs(last(v, i)) for i in range(v.size))
+    z1 = v + _series(fold, v)
+    # The last term is 0 at node 0; like a running max over the nodes,
+    # the norm passes over nan.
+    tail_norm = float(np.nanmax(np.abs(_series(last, v))))
     if tail_norm > tail_tol:
         warnings.warn(
             f"series inversion truncated while its last term still has"

@@ -24,6 +24,10 @@ length and the order.
 The node form sums the lags near node i directly and the older ones by
 block FFT, so a whole series costs O(n log^2 n) rather than O(n^2);
 tables whose weights grow (integral orders above 1) keep one direct sum.
+It has two evaluators that agree bitwise: a running one, node by node,
+for series whose next sample depends on the last output (the stepper and
+the single-node functions), and a whole-series one for a series known in
+full (apply_operator and the series inverter).
 """
 
 from __future__ import annotations
@@ -207,10 +211,11 @@ def _check_node(z: SampleSeries, i: int) -> int:
 #   out_i = pref * (centre*v_i + boundary[i]*v_0
 #                   + sum_{j=1..i-1} lag[j]*v_{i-j}),     out_0 = 0,
 #
-# evaluated by _product_node.  The node kernels built on it are also
-# apply_operator's inner loop, so a whole-series application and a
-# node-by-node one agree bitwise, and the output at node i depends only
-# on samples 0..i (causality holds exactly, not just to rounding).
+# evaluated node by node by _product_node and over a whole series by
+# _series, which performs the same float operations in the same order
+# for every node.  A whole-series application and a node-by-node one
+# therefore agree bitwise, and the output at node i depends only on
+# samples 0..i (causality holds exactly, not just to rounding).
 #
 # The lag sum is split in two (Hairer, Lubich & Schlichte 1985).  The
 # near field, the lags inside node i's aligned leaf of _LEAF samples, is
@@ -221,11 +226,12 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # blocks are the binary prefixes of its leaf start, O(log i) of them.
 # Every piece has bounds fixed by the node index alone and content
 # independent of the container length, so prefixes stay bitwise equal.
-# One running evaluator (_running) transforms each block once, when a
+# The running evaluator (_running) transforms each block once, when a
 # visited node first needs it, and accumulates it in increasing k: a
 # whole series costs O(n log^2 n), a single node its own O(log i)
-# blocks, and both give the same bits.  The FFT is numpy's pocketfft,
-# which uses no BLAS threads.
+# blocks, and both give the same bits; _series fills its far field
+# through the same function, _close_blocks.  The FFT is numpy's
+# pocketfft, which uses no BLAS threads.
 _LEAF = 64
 
 
@@ -242,7 +248,11 @@ def _history(weights: np.ndarray, values: np.ndarray, i: int,
     """Causal product-quadrature sum over the lags lo..hi at node i,
     sum_j weights[j] * values[i - j]; 0 for an empty lag range.  Needs
     0 <= lo <= i and hi <= i.  Every direct history sum in the package
-    is this one."""
+    is this one.
+
+    The sum runs left to right from 0.0, in increasing lag j, each term
+    rounded before it is added: _series reproduces it bitwise by
+    multiply-adds in that order (tests/test_operators.py checks it)."""
     # The operand layout is fixed here and nowhere else: weights forward,
     # values reversed (negative stride).  With one negative-stride operand
     # `@` stays in numpy's own single-threaded loop (numpy 2.4, OpenBLAS
@@ -349,6 +359,22 @@ def _product_node(quad: _Quadrature, values: np.ndarray, i: int,
     return float(pref * (centre * v_i + boundary[i] * values[0] + lags))
 
 
+def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
+                  done: int, start: int) -> None:
+    """Add to the far-field accumulator acc the blocks of the leaf start
+    start (its binary prefixes) that start after the leaf start done,
+    in increasing k.  The one far-field path: both evaluators below fill
+    their far field here."""
+    mask = quad.cap - 1
+    closing, k = [], start
+    while k > done and k & mask:
+        closing.append(k)
+        k &= k - 1
+    for k in reversed(closing):
+        block = _far_block(quad, values, k)
+        acc[k:k + block.size] += block[:acc.size - k]
+
+
 def _running(quad: _Quadrature, n: int):
     """Evaluator (values, i, current=None) -> quad at node i of one
     n-sample series, for nodes visited in increasing order (a single
@@ -362,23 +388,62 @@ def _running(quad: _Quadrature, n: int):
     if quad.period > n:
         return functools.partial(_product_node, quad)
     acc = np.zeros(n)
-    mask = quad.cap - 1
     done = 0  # the last leaf start visited
 
     def node(values, i, current=None):
         nonlocal done
         start = i - i % _LEAF
         if start > done:
-            closing, k = [], start
-            while k > done and k & mask:
-                closing.append(k)
-                k &= k - 1
+            _close_blocks(quad, values, acc, done, start)
             done = start
-            for k in reversed(closing):
-                block = _far_block(quad, values, k)
-                acc[k:k + block.size] += block[:n - k]
         return _product_node(quad, values, i, current, acc[i])
     return node
+
+
+def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
+    """quad at every node of the whole series values, bitwise what the
+    running evaluator gives node by node: the same float operations in
+    the same order, batched over the nodes.
+
+    The far field visits every leaf start in turn.  The near field is at
+    most min(_LEAF - 1, support) multiply-adds over the leaves, in
+    increasing lag from 0.0, which is the order of _history; a table
+    without far field is one leaf as long as the series.  The samples a
+    capped far field leaves over are added the same way, node by node
+    in increasing lag."""
+    pref, centre, boundary, lag, support, period, cap, _ = quad
+    n = values.size
+    far = np.zeros(n)
+    if period <= n:
+        for start in range(_LEAF, n, _LEAF):
+            _close_blocks(quad, values, far, start - _LEAF, start)
+    # Near lags j at node r*p + c: the samples c-j of the same leaf,
+    # without sample 0, which the boundary term holds.
+    p = min(period, n)
+    rows = -(-n // p)
+    v = np.zeros(rows * p)
+    v[:n] = values
+    v = v.reshape(rows, p)
+    near = np.zeros((rows, p))
+    buf = np.empty(rows * p)
+    for j in range(1, min(p, support + 1)):
+        terms = np.multiply(lag[j], v[:, :p - j],
+                            out=buf[:rows * (p - j)].reshape(rows, p - j))
+        near[0, j + 1:] += terms[0, 1:]
+        near[1:, j:] += terms[1:]
+    lags = far + near.ravel()[:n]
+    if cap > _LEAF and period <= n:
+        # Node i leaves the samples 1..s-1 over, s = i & -cap > 1; lag j
+        # rising is sample m = i - j falling, and each node takes the
+        # samples below its own s only.
+        left = np.zeros(n)
+        for m in range((n - 1) // cap * cap - 1, 0, -1):
+            s = (m // cap + 1) * cap
+            left[s:] += lag[s - m:n - m] * values[m]
+        lags[cap:] += left[cap:]
+    out = pref * (centre * values + boundary[:n] * values[0] + lags)
+    out[0] = 0.0
+    return out
 
 
 def _integral_pref(h: float, alpha: float) -> float:
@@ -423,12 +488,16 @@ def _node_kernel(mu: float, h: float, n: int):
         return d01_node
 
     def binomial_node(v, i):
-        if v[0] != 0.0:
-            raise NonzeroOriginError(
-                "binomial-weight derivative needs a series starting at zero"
-            )
+        _check_zero_origin(v)
         return node(v, i)
     return binomial_node
+
+
+def _check_zero_origin(values: np.ndarray) -> None:
+    if values[0] != 0.0:
+        raise NonzeroOriginError(
+            "binomial-weight derivative needs a series starting at zero"
+        )
 
 
 def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
@@ -509,11 +578,11 @@ def apply_operator(z: SampleSeries, mu) -> SampleSeries:
         return z
     m = mu.mu
     v = z.values
-    node = _node_kernel(m, z.h, v.size)
-    out = np.empty(v.size, dtype=np.float64)
+    if m >= 1.0:
+        _check_zero_origin(v)
+    out = _series(_kernel_quad(m, z.h, _table_length(v.size)), v)
     # The derivative of a non-vanishing series is singular at t = 0;
     # report that sample as nan rather than inventing a number.
-    out[0] = np.nan if 0.0 < m < 1.0 and v[0] != 0.0 else node(v, 0)
-    for i in range(1, v.size):
-        out[i] = node(v, i)
+    if 0.0 < m < 1.0 and v[0] != 0.0:
+        out[0] = np.nan
     return SampleSeries(z.h, out)

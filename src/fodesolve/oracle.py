@@ -158,7 +158,7 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
             for s, w in zip(scales, tables):
                 acc -= s * _history(w, y, i, 1, i)
             y[i] = acc / pivot
-            if not np.isfinite(y[i]):
+            if not math.isfinite(y[i]):
                 nan_node = i
                 break
     if nan_node is not None:

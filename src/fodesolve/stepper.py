@@ -39,6 +39,7 @@ from .operators import (
     apply_operator,
     frac_derivative01,
     _node_kernel,
+    _running,
 )
 
 __all__ = [
@@ -218,7 +219,8 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 f"series inversion's a-priori term factor is {bound:.3g}"
                 f" at t = {big_n * h:g}; the result will be unreliable",
                 BabenkoTailWarning, stacklevel=2)
-        fold, last = _babenko_kernels(link.ratio, link.order, h, bab.terms, n)
+        fold, last = (_running(q, n) for q in _babenko_kernels(
+            link.ratio, link.order, h, bab.terms, n))
         wser = np.zeros(n, dtype=np.float64)
     else:
         invert = _direct_inverter(h, system.w_links, n)
@@ -241,7 +243,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
             dnu = z1[i] if nu_node is None else nu_node(z1, i)
             yi = ic_poly[i] + dnu
             y[i] = yi
-            if not (np.isfinite(yi) and np.isfinite(z1[i])):
+            if not (math.isfinite(yi) and math.isfinite(z1[i])):
                 nan_node = i
                 break
             acc = fvec[i]

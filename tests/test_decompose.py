@@ -17,6 +17,7 @@ from fodesolve.decompose import (
     WLink,
     babenko_invert,
     build_system,
+    _babenko_kernels,
     _direct_inverter,
     classify,
     integer_order,
@@ -31,6 +32,7 @@ from fodesolve.operators import (
     OperatorOrder,
     SampleSeries,
     apply_operator,
+    _running,
     _weights,
 )
 
@@ -421,6 +423,25 @@ class TestBabenkoInvert:
                 part = babenko_invert(SampleSeries(h, w.values[:cut]), 0.5,
                                       0.5, terms=30).series.values
                 assert np.array_equal(part, whole[:cut])
+
+    @pytest.mark.parametrize("bad", [None, 0, 3000])
+    def test_whole_series_equals_the_node_loop(self, bad):
+        # babenko_invert evaluates the fold and its last term over the
+        # whole series; a loop of running evaluators gives the same
+        # bytes, and the tail norm, like the builtin max, passes over nan.
+        h, n = 0.01, 6001
+        t = h * np.arange(n)
+        v = np.cos(t) + 0.1 * t
+        if bad is not None:
+            v[bad] = np.nan
+        fold, last = (_running(q, n)
+                      for q in _babenko_kernels(0.5, 0.5, h, 30, n))
+        z1 = np.array([v[i] + fold(v, i) for i in range(n)])
+        tail = max(abs(last(v, i)) for i in range(n))
+        res = babenko_invert(SampleSeries(h, v), 0.5, 0.5, terms=30,
+                             tail_tol=math.inf)
+        assert res.series.values.tobytes() == z1.tobytes()
+        assert res.tail_norm == tail and math.isfinite(tail)
 
     def test_fold_leaves_shared_weight_cache_alone(self):
         # The K order-k*delta tables serve only the fold; caching them

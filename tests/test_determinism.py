@@ -4,9 +4,13 @@ Every causal history sum in the package goes through two reductions,
 neither of which depends on BLAS threading: operators._history, one `@`
 over the near lags (and over every lag where the far field does not
 apply), and operators._far_block, one pocketfft transform per far
-block.  The subprocess test checks the promise end to end
-through the CLI; the source scans keep a thread-dependent reduction, or
-a hand-written history sum, from coming back in some other function.
+block.  The whole-series evaluator operators._series sums the same near
+lags by elementwise multiply-adds, which are no reduction and use no
+threads, and takes its far blocks through the one far-field path,
+operators._close_blocks.  The subprocess test checks the promise end to
+end through the CLI; the source scans keep a thread-dependent
+reduction, a hand-written history sum or a second far-field path from
+coming back in some other function.
 """
 
 import ast
@@ -138,6 +142,15 @@ def test_far_field_is_the_only_fft():
               for path in sorted(PACKAGE.glob("*.py"))
               for func, _ in _walk(path, _fft)}
     assert owners == {("operators.py", "_far_block")}
+
+
+def test_one_far_field_path():
+    # The running and the whole-series evaluator fill their far field
+    # through one function, so their block sums cannot drift apart.
+    callers = {(path.name, func)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for func, _ in _walk(path, _call_of("_far_block"))}
+    assert callers == {("operators.py", "_close_blocks")}
 
 
 def test_history_is_summed_only_by_the_node_form_and_the_oracle():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fodesolve.decompose import _babenko_kernels
 from fodesolve.errors import NonzeroOriginError, SingularOriginError
 from fodesolve.operators import (
     DEFAULT_ORDER_CAP,
@@ -14,8 +15,13 @@ from fodesolve.operators import (
     frac_derivative_general,
     frac_integral,
     weight_table,
+    _LEAF,
     _history,
+    _kernel_quad,
     _node_kernel,
+    _running,
+    _series,
+    _table_length,
     _weights,
 )
 
@@ -369,6 +375,76 @@ class TestFarField:
                 if mu == -20.0:
                     assert out[i] == direct
             assert err_far <= err_direct, (mu, err_far, err_direct)
+
+
+def test_history_is_a_left_to_right_sum():
+    # The whole-series evaluator reproduces _history by multiply-adds in
+    # increasing lag from 0.0.  That holds only while `@` on one
+    # reversed operand sums left to right; entries spread over 24
+    # decades make any other association show in the last bits.
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        n = int(rng.integers(67, 3000))
+        w = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+        lo = int(rng.integers(0, 3))
+        i = int(rng.integers(lo + 64, n))
+        hi = int(rng.integers(lo + 63, i + 1))
+        total = 0.0
+        for j in range(lo, hi + 1):
+            total += float(w[j]) * float(v[i - j])
+        got = _history(w, v, i, lo, hi)
+        assert np.float64(got).tobytes() == np.float64(total).tobytes()
+
+
+class TestSeriesEvaluator:
+    """The whole-series evaluator against the running one, node by node,
+    byte for byte (signed zeros count), on every plan shape."""
+
+    NS = (1, 2, 63, 64, 65, 128, 129, 1000)
+
+    @staticmethod
+    def samples(n, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        v[::7] = 0.0
+        v[3::11] = -0.0
+        v[0] = (0.0, -0.0, 1.7)[seed % 3]
+        return v
+
+    def assert_same_bytes(self, quad, v):
+        node = _running(quad, v.size)
+        loop = np.array([node(v, i) for i in range(v.size)])
+        assert _series(quad, v).tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("mu,shape", [(-0.5, "decaying"),
+                                          (0.35, "decaying"),
+                                          (1.6, "decaying"),
+                                          (-1.5, "growing"),
+                                          (1.0, "support 1"),
+                                          (2.0, "support 2")])
+    def test_operator_kernels(self, mu, shape):
+        quad = _kernel_quad(mu, 0.01, _table_length(self.NS[-1]))
+        if shape == "decaying":
+            assert quad.period == _LEAF and quad.cap == 0
+        elif shape == "growing":
+            assert quad.period > self.NS[-1]
+        else:
+            assert quad.support == int(mu) and quad.period > self.NS[-1]
+        for n in self.NS:
+            quad = _kernel_quad(mu, 0.01, _table_length(n))
+            self.assert_same_bytes(quad, self.samples(n, n))
+
+    def test_capped_fold_and_its_last_term(self):
+        # At h = 0.01 the 30-term fold decays until its truncated powers
+        # take over: far blocks up to cap, direct sums beyond.
+        for n in (*self.NS, 6001):
+            fold, last = _babenko_kernels(0.5, 0.5, 0.01, 30, n)
+            if n == 6001:
+                assert fold.period == _LEAF and fold.cap > _LEAF
+            v = self.samples(n, n + 1)
+            self.assert_same_bytes(fold, v)
+            self.assert_same_bytes(last, v)
 
 
 @settings(max_examples=40, deadline=None)
