@@ -38,7 +38,6 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_ORDER_CAP,
-    OperatorOrder,
     SampleSeries,
     _integral_pref,
     _kernel_quad,
@@ -360,8 +359,14 @@ class Babenko:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
-        if int(self.terms) < 1:
-            raise ValueError("series inversion needs at least one term")
+        # A nan tolerance would silence every truncation warning;
+        # math.inf turns them off on purpose.
+        if not float(self.terms).is_integer() or self.terms < 1:
+            raise ValueError(f"series inversion needs a whole number of"
+                             f" terms, at least 1, got {self.terms!r}")
+        if not float(self.tail_tol) >= 0.0:
+            raise ValueError(f"tail tolerance must be nonnegative, got"
+                             f" {self.tail_tol!r}")
         object.__setattr__(self, "terms", int(self.terms))
         object.__setattr__(self, "tail_tol", float(self.tail_tol))
 
@@ -400,6 +405,9 @@ def build_system(problem: ProblemSpec, inversion=None) -> DecomposedSystem:
     """
     if inversion is None:
         inversion = DirectVolterra()
+    if not isinstance(inversion, (Babenko, DirectVolterra)):
+        raise ValueError(
+            f"inversion must be Babenko or DirectVolterra, got {inversion!r}")
     if problem.terms[-1].order == 0.0:
         raise UnsupportedProblemError(
             "a term of order zero is outside the reduction; put the"
@@ -421,15 +429,6 @@ def build_system(problem: ProblemSpec, inversion=None) -> DecomposedSystem:
     rhs_links = tuple(
         RhsLink(tm.coefficient, nu + tm.order) for tm in tail_terms
     )
-    # All coupling orders must stay below the evolved order m1; the
-    # strictly decreasing term orders guarantee it, so a violation here
-    # means the inputs were corrupted.
-    for link in rhs_links:
-        OperatorOrder(link.order)
-        if link.order >= m1:
-            raise UnsupportedProblemError(
-                "coupling order reached the evolved order"
-            )
     if isinstance(inversion, Babenko) and len(w_links) > 1:
         raise UnsupportedProblemError(
             "series inversion handles exactly two shared leading orders;"
@@ -513,31 +512,52 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
     is only trustworthy while |ratio| t^delta stays moderate; the sup norm
     of the k = terms term is returned as the truncation diagnostic and
     additionally raises BabenkoTailWarning when it exceeds tail_tol.
+    terms and tail_tol are checked as Babenko checks them.
     """
     ratio = float(ratio)
     delta = float(delta)
-    terms = int(terms)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if terms < 1:
-        raise ValueError("need at least one series term")
+    bab = Babenko(terms, tail_tol)
     if ratio == 0.0:
         return BabenkoResult(w, 0.0)
-    fold, last = _babenko_kernels(ratio, delta, w.h, terms, len(w))
+    fold, last = _babenko_kernels(ratio, delta, w.h, bab.terms, len(w))
     v = w.values
     z1 = v + _series(fold, v)
     # The last term is 0 at node 0; like a running max over the nodes,
     # the norm passes over nan.
     tail_norm = float(np.nanmax(np.abs(_series(last, v))))
+    _warn_tail(tail_norm, bab.tail_tol)
+    return BabenkoResult(SampleSeries(w.h, z1), tail_norm)
+
+
+def _warn_tail(tail_norm: float, tail_tol: float) -> None:
+    """Warn the caller of babenko_invert or solve of a truncated tail."""
     if tail_norm > tail_tol:
         warnings.warn(
             f"series inversion truncated while its last term still has"
             f" sup norm {tail_norm:.3g}; the result is unreliable on this"
             f" horizon",
             BabenkoTailWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return BabenkoResult(SampleSeries(w.h, z1), tail_norm)
+
+
+def _series_inverter(ratio: float, delta: float, h: float, terms: int,
+                     n: int):
+    """babenko_invert as a node map (w, z1, i) -> z1_i that never reads
+    z1, for nodes visited in increasing order, and a function returning
+    the running max of |last term|: bitwise babenko_invert's tail_norm
+    over the nodes visited, nan passed over."""
+    fold, last = (_running(q, n)
+                  for q in _babenko_kernels(ratio, delta, h, terms, n))
+    tail = 0.0
+
+    def invert(w, z1, i):
+        nonlocal tail
+        tail = max(tail, abs(last(w, i)))
+        return w[i] + fold(w, i)
+    return invert, lambda: tail
 
 
 def _guard_pivot(pivot: float, scale: float, message: str) -> float:
@@ -549,7 +569,7 @@ def _guard_pivot(pivot: float, scale: float, message: str) -> float:
 
 
 def _direct_inverter(h: float, w_links, n: int):
-    """Node map (w_i, z1, i) -> z1_i of the discrete relation
+    """Node map (w, z1, i) -> z1_i of the discrete relation
     w = z1 + sum_j ratio_j I^(delta_j) z1 on an n-sample grid with step h,
     for nodes visited in increasing order (see operators._running).
 
@@ -566,8 +586,8 @@ def _direct_inverter(h: float, w_links, n: int):
     pivot = _guard_pivot(sum(parts, 1.0), sum(map(abs, parts), 1.0),
                          "inversion pivot vanished for this step and coupling")
     links = [(r, _running(q, n)) for r, q in quads]
-    return lambda w_i, z1, i: (
-        w_i - sum(r * node(z1, i, 0.0) for r, node in links)) / pivot
+    return lambda w, z1, i: (
+        w[i] - sum(r * node(z1, i, 0.0) for r, node in links)) / pivot
 
 
 def volterra_direct_invert(w: SampleSeries, w_links, i: int,
@@ -596,4 +616,4 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
     if z1_history.h != w.h:
         raise ValueError("series must share the same step")
     invert = _direct_inverter(w.h, w_links, len(w))
-    return float(invert(w.values[i], z1_history.values, i))
+    return float(invert(w.values, z1_history.values, i))

@@ -15,7 +15,7 @@ binomial weights of the backward-difference definition):
   first sample is zero.
 
 All three, and every other product quadrature in the package, are
-evaluated in one node form (see _product_node).  The difference
+evaluated in one node form (see the comment above _LEAF).  The difference
 quadrature is summed by parts into it: samples times differenced
 weights rather than weights times sample differences.  That is the same
 quadrature; only the rounding differs, and it grows with the history
@@ -25,9 +25,11 @@ The node form sums the lags near node i directly and the older ones by
 block FFT, so a whole series costs O(n log^2 n) rather than O(n^2);
 tables whose weights grow (integral orders above 1) keep one direct sum.
 It has two evaluators that agree bitwise: a running one, node by node,
-for series whose next sample depends on the last output (the stepper and
-the single-node functions), and a whole-series one for a series known in
-full (apply_operator and the series inverter).
+for series whose next sample depends on the last output (the stepper's
+couplings and inverters and the single-node functions), and a
+whole-series one for a series known in full (apply_operator and
+babenko_invert).  The running one is a bare closure: the derivatives'
+origin checks belong to the public functions, not to each node.
 """
 
 from __future__ import annotations
@@ -211,11 +213,12 @@ def _check_node(z: SampleSeries, i: int) -> int:
 #   out_i = pref * (centre*v_i + boundary[i]*v_0
 #                   + sum_{j=1..i-1} lag[j]*v_{i-j}),     out_0 = 0,
 #
-# evaluated node by node by _product_node and over a whole series by
-# _series, which performs the same float operations in the same order
-# for every node.  A whole-series application and a node-by-node one
-# therefore agree bitwise, and the output at node i depends only on
-# samples 0..i (causality holds exactly, not just to rounding).
+# evaluated node by node by the closure _running returns and over a
+# whole series by _series, which performs the same float operations in
+# the same order for every node.  A whole-series application and a
+# node-by-node one therefore agree bitwise, and the output at node i
+# depends only on samples 0..i (causality holds exactly, not just to
+# rounding).
 #
 # The lag sum is split in two (Hairer, Lubich & Schlichte 1985).  The
 # near field, the lags inside node i's aligned leaf of _LEAF samples, is
@@ -339,26 +342,6 @@ def _far_block(quad: _Quadrature, values: np.ndarray, k: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[b:]
 
 
-def _product_node(quad: _Quadrature, values: np.ndarray, i: int,
-                  current: float | None = None, far: float = 0.0) -> float:
-    """quad in the node form above, evaluated at node i of values, given
-    node i's far-field sum (held by _running).  A given current stands
-    in for v_i, and values[i] is then never read: values need only cover
-    0..i-1."""
-    if i == 0:
-        return 0.0
-    pref, centre, boundary, lag, support, period, cap, _ = quad
-    v_i = values[i] if current is None else current
-    near = i % period
-    hi = near if near < i else i - 1
-    lags = far + _history(lag, values, i, 1, hi if hi < support else support)
-    # Samples 1..start-1 lie in blocks too large for the far field.
-    start = (i - near) & -cap
-    if start > 1:
-        lags += _history(lag, values, i, i - start + 1, i - 1)
-    return float(pref * (centre * v_i + boundary[i] * values[0] + lags))
-
-
 def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
                   done: int, start: int) -> None:
     """Add to the far-field accumulator acc the blocks of the leaf start
@@ -378,26 +361,40 @@ def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
 def _running(quad: _Quadrature, n: int):
     """Evaluator (values, i, current=None) -> quad at node i of one
     n-sample series, for nodes visited in increasing order (a single
-    node is one such visit).  It holds the far field in an accumulator
-    over the grid.  A visit transforms node i's blocks (the binary
-    prefixes of its leaf start) that start after the last leaf start
-    visited: a block that starts at or before it and holds node i also
-    held that visit's node, so it is already in.  Each block is thus
-    transformed at most once, only when a visited node needs it, and
-    every node's blocks are added in increasing k."""
-    if quad.period > n:
-        return functools.partial(_product_node, quad)
+    node is one such visit).  A given current stands in for v_i, and
+    values[i] is then never read: values need only cover 0..i-1.
+
+    It holds the far field in an accumulator over the grid.  A visit
+    transforms node i's blocks (the binary prefixes of its leaf start)
+    that start after the last leaf start visited: a block that starts at
+    or before it and holds node i also held that visit's node, so it is
+    already in.  Each block is thus transformed at most once, only when
+    a visited node needs it, and every node's blocks are added in
+    increasing k.  A table without far field is one leaf, starting at
+    0, so it closes no block."""
+    pref, centre, boundary, lag, support, period, cap, _ = quad
     acc = np.zeros(n)
     done = 0  # the last leaf start visited
 
-    def node(values, i, current=None):
+    def product_node(values, i, current=None):
         nonlocal done
-        start = i - i % _LEAF
+        if i == 0:
+            return 0.0
+        near = i % period
+        start = i - near
         if start > done:
             _close_blocks(quad, values, acc, done, start)
             done = start
-        return _product_node(quad, values, i, current, acc[i])
-    return node
+        hi = near if near < i else i - 1
+        lags = acc[i] + _history(lag, values, i, 1,
+                                 hi if hi < support else support)
+        # Samples 1..s-1 lie in blocks too large for the far field.
+        s = start & -cap
+        if s > 1:
+            lags += _history(lag, values, i, i - s + 1, i - 1)
+        v_i = values[i] if current is None else current
+        return float(pref * (centre * v_i + boundary[i] * values[0] + lags))
+    return product_node
 
 
 def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
@@ -473,24 +470,9 @@ def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
 
 def _node_kernel(mu: float, h: float, n: int):
     """Running evaluator (values, i) -> operator of signed order mu != 0
-    at node i of an n-sample series with step h (see _running), with the
-    origin checks of the derivatives."""
-    node = _running(_kernel_quad(mu, h, _table_length(n)), n)
-    if mu < 0.0:
-        return node
-    if mu < 1.0:
-        def d01_node(v, i):
-            if i == 0 and v[0] != 0.0:
-                raise SingularOriginError(
-                    "derivative at t = 0 of a series with nonzero first"
-                    " sample")
-            return node(v, i)
-        return d01_node
-
-    def binomial_node(v, i):
-        _check_zero_origin(v)
-        return node(v, i)
-    return binomial_node
+    at node i of an n-sample series with step h (see _running).  It
+    makes no origin check: the derivatives' callers do."""
+    return _running(_kernel_quad(mu, h, _table_length(n)), n)
 
 
 def _check_zero_origin(values: np.ndarray) -> None:
@@ -539,6 +521,9 @@ def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
     i = _check_node(z, i)
     if alpha == 0.0:
         return float(z.values[i])
+    if i == 0 and z.values[0] != 0.0:
+        raise SingularOriginError(
+            "derivative at t = 0 of a series with nonzero first sample")
     return _node_kernel(alpha, z.h, len(z))(z.values, i)
 
 
@@ -560,6 +545,7 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     if alpha < 1.0:
         raise ValueError("general derivative order must be at least 1")
     i = _check_node(z, i)
+    _check_zero_origin(z.values)
     return _node_kernel(alpha, z.h, len(z))(z.values, i)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gammafn
 from .decompose import (
+    DirectVolterra,
     PowerSumForcing,
     ProblemSpec,
     integer_order,
@@ -211,11 +212,9 @@ def convergence_study(problem: ProblemSpec, steps, t_end: float,
     h_ref = steps[-1]
 
     def _run(h):
-        if inversion is not None:
-            cfg = SolverConfig(h=h, t_end=t_end, inversion=inversion)
-        else:
-            cfg = SolverConfig(h=h, t_end=t_end)
-        traj = solve(problem, cfg)
+        traj = solve(problem, SolverConfig(
+            h=h, t_end=t_end,
+            inversion=DirectVolterra() if inversion is None else inversion))
         if traj.diagnostics.nan_node is not None:
             raise ArithmeticError(
                 f"run at step {h:g} stopped at node"

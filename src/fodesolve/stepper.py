@@ -1,19 +1,23 @@
 """Time stepper for the decomposed system.
 
-One explicit Euler pass advances the state vector u = (s, s', ...,
-s^(m1-1)) where s is the temporary series z1 (or the combined series w
-when leading terms fold together).  The update is sequential from the
-top: the highest component absorbs the right-hand side first and each
-lower component then integrates the component above it in its already
-updated form.  That ordering costs nothing extra and keeps the cubic
-benchmark stable on coarse grids where the fully explicit ordering
-blows up.
+One explicit Euler pass advances the state vector u = (w, w', ...,
+w^(m1-1)), where w = z1 + sum_j ratio_j I^(delta_j) z1 combines the
+leading terms that fold together (w = z1 when none do).  Each node
+records w_i = u_0 in one w history and recovers z1_i from it by a node
+map (w, z1, i) -> z1_i: the series inverter when a Babenko inversion is
+asked for and a link folds, the direct inverter otherwise.  The update
+is sequential from the top: the highest component absorbs the
+right-hand side first and each lower component then integrates the
+component above it in its already updated form.  That ordering costs
+nothing extra and keeps the cubic benchmark stable on coarse grids
+where the fully explicit ordering blows up.
 
 Every fractional coupling is evaluated by causal quadrature over the
-nodes computed so far, through a running evaluator that sums the recent
-lags directly and the older ones by block FFT, so the whole solve costs
-O(N log^2 N) and in practice grows about linearly in N: its floor is the
-per-node Python loop.
+nodes computed so far, through a bare running evaluator (one closure
+call per coupling and node) that sums the recent lags directly and the
+older ones by block FFT, so the whole solve costs O(N log^2 N) and in
+practice grows about linearly in N: its floor is the per-node Python
+loop.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from .decompose import (
     ProblemSpec,
     build_system,
     _babenko_bound,
-    _babenko_kernels,
     _direct_inverter,
+    _series_inverter,
+    _warn_tail,
 )
 from .errors import BabenkoTailWarning
 from .operators import (
@@ -39,7 +44,6 @@ from .operators import (
     apply_operator,
     frac_derivative01,
     _node_kernel,
-    _running,
 )
 
 __all__ = [
@@ -199,18 +203,17 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     ic_poly = _ic_poly_values(system.initial_conditions, t)
     monomials = problem.nonlinearity.monomials()
 
-    # Every coupling order is positive, and z1[0] = 0 makes the d01
-    # kernel's first-sample boundary term an exact 0.
+    # Every coupling order is positive; z1[0] = 0 on both routes, so no
+    # origin check is needed and the d01 boundary term is an exact 0.
     links = [(l.coefficient, _node_kernel(l.order, h, n))
              for l in system.rhs_links]
     nu_node = _node_kernel(nu, h, n) if nu > 0.0 else None
 
     # The series route needs a folded link; every other problem, with or
-    # without links, takes the direct inverter.
-    use_babenko = bool(system.w_links) and isinstance(system.inversion,
-                                                      Babenko)
-    bound = None
-    if use_babenko:
+    # without links, takes the direct inverter.  Both are node maps
+    # (w, z1, i) -> z1_i over the one w history.
+    bound = tail_norm = None
+    if system.w_links and isinstance(system.inversion, Babenko):
         link = system.w_links[0]
         bab = system.inversion
         bound = _babenko_bound(link.ratio, link.order, big_n * h, bab.terms)
@@ -219,27 +222,22 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 f"series inversion's a-priori term factor is {bound:.3g}"
                 f" at t = {big_n * h:g}; the result will be unreliable",
                 BabenkoTailWarning, stacklevel=2)
-        fold, last = (_running(q, n) for q in _babenko_kernels(
-            link.ratio, link.order, h, bab.terms, n))
-        wser = np.zeros(n, dtype=np.float64)
+        invert, tail_norm = _series_inverter(link.ratio, link.order, h,
+                                             bab.terms, n)
     else:
         invert = _direct_inverter(h, system.w_links, n)
 
+    w = np.zeros(n, dtype=np.float64)
     z1 = np.zeros(n, dtype=np.float64)
     y = np.zeros(n, dtype=np.float64)
     u = np.zeros(m1, dtype=np.float64)
     a1 = system.a1
     nan_node = None
-    bab_tail = 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            if use_babenko:
-                wser[i] = u[0]
-                z1[i] = wser[i] + fold(wser, i)
-                bab_tail = max(bab_tail, abs(last(wser, i)))
-            else:
-                z1[i] = invert(u[0], z1, i)
+            w[i] = u[0]
+            z1[i] = invert(w, z1, i)
             dnu = z1[i] if nu_node is None else nu_node(z1, i)
             yi = ic_poly[i] + dnu
             y[i] = yi
@@ -275,13 +273,9 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
             z1_series, system.initial_conditions, problem.leading_order, m1
         )
     tail = None
-    if use_babenko:
-        tail = float(bab_tail)
-        if tail > system.inversion.tail_tol:
-            warnings.warn(
-                f"truncated inversion's last term reached sup norm"
-                f" {tail:.3g} during the run", BabenkoTailWarning,
-                stacklevel=2)
+    if tail_norm is not None:
+        tail = float(tail_norm())
+        _warn_tail(tail, system.inversion.tail_tol)
     return Trajectory(
         h=h,
         num_steps=len(y) - 1,

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fodesolve.decompose import (
     Babenko,
@@ -17,8 +18,8 @@ from fodesolve.decompose import (
     WLink,
     babenko_invert,
     build_system,
-    _babenko_kernels,
     _direct_inverter,
+    _series_inverter,
     classify,
     integer_order,
     volterra_direct_invert,
@@ -29,10 +30,10 @@ from fodesolve.errors import (
     UnsupportedProblemError,
 )
 from fodesolve.operators import (
+    DEFAULT_ORDER_CAP,
     OperatorOrder,
     SampleSeries,
     apply_operator,
-    _running,
     _weights,
 )
 
@@ -216,6 +217,57 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             Babenko(terms=0)
 
+    @pytest.mark.parametrize("kwargs", [{"terms": 2.7},
+                                        {"terms": math.nan},
+                                        {"terms": math.inf},
+                                        {"tail_tol": math.nan},
+                                        {"tail_tol": -1e-8}])
+    def test_babenko_rejects_fractional_terms_and_bad_tolerance(self, kwargs):
+        # A nan tolerance would turn every truncation warning off, and a
+        # fractional term count would be cut silently.
+        with pytest.raises(ValueError):
+            Babenko(**kwargs)
+
+    def test_babenko_accepts_whole_float_terms_and_infinite_tolerance(self):
+        bab = Babenko(terms=12.0, tail_tol=math.inf)
+        assert bab.terms == 12 and isinstance(bab.terms, int)
+        assert bab.tail_tol == math.inf
+        assert Babenko(tail_tol=0.0).tail_tol == 0.0
+
+    @pytest.mark.parametrize("inversion", ["babenko", "direct", Babenko])
+    def test_unknown_inversion_rejected(self, plate, inversion):
+        with pytest.raises(ValueError, match="inversion"):
+            build_system(plate, inversion)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(1, 9).map(float),
+                              st.floats(0.0, 10.0, exclude_min=True,
+                                        exclude_max=True)),
+                    min_size=1, max_size=5, unique=True),
+           st.sampled_from([Babenko(), DirectVolterra()]))
+    def test_coupling_orders_stay_below_the_evolved_order(self, orders,
+                                                          inversion):
+        # Strictly decreasing term orders under FracTerm's cap keep every
+        # coupling order in (0, m1) with m1 <= 10, inside the operators'
+        # order cap, so build_system need not check its links again.
+        orders = sorted(orders, reverse=True)
+        problem = ProblemSpec(
+            terms=tuple((1.0 + k, a) for k, a in enumerate(orders)),
+            initial_conditions=(0.0,) * integer_order(orders[0]))
+        try:
+            sys = build_system(problem, inversion)
+        except UnsupportedProblemError:
+            assert isinstance(inversion, Babenko)
+            return
+        assert sys.m1 <= DEFAULT_ORDER_CAP
+        for link in sys.rhs_links:
+            assert 0.0 < link.order < sys.m1
+            assert OperatorOrder(link.order).mu == link.order
+        for link in sys.w_links:
+            # Below 1 exactly, but the difference of the orders may round
+            # up to 1.
+            assert 0.0 < link.order <= 1.0
+
 
 def _w_from(z1: SampleSeries, links) -> SampleSeries:
     """Forward map w = z1 + sum_j ratio_j I^(delta_j) z1 with the same
@@ -304,7 +356,7 @@ class TestVolterraDirect:
         invert = _direct_inverter(h, links, n)
         z1 = np.zeros(n)
         for i in range(n):
-            z1[i] = invert(w.values[i], z1, i)
+            z1[i] = invert(w.values, z1, i)
         for i in (63, 64, 65, 128, 999, n - 1):
             assert volterra_direct_invert(
                 w, links, i, SampleSeries(h, z1[:i])) == z1[i]
@@ -373,12 +425,28 @@ class TestBabenkoInvert:
             res = babenko_invert(w, 0.5, 0.5, terms=5)
         assert res.tail_norm > 1e-8
 
+    def test_tail_warning_names_the_caller(self):
+        w = SampleSeries(0.1, 0.1 * np.arange(301))
+        with pytest.warns(BabenkoTailWarning) as rec:
+            babenko_invert(w, 0.5, 0.5, terms=5)
+        assert [r.filename for r in rec] == [__file__]
+
     def test_parameter_validation(self):
         w = SampleSeries(0.1, [0.0, 1.0])
         with pytest.raises(ValueError):
             babenko_invert(w, 0.5, 0.0)
         with pytest.raises(ValueError):
             babenko_invert(w, 0.5, 0.5, terms=0)
+
+    @pytest.mark.parametrize("kwargs", [{"terms": 2.7},
+                                        {"tail_tol": math.nan},
+                                        {"tail_tol": -1.0}])
+    def test_series_parameters_checked_like_babenko(self, kwargs):
+        w = SampleSeries(0.1, [0.0, 1.0])
+        with pytest.raises(ValueError):
+            babenko_invert(w, 0.5, 0.5, **kwargs)
+        res = babenko_invert(w, 0.5, 0.5, terms=3.0, tail_tol=math.inf)
+        assert np.isfinite(res.tail_norm)
 
     @pytest.mark.parametrize("terms,t_end", [(30, 5.0), (80, 30.0)])
     def test_matches_explicit_power_sum(self, terms, t_end):
@@ -427,20 +495,22 @@ class TestBabenkoInvert:
     @pytest.mark.parametrize("bad", [None, 0, 3000])
     def test_whole_series_equals_the_node_loop(self, bad):
         # babenko_invert evaluates the fold and its last term over the
-        # whole series; a loop of running evaluators gives the same
-        # bytes, and the tail norm, like the builtin max, passes over nan.
+        # whole series; solve's series-route node map gives the same
+        # bytes node by node, and the same tail norm, which passes over
+        # nan.
         h, n = 0.01, 6001
         t = h * np.arange(n)
         v = np.cos(t) + 0.1 * t
         if bad is not None:
             v[bad] = np.nan
-        fold, last = (_running(q, n)
-                      for q in _babenko_kernels(0.5, 0.5, h, 30, n))
-        z1 = np.array([v[i] + fold(v, i) for i in range(n)])
-        tail = max(abs(last(v, i)) for i in range(n))
+        invert, tail_norm = _series_inverter(0.5, 0.5, h, 30, n)
+        z1 = np.zeros(n)
+        for i in range(n):
+            z1[i] = invert(v, z1, i)
         res = babenko_invert(SampleSeries(h, v), 0.5, 0.5, terms=30,
                              tail_tol=math.inf)
         assert res.series.values.tobytes() == z1.tobytes()
+        tail = tail_norm()
         assert res.tail_norm == tail and math.isfinite(tail)
 
     def test_fold_leaves_shared_weight_cache_alone(self):

@@ -3,10 +3,12 @@
 Every causal history sum in the package goes through two reductions,
 neither of which depends on BLAS threading: operators._history, one `@`
 over the near lags (and over every lag where the far field does not
-apply), and operators._far_block, one pocketfft transform per far
-block.  The whole-series evaluator operators._series sums the same near
-lags by elementwise multiply-adds, which are no reduction and use no
-threads, and takes its far blocks through the one far-field path,
+apply), called by the running evaluator's node closure
+(operators._running's product_node) and by the oracle, and
+operators._far_block, one pocketfft transform per far block.  The
+whole-series evaluator operators._series sums the same near lags by
+elementwise multiply-adds, which are no reduction and use no threads,
+and takes its far blocks through the one far-field path,
 operators._close_blocks.  The subprocess test checks the promise end to
 end through the CLI; the source scans keep a thread-dependent
 reduction, a hand-written history sum or a second far-field path from
@@ -154,12 +156,13 @@ def test_one_far_field_path():
 
 
 def test_history_is_summed_only_by_the_node_form_and_the_oracle():
-    # Every product quadrature goes through operators._product_node; the
-    # whole-history oracle keeps its own per-term sums as a cross-check.
+    # Every product quadrature goes through the running evaluator's node
+    # closure, operators._running's product_node; the whole-history
+    # oracle keeps its own per-term sums as a cross-check.
     callers = {(path.name, func)
                for path in sorted(PACKAGE.glob("*.py"))
                for func, _ in _walk(path, _history_call)}
-    assert callers == {("operators.py", "_product_node"),
+    assert callers == {("operators.py", "product_node"),
                        ("oracle.py", "gl_direct_solve")}
 
 

@@ -244,6 +244,24 @@ class TestInversionRoutes:
         assert type(diag.babenko_bound) is float
         assert type(diag.babenko_tail) is float
 
+    def test_tail_warning_names_the_caller(self, plate):
+        # The run's truncation warning is the series inversion's own,
+        # pointed at the line that called solve.
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            solve(plate, SolverConfig(h=0.1, t_end=30.0,
+                                      inversion=Babenko(terms=10)))
+        tails = [r for r in rec if issubclass(r.category, BabenkoTailWarning)
+                 and "last term still has sup norm" in str(r.message)]
+        assert [r.filename for r in tails] == [__file__]
+
+    def test_unknown_inversion_is_an_error(self, plate):
+        # A string is not an inversion; it must not fall through to the
+        # direct route.
+        with pytest.raises(ValueError, match="inversion"):
+            solve(plate, SolverConfig(h=0.01, t_end=2.0,
+                                      inversion="babenko"))
+
     def test_direct_route_has_no_bound(self, plate):
         diag = solve(plate, SolverConfig(h=0.01, t_end=2.0)).diagnostics
         assert diag.babenko_bound is None and diag.babenko_tail is None
