@@ -465,6 +465,24 @@ def _babenko_bound(ratio: float, delta: float, t_end: float,
     return math.exp(log_f) if log_f < 709.0 else math.inf
 
 
+def _scaled_weights(c: float, kind: str, order: float, m: int) -> np.ndarray:
+    """c times the integral weights of one kind ("integral" or
+    "integral_boundary"), built outside the shared weight cache.  An
+    entry x1^a - x0^a whose power overflows, though its product with c
+    need not, is taken as sign(c) exp(log|c| + a log x1)
+    (-expm1(a log(x0/x1))) instead; every other entry keeps its bits."""
+    shift = 1.0 if kind == "integral" else 0.0
+    with np.errstate(all="ignore"):
+        out = c * _weights.__wrapped__(kind, order, m)
+        bad = ~np.isfinite(out)
+        x1 = np.flatnonzero(bad) + shift
+        out[bad] = (
+            math.copysign(1.0, c)
+            * np.exp(math.log(abs(c)) + order * np.log(x1))
+            * -np.expm1(order * np.log((x1 - 1.0 - shift) / x1)))
+    return out
+
+
 def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
                      n: int) -> tuple:
     """Fold the series powers k = 1..terms, which are linear in w, into
@@ -473,11 +491,15 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
     diagnostic, for an n-sample grid.  Entries are summed over k in a
     fixed order and do not depend on n: prefixes stay bitwise equal.
 
-    The fold ends early at the first power whose coefficient
-    (-ratio)^k h^(k delta) / (2 Gamma(1 + k delta)) underflows to 0: the
+    A power's table (j+1)^(k delta) - (j-1)^(k delta) may overflow while
+    its coefficient (-ratio)^k h^(k delta) / (2 Gamma(1 + k delta)) is
+    still small enough to keep the product finite; such entries are
+    evaluated in logs (see _scaled_weights).  A weight on the grid that
+    still exceeds double range raises OverflowError.  The fold ends
+    early at the first power whose coefficient underflows to 0: the
     coefficients only fall from there, so no later power adds anything
-    in double precision (their tables would overflow, and Gamma with
-    them).  The diagnostic is then that power, the zero quadrature."""
+    in double precision.  The diagnostic is then that power, the zero
+    quadrature."""
     m = _table_length(n)
     centre, boundary, lag = 0.0, np.zeros(m), np.zeros(m)
     sign = 1.0
@@ -488,14 +510,16 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
         if c == 0.0:
             last = (0.0, np.zeros(m), np.zeros(m))
             break
-        # Each order-k*delta table serves only this fold, so it is built
-        # outside the shared weight cache.
-        b = c * _weights.__wrapped__("integral_boundary", order, m)
-        wts = c * _weights.__wrapped__("integral", order, m)
+        b = _scaled_weights(c, "integral_boundary", order, m)
+        wts = _scaled_weights(c, "integral", order, m)
         centre += c
-        boundary += b
-        lag += wts
+        with np.errstate(over="ignore", invalid="ignore"):
+            boundary += b
+            lag += wts
         last = (c, b, wts)
+    if not (np.isfinite(boundary[:n]).all() and np.isfinite(lag[:n]).all()):
+        raise OverflowError("series inversion weights exceed double range"
+                            " on this grid")
     return _quadrature(1.0, centre, boundary, lag), _quadrature(1.0, *last)
 
 
@@ -510,9 +534,10 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
     folded into one quadrature.  The series converges like
     (|ratio| t^delta)^k / Gamma(k delta + 1), so for a fixed truncation it
     is only trustworthy while |ratio| t^delta stays moderate; the sup norm
-    of the k = terms term is returned as the truncation diagnostic and
-    additionally raises BabenkoTailWarning when it exceeds tail_tol.
-    terms and tail_tol are checked as Babenko checks them.
+    of the k = terms term, nan passed over, is returned as the truncation
+    diagnostic and additionally raises BabenkoTailWarning when it exceeds
+    tail_tol.  terms and tail_tol are checked as Babenko checks them;
+    weights beyond double range on the grid raise OverflowError.
     """
     ratio = float(ratio)
     delta = float(delta)
@@ -524,40 +549,35 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
     fold, last = _babenko_kernels(ratio, delta, w.h, bab.terms, len(w))
     v = w.values
     z1 = v + _series(fold, v)
-    # The last term is 0 at node 0; like a running max over the nodes,
-    # the norm passes over nan.
-    tail_norm = float(np.nanmax(np.abs(_series(last, v))))
-    _warn_tail(tail_norm, bab.tail_tol)
+    tail_norm = _tail_norm(last, v, bab.tail_tol)
     return BabenkoResult(SampleSeries(w.h, z1), tail_norm)
 
 
-def _warn_tail(tail_norm: float, tail_tol: float) -> None:
-    """Warn the caller of babenko_invert or solve of a truncated tail."""
-    if tail_norm > tail_tol:
+def _tail_norm(last, values: np.ndarray, tail_tol: float) -> float:
+    """Sup norm of the last retained power over the series values (0 at
+    node 0, nan passed over), and a warning to the caller of
+    babenko_invert or solve when it exceeds tail_tol."""
+    tail = float(np.nanmax(np.abs(_series(last, values))))
+    if tail > tail_tol:
         warnings.warn(
             f"series inversion truncated while its last term still has"
-            f" sup norm {tail_norm:.3g}; the result is unreliable on this"
+            f" sup norm {tail:.3g}; the result is unreliable on this"
             f" horizon",
             BabenkoTailWarning,
             stacklevel=3,
         )
+    return tail
 
 
 def _series_inverter(ratio: float, delta: float, h: float, terms: int,
                      n: int):
-    """babenko_invert as a node map (w, z1, i) -> z1_i that never reads
-    z1, for nodes visited in increasing order, and a function returning
-    the running max of |last term|: bitwise babenko_invert's tail_norm
-    over the nodes visited, nan passed over."""
-    fold, last = (_running(q, n)
-                  for q in _babenko_kernels(ratio, delta, h, terms, n))
-    tail = 0.0
-
-    def invert(w, z1, i):
-        nonlocal tail
-        tail = max(tail, abs(last(w, i)))
-        return w[i] + fold(w, i)
-    return invert, lambda: tail
+    """babenko_invert as a stateless node map (w, z1, i) -> z1_i that
+    never reads z1, for nodes visited in increasing order, and the last
+    retained power's quadrature, whose norm _tail_norm takes over the
+    visited w once the run is over."""
+    fold, last = _babenko_kernels(ratio, delta, h, terms, n)
+    fold = _running(fold, n)
+    return (lambda w, z1, i: w[i] + fold(w, i)), last
 
 
 def _guard_pivot(pivot: float, scale: float, message: str) -> float:

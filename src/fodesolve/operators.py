@@ -27,9 +27,9 @@ tables whose weights grow (integral orders above 1) keep one direct sum.
 It has two evaluators that agree bitwise: a running one, node by node,
 for series whose next sample depends on the last output (the stepper's
 couplings and inverters and the single-node functions), and a
-whole-series one for a series known in full (apply_operator and
-babenko_invert).  The running one is a bare closure: the derivatives'
-origin checks belong to the public functions, not to each node.
+whole-series one for a series known in full (apply_operator, the series
+inversion and its tail).  The running one is a bare closure: the
+derivatives' origin checks belong to the public functions.
 """
 
 from __future__ import annotations
@@ -100,20 +100,23 @@ class SampleSeries:
 class OperatorOrder:
     """Signed operator order: negative integrates, positive differentiates,
     zero is the identity.  The magnitude cap rejects wild orders that are
-    usually a sign of a misread input file."""
+    usually a sign of a misread input file; it must be positive (nan is
+    not, math.inf turns the cap off)."""
 
     mu: float
     cap: float = DEFAULT_ORDER_CAP
 
     def __post_init__(self):
         mu = float(self.mu)
+        cap = float(self.cap)
+        if not cap > 0.0:
+            raise ValueError(f"order cap must be positive, got {cap!r}")
         if not np.isfinite(mu):
             raise ValueError(f"operator order must be finite, got {mu!r}")
-        if abs(mu) >= self.cap:
-            raise ValueError(
-                f"operator order {mu!r} exceeds the cap {self.cap!r}"
-            )
+        if abs(mu) >= cap:
+            raise ValueError(f"operator order {mu!r} exceeds the cap {cap!r}")
         object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "cap", cap)
 
     @property
     def is_identity(self) -> bool:
@@ -405,7 +408,10 @@ def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
     The far field visits every leaf start in turn.  The near field is at
     most min(_LEAF - 1, support) multiply-adds over the leaves, in
     increasing lag from 0.0, which is the order of _history; a table
-    without far field is one leaf as long as the series.  The samples a
+    without far field is one leaf as long as the series.  Sample 0, the
+    boundary term's, enters as +0.0, which leaves a near sum (never -0.0)
+    as it is while the lag is finite; a non-finite one raises
+    OverflowError.  The samples a
     capped far field leaves over are added the same way, node by node
     in increasing lag."""
     pref, centre, boundary, lag, support, period, cap, _ = quad
@@ -414,20 +420,17 @@ def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
     if period <= n:
         for start in range(_LEAF, n, _LEAF):
             _close_blocks(quad, values, far, start - _LEAF, start)
-    # Near lags j at node r*p + c: the samples c-j of the same leaf,
-    # without sample 0, which the boundary term holds.
+    # Near lags j at node r*p + c: the samples c-j of the same leaf.
     p = min(period, n)
+    if not np.isfinite(lag[1:min(p, support + 1)]).all():
+        raise OverflowError("weights exceed double range on this grid")
     rows = -(-n // p)
     v = np.zeros(rows * p)
-    v[:n] = values
+    v[1:n] = values[1:]
     v = v.reshape(rows, p)
     near = np.zeros((rows, p))
-    buf = np.empty(rows * p)
     for j in range(1, min(p, support + 1)):
-        terms = np.multiply(lag[j], v[:, :p - j],
-                            out=buf[:rows * (p - j)].reshape(rows, p - j))
-        near[0, j + 1:] += terms[0, 1:]
-        near[1:, j:] += terms[1:]
+        near[:, j:] += lag[j] * v[:, :p - j]
     lags = far + near.ravel()[:n]
     if cap > _LEAF and period <= n:
         # Node i leaves the samples 1..s-1 over, s = i & -cap > 1; lag j
@@ -490,6 +493,9 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
     Node 0 is the empty integral and returns 0.  Reduces to the composite
     trapezoid rule at alpha = 1.
 
+    Orders at or above the cap of OperatorOrder are rejected, as
+    apply_operator rejects them.
+
     One call transforms node i's O(log i) far blocks of samples afresh,
     work of order i log i; apply_operator serves every node of a series
     and transforms each block once.
@@ -497,6 +503,7 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("integral order must be positive")
+    OperatorOrder(-alpha)
     i = _check_node(z, i)
     return _node_kernel(-alpha, z.h, len(z))(z.values, i)
 
@@ -537,6 +544,9 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     its internal series.  At alpha = 1 this is the plain backward
     difference.
 
+    Orders at or above the cap of OperatorOrder are rejected, as
+    apply_operator rejects them.
+
     One call transforms node i's O(log i) far blocks of samples afresh,
     work of order i log i; apply_operator serves every node of a series
     and transforms each block once.
@@ -544,6 +554,7 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     alpha = float(alpha)
     if alpha < 1.0:
         raise ValueError("general derivative order must be at least 1")
+    OperatorOrder(alpha)
     i = _check_node(z, i)
     _check_zero_origin(z.values)
     return _node_kernel(alpha, z.h, len(z))(z.values, i)

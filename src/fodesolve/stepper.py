@@ -17,7 +17,7 @@ nodes computed so far, through a bare running evaluator (one closure
 call per coupling and node) that sums the recent lags directly and the
 older ones by block FFT, so the whole solve costs O(N log^2 N) and in
 practice grows about linearly in N: its floor is the per-node Python
-loop.
+loop, which holds only the work the next node depends on.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .decompose import (
     _babenko_bound,
     _direct_inverter,
     _series_inverter,
-    _warn_tail,
+    _tail_norm,
 )
 from .errors import BabenkoTailWarning
 from .operators import (
@@ -99,10 +99,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """babenko_tail: largest sup of the truncated inversion's last term
-    seen during the run (None when the direct inverter ran).  nan_node:
-    index of the first node whose value came out non-finite (None for a
-    clean run); the trajectory is cut just before that node.
+    """babenko_tail: sup of the series inversion's last term over the
+    nodes visited, nan_node included (None for the direct inverter).
+    nan_node: index of the first node whose value came out non-finite
+    (None for a clean run); the trajectory is cut just before it.
     babenko_bound: the a-priori factor (|ratio| T^delta)^K /
     Gamma(1 + K delta) bounding that last term relative to sup |w| on
     the grid, known before the first step (None for the direct
@@ -212,7 +212,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     # The series route needs a folded link; every other problem, with or
     # without links, takes the direct inverter.  Both are node maps
     # (w, z1, i) -> z1_i over the one w history.
-    bound = tail_norm = None
+    bound = last = None
     if system.w_links and isinstance(system.inversion, Babenko):
         link = system.w_links[0]
         bab = system.inversion
@@ -222,8 +222,8 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 f"series inversion's a-priori term factor is {bound:.3g}"
                 f" at t = {big_n * h:g}; the result will be unreliable",
                 BabenkoTailWarning, stacklevel=2)
-        invert, tail_norm = _series_inverter(link.ratio, link.order, h,
-                                             bab.terms, n)
+        invert, last = _series_inverter(link.ratio, link.order, h,
+                                        bab.terms, n)
     else:
         invert = _direct_inverter(h, system.w_links, n)
 
@@ -273,9 +273,10 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
             z1_series, system.initial_conditions, problem.leading_order, m1
         )
     tail = None
-    if tail_norm is not None:
-        tail = float(tail_norm())
-        _warn_tail(tail, system.inversion.tail_tol)
+    if last is not None:
+        # Over every node visited, the one a cut run stopped at included.
+        tail = _tail_norm(last, w[:n if nan_node is None else nan_node + 1],
+                          system.inversion.tail_tol)
     return Trajectory(
         h=h,
         num_steps=len(y) - 1,

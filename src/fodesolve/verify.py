@@ -49,11 +49,10 @@ def _result(name, measured, bound, ok) -> CheckResult:
                        measured=measured, bound=bound)
 
 
-def _bagley_torvik(cubic: bool = False) -> ProblemSpec:
-    power = 3 if cubic else 1
+def _bagley_torvik() -> ProblemSpec:
     return ProblemSpec(
         terms=(FracTerm(1.0, 2.0), FracTerm(0.5, 1.5)),
-        nonlinearity=Polynomial((0.0,) * power + (0.5,)),
+        nonlinearity=Polynomial((0.0, 0.5)),
         forcing=PiecewiseForcing((
             ForcingSegment(0.0, 1.0, (8.0,)),
             ForcingSegment(1.0, math.inf, (0.0,)),

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ class TestSolve:
                    "--babenko-terms", "30", "--out", out])
         assert rc == 0
 
+    def test_series_route_survives_overflowing_power_tables(
+            self, plate_file, tmp_path):
+        # 200 terms bound the truncation by 6.7e-19 on [0, 100], but the
+        # tables of the last powers pass double range while their
+        # coefficients are still nonzero; the run used to stop at node
+        # 1 981 with numpy overflow warnings.
+        out = str(tmp_path / "out.csv")
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            rc = main(["solve", "--problem", plate_file, "--step", "0.05",
+                       "--t-end", "100", "--inversion", "babenko",
+                       "--babenko-terms", "200", "--out", out])
+        assert rc == 0 and not rec
+        _, body = read_csv(out)
+        assert body.shape[0] == 2001 and np.all(np.isfinite(body))
+
     def test_numerical_failure_writes_partial_csv(self, blowup_file,
                                                   tmp_path, capsys):
         out = str(tmp_path / "out.csv")
@@ -139,6 +156,18 @@ class TestUsageErrors:
     def test_unparseable_flag_value(self, plate_file):
         assert main(["solve", "--problem", plate_file, "--step", "x",
                      "--t-end", "1"]) == 1
+
+    def test_non_positive_horizon(self, plate_file):
+        assert main(["solve", "--problem", plate_file, "--step", "0.01",
+                     "--t-end", "0"]) == 1
+
+    @pytest.mark.parametrize("steps,t_end", [("a,b", "2"), ("0.1,0", "2"),
+                                             ("0.1,-0.1", "2"),
+                                             ("0.02,0.01", "0")])
+    def test_bad_convergence_grid(self, plate_file, steps, t_end, capsys):
+        assert main(["convergence", "--problem", plate_file,
+                     "--steps", steps, "--t-end", t_end]) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_bad_babenko_terms(self, plate_file):
         assert main(["solve", "--problem", plate_file, "--step", "0.01",
@@ -187,6 +216,19 @@ class TestConvergence:
     def test_single_step_is_usage_error(self, plate_file):
         assert main(["convergence", "--problem", plate_file,
                      "--steps", "0.01", "--t-end", "2"]) == 1
+
+    def test_stopped_reference_run_is_a_numerical_failure(self, tmp_path,
+                                                          capsys):
+        # D^1.5 y - 50 y = 1 overflows on [0, 100]: exit 3, no CSV.
+        problem = tmp_path / "runaway.fode"
+        problem.write_text("term 1 1.5\nnonlinear 1 -50\nforcing 0 inf 1\n"
+                           "init 0 0\ninit 1 0\n")
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--problem", str(problem),
+                     "--steps", "0.2,0.1", "--t-end", "100",
+                     "--oracle", "gl", "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gl_on_nonlinear_problem(self, plate_cubic_file):
         assert main(["convergence", "--problem", plate_cubic_file,
@@ -266,6 +308,18 @@ class TestApply:
         assert main(["apply", "--in", str(src), "--order", "-0.5",
                      "--out", str(out)]) == 2
         assert "invalid input" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,reason", [
+        ("", "empty"), ("t,value\n0,1\n", "at least two samples"),
+        ("t,value\n0,0\n-0.1,1\n-0.2,2\n", "increasing")])
+    def test_unusable_input_rejected(self, text, reason, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text(text)
+        out = tmp_path / "out.csv"
+        assert main(["apply", "--in", str(src), "--order", "-0.5",
+                     "--out", str(out)]) == 2
+        assert reason in capsys.readouterr().err
         assert not out.exists()
 
     def test_order_beyond_cap_is_usage_error(self, ramp_csv):

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -18,6 +19,7 @@ from fodesolve.decompose import (
     WLink,
     babenko_invert,
     build_system,
+    _babenko_kernels,
     _direct_inverter,
     _series_inverter,
     classify,
@@ -34,6 +36,7 @@ from fodesolve.operators import (
     OperatorOrder,
     SampleSeries,
     apply_operator,
+    _running,
     _weights,
 )
 
@@ -496,22 +499,61 @@ class TestBabenkoInvert:
     def test_whole_series_equals_the_node_loop(self, bad):
         # babenko_invert evaluates the fold and its last term over the
         # whole series; solve's series-route node map gives the same
-        # bytes node by node, and the same tail norm, which passes over
-        # nan.
+        # bytes node by node, and its tail norm equals a running max of
+        # the last term over the nodes, which passes over nan.
         h, n = 0.01, 6001
         t = h * np.arange(n)
         v = np.cos(t) + 0.1 * t
         if bad is not None:
             v[bad] = np.nan
-        invert, tail_norm = _series_inverter(0.5, 0.5, h, 30, n)
+        invert, last = _series_inverter(0.5, 0.5, h, 30, n)
+        last_node = _running(last, n)
         z1 = np.zeros(n)
+        tail = 0.0
         for i in range(n):
             z1[i] = invert(v, z1, i)
+            tail = max(tail, abs(last_node(v, i)))
         res = babenko_invert(SampleSeries(h, v), 0.5, 0.5, terms=30,
                              tail_tol=math.inf)
         assert res.series.values.tobytes() == z1.tobytes()
-        tail = tail_norm()
         assert res.tail_norm == tail and math.isfinite(tail)
+
+    def test_power_tables_past_double_range_are_taken_in_logs(self):
+        # At h = 1 the last of 172 powers has order 170.28 and the
+        # coefficient 1.6e-308, while its table passes double range from
+        # lag 64 on.  The products stay below 1e84: the fold is finite,
+        # built without numpy overflow warnings, the entries that
+        # overflowed match exact arithmetic and the others keep their
+        # bits.
+        n, order = 200, 172 * 0.99
+        w = SampleSeries(1.0, np.cos(0.1 * np.arange(n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", BabenkoTailWarning)
+            res = babenko_invert(w, 1.0, 0.99, terms=172)
+            _, last = _babenko_kernels(1.0, 0.99, 1.0, 172, n)
+        assert np.all(np.isfinite(res.series.values))
+        assert 1e80 < res.tail_norm < 1e90
+        c = last.centre
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = c * _weights.__wrapped__("integral", order, last.lag.size)
+        assert last.lag[:64].tobytes() == plain[:64].tobytes()
+        assert not np.isfinite(plain[64])
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            a = decimal.Decimal(order)
+            for j in (64, 65, 100, 199):
+                exact = decimal.Decimal(c) * (decimal.Decimal(j + 1) ** a
+                                              - decimal.Decimal(j - 1) ** a)
+                assert last.lag[j] == pytest.approx(float(exact), rel=1e-12)
+
+    def test_weights_past_double_range_on_the_grid_raise(self):
+        # On 5 000 samples the same power's true weights pass double
+        # range near lag 4 150, so no finite fold exists; the fold's
+        # build says so, before any series is summed.
+        w = SampleSeries(1.0, np.cos(0.1 * np.arange(5000)))
+        with pytest.raises(OverflowError, match="series inversion weights"):
+            babenko_invert(w, 1.0, 0.99, terms=172)
 
     def test_fold_leaves_shared_weight_cache_alone(self):
         # The K order-k*delta tables serve only the fold; caching them

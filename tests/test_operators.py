@@ -86,6 +86,28 @@ class TestOperatorOrder:
         with pytest.raises(ValueError):
             OperatorOrder(mu)
 
+    @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0, -math.inf])
+    def test_cap_must_be_positive(self, cap):
+        # abs(mu) >= nan is False, so a nan cap used to pass any order;
+        # a negative one rejected every order and blamed the order.
+        with pytest.raises(ValueError, match="cap must be positive"):
+            OperatorOrder(0.5, cap=cap)
+
+    def test_infinite_cap_turns_the_cap_off(self):
+        assert OperatorOrder(50.0, cap=math.inf).mu == 50.0
+
+    @pytest.mark.parametrize("call,alpha", [
+        (frac_integral, 50.0), (frac_integral, 200.0),
+        (frac_derivative_general, 12.0)])
+    def test_single_node_functions_keep_the_cap(self, call, alpha):
+        # The same cap as apply_operator; order 200 used to leak an
+        # OverflowError out of gamma.
+        z = SampleSeries(0.1, np.zeros(5))
+        with pytest.raises(ValueError, match="exceeds the cap 10.0"):
+            call(z, alpha, 4)
+        with pytest.raises(ValueError, match="exceeds the cap 10.0"):
+            apply_operator(z, alpha if call is not frac_integral else -alpha)
+
 
 class TestWeightTables:
     def test_integral_weights_frozen(self):
@@ -375,6 +397,19 @@ class TestFarField:
                 if mu == -20.0:
                     assert out[i] == direct
             assert err_far <= err_direct, (mu, err_far, err_direct)
+
+
+def test_weights_beyond_double_range_raise():
+    # The order-80 integral's weights pass double range from lag 7 132
+    # on; summed over the whole grid they would give inf or nan there.
+    z = SampleSeries(0.01, np.sin(0.01 * np.arange(8000)))
+    order = OperatorOrder(-80.0, cap=100.0)
+    # Both tables are 8 192 long, so both builds overflow past the grid.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError):
+            apply_operator(z, order)
+        short = SampleSeries(0.01, z.values[:7000])
+        assert np.all(np.isfinite(apply_operator(short, order).values))
 
 
 def test_history_is_a_left_to_right_sum():

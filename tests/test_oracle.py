@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fodesolve.decompose import (
+    ForcingSegment,
     PiecewiseForcing,
     Polynomial,
     PowerSumForcing,
@@ -33,6 +34,15 @@ GAMMA3_OVER_GAMMA15 = 2.256758334191025
 GAMMA3_OVER_GAMMA25 = 1.5045055561273502
 GAMMA3_OVER_GAMMA13 = 2.2284850170946036
 GAMMA3_OVER_GAMMA27 = 1.2947616535572537
+
+
+# D^1.5 y - 50 y = 1 from rest: linear, so the direct solver takes it,
+# and it grows until it overflows.
+RUNAWAY = ProblemSpec(terms=((1.0, 1.5),),
+                      nonlinearity=Polynomial((0.0, -50.0)),
+                      forcing=PiecewiseForcing((ForcingSegment(
+                          0.0, math.inf, (1.0,)),)),
+                      initial_conditions=(0.0, 0.0))
 
 
 class TestPowerRule:
@@ -157,6 +167,13 @@ class TestGlDirectSolve:
         diff = np.max(np.abs(ours.y.values - ref.y.values[::4]))
         assert diff <= 5e-2
 
+    def test_stops_at_the_first_non_finite_node(self):
+        # D^1.5 y - 50 y = 1 grows without bound and overflows at node
+        # 691 of 1 001; the nodes before it are kept.
+        traj = gl_direct_solve(RUNAWAY, SolverConfig(h=0.1, t_end=100.0))
+        assert traj.diagnostics.nan_node == 691
+        assert len(traj.y) == 691 and np.all(np.isfinite(traj.y.values))
+
     def test_no_z1_series(self, plate):
         traj = gl_direct_solve(plate, SolverConfig(h=0.1, t_end=1.0))
         assert traj.z1 is None
@@ -203,6 +220,10 @@ class TestConvergenceStudy:
     def test_gl_oracle_on_unsupported_problem(self, plate_cubic):
         with pytest.raises(UnsupportedProblemError):
             convergence_study(plate_cubic, [0.02, 0.01], 2.0, oracle="gl")
+
+    def test_stopped_reference_run_raises(self):
+        with pytest.raises(ArithmeticError, match="reference run stopped"):
+            convergence_study(RUNAWAY, [0.2, 0.1], 100.0, oracle="gl")
 
     def test_diverging_run_raises(self):
         p = ProblemSpec(

@@ -11,6 +11,8 @@ from fodesolve.decompose import (
     Polynomial,
     ProblemSpec,
 )
+from fodesolve import stepper
+from fodesolve.decompose import _tail_norm
 from fodesolve.errors import BabenkoTailWarning
 from fodesolve.oracle import gl_direct_solve, manufacture
 from fodesolve.stepper import (
@@ -342,6 +344,29 @@ class TestNanPolicy:
         assert len(traj.y) == traj.diagnostics.nan_node
         assert np.all(np.isfinite(traj.y.values))
         assert np.all(np.isfinite(traj.z1.values))
+
+    def test_series_tail_counts_the_node_the_run_stopped_at(
+            self, monkeypatch):
+        # D^1.5 y + 0.5 D^1.2 y = -1 - 10 y^3 blows up at node 20, where
+        # w overflows.  The last term over nodes 0..19 is finite, so an
+        # inf tail shows node 20 was counted.
+        seen = []
+
+        def spy(last, values, tail_tol):
+            seen.append((last, values.copy()))
+            return _tail_norm(last, values, tail_tol)
+        monkeypatch.setattr(stepper, "_tail_norm", spy)
+        p = ProblemSpec(terms=((1.0, 1.5), (0.5, 1.2)),
+                        nonlinearity=Polynomial((-1.0, 0.0, 0.0, -10.0)),
+                        initial_conditions=(0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            diag = solve(p, SolverConfig(h=0.1, t_end=50.0,
+                                         inversion=Babenko())).diagnostics
+        assert diag.nan_node == 20 and diag.babenko_tail == math.inf
+        (last, w), = seen
+        assert w.size == 21 and np.all(np.isfinite(w[:20]))
+        assert math.isfinite(_tail_norm(last, w[:20], math.inf))
 
     def test_healthy_run_has_no_nan_node(self, plate):
         traj = solve(plate, SolverConfig(h=0.01, t_end=2.0))
