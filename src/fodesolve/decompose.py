@@ -43,9 +43,9 @@ from .operators import (
     _kernel_quad,
     _quadrature,
     _running,
+    _scaled_weights,
     _series,
     _table_length,
-    _weights,
 )
 
 __all__ = [
@@ -465,22 +465,9 @@ def _babenko_bound(ratio: float, delta: float, t_end: float,
     return math.exp(log_f) if log_f < 709.0 else math.inf
 
 
-def _scaled_weights(c: float, kind: str, order: float, m: int) -> np.ndarray:
-    """c times the integral weights of one kind ("integral" or
-    "integral_boundary"), built outside the shared weight cache.  An
-    entry x1^a - x0^a whose power overflows, though its product with c
-    need not, is taken as sign(c) exp(log|c| + a log x1)
-    (-expm1(a log(x0/x1))) instead; every other entry keeps its bits."""
-    shift = 1.0 if kind == "integral" else 0.0
-    with np.errstate(all="ignore"):
-        out = c * _weights.__wrapped__(kind, order, m)
-        bad = ~np.isfinite(out)
-        x1 = np.flatnonzero(bad) + shift
-        out[bad] = (
-            math.copysign(1.0, c)
-            * np.exp(math.log(abs(c)) + order * np.log(x1))
-            * -np.expm1(order * np.log((x1 - 1.0 - shift) / x1)))
-    return out
+# Below ln of half the least subnormal double (-745.1): exp rounds to 0.
+_LOG_UNDERFLOW = -750.0
+_TINY = np.finfo(np.float64).tiny
 
 
 def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
@@ -491,27 +478,38 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
     diagnostic, for an n-sample grid.  Entries are summed over k in a
     fixed order and do not depend on n: prefixes stay bitwise equal.
 
-    A power's table (j+1)^(k delta) - (j-1)^(k delta) may overflow while
-    its coefficient (-ratio)^k h^(k delta) / (2 Gamma(1 + k delta)) is
-    still small enough to keep the product finite; such entries are
-    evaluated in logs (see _scaled_weights).  A weight on the grid that
-    still exceeds double range raises OverflowError.  The fold ends
-    early at the first power whose coefficient underflows to 0: the
-    coefficients only fall from there, so no later power adds anything
-    in double precision.  The diagnostic is then that power, the zero
-    quadrature."""
+    A power's table (j+1)^(k delta) - (j-1)^(k delta) may overflow, and
+    its coefficient c = (-ratio)^k h^(k delta) / (2 Gamma(1 + k delta))
+    underflow, while their product is still in double range; such
+    entries are evaluated from ln|c| in logs (see _scaled_weights).  A
+    weight on the grid that still exceeds double range raises
+    OverflowError.  The fold ends early at the first power whose
+    weights, at most |c| m^(k delta) for tables of length m, all
+    underflow to 0.  The log of that bound is concave in k (ln Gamma is
+    convex), and below -750 it is already falling (its first step is at
+    most its first value plus ln(2 + 4 delta)), so no later power adds
+    anything.  The diagnostic is then the zero quadrature."""
     m = _table_length(n)
     centre, boundary, lag = 0.0, np.zeros(m), np.zeros(m)
-    sign = 1.0
+    power = 1.0
+    log_ratio = math.log(abs(ratio)) if ratio else -math.inf
+    log_h, log_m = math.log(h), math.log(m)
     for k in range(1, terms + 1):
         order = k * delta
-        sign *= -ratio
-        c = sign * _integral_pref(h, order)
-        if c == 0.0:
+        power *= -ratio
+        log_c = (k * log_ratio + order * log_h - math.lgamma(1.0 + order)
+                 - math.log(2.0))
+        if log_c + order * log_m < _LOG_UNDERFLOW:
             last = (0.0, np.zeros(m), np.zeros(m))
             break
-        b = _scaled_weights(c, "integral_boundary", order, m)
-        wts = _scaled_weights(c, "integral", order, m)
+        try:
+            c = power * _integral_pref(h, order)
+        except OverflowError:  # h^order or Gamma(1 + order)
+            c = 0.0
+        if not _TINY <= abs(c) < math.inf:
+            c = math.copysign(0.0, power)  # the weights come from log_c
+        b = _scaled_weights(c, log_c, "integral_boundary", order, m)
+        wts = _scaled_weights(c, log_c, "integral", order, m)
         centre += c
         with np.errstate(over="ignore", invalid="ignore"):
             boundary += b
@@ -557,7 +555,8 @@ def _tail_norm(last, values: np.ndarray, tail_tol: float) -> float:
     """Sup norm of the last retained power over the series values (0 at
     node 0, nan passed over), and a warning to the caller of
     babenko_invert or solve when it exceeds tail_tol."""
-    tail = float(np.nanmax(np.abs(_series(last, values))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = float(np.nanmax(np.abs(_series(last, values))))
     if tail > tail_tol:
         warnings.warn(
             f"series inversion truncated while its last term still has"

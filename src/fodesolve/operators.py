@@ -24,17 +24,19 @@ length and the order.
 The node form sums the lags near node i directly and the older ones by
 block FFT, so a whole series costs O(n log^2 n) rather than O(n^2);
 tables whose weights grow (integral orders above 1) keep one direct sum.
-It has two evaluators that agree bitwise: a running one, node by node,
-for series whose next sample depends on the last output (the stepper's
-couplings and inverters and the single-node functions), and a
-whole-series one for a series known in full (apply_operator, the series
-inversion and its tail).  The running one is a bare closure: the
-derivatives' origin checks belong to the public functions.
+It has two evaluators that agree bitwise on tables finite on the grid:
+a running one, node by node, for series whose next sample depends on
+the last output (the stepper's couplings and inverters and the
+single-node functions), and a whole-series one for a series known in
+full (apply_operator, the series inversion and its tail).  The running
+one is a bare closure: the derivatives' origin checks belong to the
+public functions.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -153,10 +155,12 @@ def _weights(kind: str, order: float, n: int) -> np.ndarray:
         # and kept zero.  The subtraction loses at most ~j*eps relative
         # accuracy, far below quadrature error at any grid this package
         # targets.
-        w = (j + 1.0) ** order - np.maximum(j - 1.0, 0.0) ** order
+        x1, x0 = _integral_ends(kind, j)
+        w = x1 ** order - x0 ** order
         w[0] = 0.0
     elif kind == "integral_boundary":
-        # First-sample weight i^a - (i-1)^a at node i; slot 0 is zero.
+        # First-sample weight i^a - (i-1)^a at node i, the ends of
+        # _integral_ends differenced from one power table; slot 0 is zero.
         w = np.diff(j ** order, prepend=0.0)
     elif kind == "derivative01":
         w = (j + 1.0) ** (1.0 - order) - j ** (1.0 - order)
@@ -179,6 +183,35 @@ def _weights(kind: str, order: float, n: int) -> np.ndarray:
         w[1:] = np.cumprod(1.0 - (order + 1.0) / j[1:])
     w.setflags(write=False)
     return w
+
+
+def _integral_ends(kind: str, j: np.ndarray) -> tuple:
+    """The ends x1, x0 of the integral kinds' entries x1^a - x0^a at
+    the slots j: x1 = j + 1 for "integral", j for "integral_boundary",
+    and x0 = j - 1 clipped at 0 for both."""
+    return (j + 1.0 if kind == "integral" else j), np.maximum(j - 1.0, 0.0)
+
+
+def _scaled_weights(c: float, log_c: float, kind: str, order: float,
+                    m: int) -> np.ndarray:
+    """c times the m weights of an integral kind, built outside the
+    cache, where |c| = exp(log_c) and c is either a normal float or a
+    signed zero standing in for a smaller one.  The products may lie in
+    double range where the table, or c, does not: an entry that a
+    normal c does not give as a finite product, and every entry of a
+    zero c, is taken as sign(c) exp(log|c| + a log x1)
+    (-expm1(a log(x0/x1))) instead.  The other entries keep their bits."""
+    with np.errstate(all="ignore"):
+        out = c * _weights.__wrapped__(kind, order, m)
+        # Slot 0 is zero in both kinds.
+        redo = np.flatnonzero(~np.isfinite(out)) if c else np.arange(1, m)
+        if redo.size:
+            x1, x0 = _integral_ends(kind, redo)
+            out[redo] = (math.copysign(1.0, c)
+                         * np.exp((math.log(abs(c)) if c else log_c)
+                                  + order * np.log(x1))
+                         * -np.expm1(order * np.log(x0 / x1)))
+    return out
 
 
 def weight_table(kind: str, order: float, n: int) -> WeightTable:
@@ -219,9 +252,10 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # evaluated node by node by the closure _running returns and over a
 # whole series by _series, which performs the same float operations in
 # the same order for every node.  A whole-series application and a
-# node-by-node one therefore agree bitwise, and the output at node i
-# depends only on samples 0..i (causality holds exactly, not just to
-# rounding).
+# node-by-node one therefore agree bitwise on tables finite on the grid
+# (_series rejects a non-finite near lag, where the running evaluator
+# returns inf or nan), and the output at node i depends only on samples
+# 0..i (causality holds exactly, not just to rounding).
 #
 # The lag sum is split in two (Hairer, Lubich & Schlichte 1985).  The
 # near field, the lags inside node i's aligned leaf of _LEAF samples, is
@@ -374,7 +408,11 @@ def _running(quad: _Quadrature, n: int):
     already in.  Each block is thus transformed at most once, only when
     a visited node needs it, and every node's blocks are added in
     increasing k.  A table without far field is one leaf, starting at
-    0, so it closes no block."""
+    0, so it closes no block.
+
+    It makes no finiteness check: a non-finite lag gives inf or nan
+    where _series raises OverflowError, so the two agree bitwise on
+    tables finite on the grid."""
     pref, centre, boundary, lag, support, period, cap, _ = quad
     acc = np.zeros(n)
     done = 0  # the last leaf start visited

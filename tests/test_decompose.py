@@ -1,7 +1,7 @@
-import decimal
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -518,34 +518,59 @@ class TestBabenkoInvert:
         assert res.series.values.tobytes() == z1.tobytes()
         assert res.tail_norm == tail and math.isfinite(tail)
 
-    def test_power_tables_past_double_range_are_taken_in_logs(self):
-        # At h = 1 the last of 172 powers has order 170.28 and the
-        # coefficient 1.6e-308, while its table passes double range from
-        # lag 64 on.  The products stay below 1e84: the fold is finite,
-        # built without numpy overflow warnings, the entries that
-        # overflowed match exact arithmetic and the others keep their
-        # bits.
-        n, order = 200, 172 * 0.99
+    @pytest.mark.parametrize("terms", [171, 172])
+    def test_power_tables_past_double_range_are_taken_in_logs(self, terms):
+        # At h = 1 the last power has order 169.29 and the coefficient
+        # -2.6e-306 (171 terms), or order 170.28 and a subnormal 1.6e-308
+        # (172 terms), while its table passes double range from lag 66
+        # (64) on.  The products stay below 1e84: the fold is finite,
+        # built without numpy overflow warnings, and the last power
+        # matches exact arithmetic at every lag; the entries of a normal
+        # coefficient that did not overflow keep their bits.
+        n, order = 200, terms * 0.99
         w = SampleSeries(1.0, np.cos(0.1 * np.arange(n)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             warnings.simplefilter("ignore", BabenkoTailWarning)
-            res = babenko_invert(w, 1.0, 0.99, terms=172)
-            _, last = _babenko_kernels(1.0, 0.99, 1.0, 172, n)
+            res = babenko_invert(w, 1.0, 0.99, terms=terms)
+            _, last = _babenko_kernels(1.0, 0.99, 1.0, terms, n)
         assert np.all(np.isfinite(res.series.values))
-        assert 1e80 < res.tail_norm < 1e90
-        c = last.centre
-        with np.errstate(over="ignore", invalid="ignore"):
-            plain = c * _weights.__wrapped__("integral", order, last.lag.size)
-        assert last.lag[:64].tobytes() == plain[:64].tobytes()
-        assert not np.isfinite(plain[64])
-        with decimal.localcontext() as ctx:
-            ctx.prec = 40
-            a = decimal.Decimal(order)
-            for j in (64, 65, 100, 199):
-                exact = decimal.Decimal(c) * (decimal.Decimal(j + 1) ** a
-                                              - decimal.Decimal(j - 1) ** a)
-                assert last.lag[j] == pytest.approx(float(exact), rel=1e-12)
+        assert 1e83 < res.tail_norm < 1e84
+        with mpmath.workdps(40):
+            a = mpmath.mpf(order)
+            c = (-1) ** terms / (2 * mpmath.gamma(1 + a))
+            for j in (1, 2, 63, 64, 65, 66, 100, 199):
+                exact = c * ((j + 1) ** a - (j - 1) ** a)
+                assert last.lag[j] == pytest.approx(float(exact), rel=1e-12,
+                                                    abs=0.0)
+        if terms == 171:
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain = last.centre * _weights.__wrapped__("integral", order,
+                                                           n)
+            assert last.lag[:66].tobytes() == plain[:66].tobytes()
+            assert not np.isfinite(plain[66])
+
+    @pytest.mark.parametrize("h,n,ratio,delta,terms", [
+        (0.05, 2000, 1.0, 0.99, 200), (0.01, 501, 0.5, 0.5, 250),
+    ])
+    def test_fold_runs_past_an_underflowed_coefficient(self, h, n, ratio,
+                                                       delta, terms):
+        # The coefficients underflow from about power 110 (first case)
+        # or 160 (second) on.  In the divergent first case those powers'
+        # weights and terms are still near 1e42; in the second the last
+        # power is 1e-195.  The fold runs to the last power, which on
+        # w = 1 is ratio^K t^(K delta) / Gamma(1 + K delta) exactly, and
+        # the truncation warning fires where that exceeds tail_tol.
+        a = mpmath.mpf(terms * delta)
+        exact = float(mpmath.mpf(ratio) ** terms
+                      * mpmath.mpf((n - 1) * h) ** a / mpmath.gamma(1 + a))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            res = babenko_invert(SampleSeries(h, np.ones(n)), ratio, delta,
+                                 terms=terms)
+        assert ([w.category for w in rec]
+                == ([BabenkoTailWarning] if exact > 1e-8 else []))
+        assert res.tail_norm == pytest.approx(exact, rel=1e-10, abs=0.0)
 
     def test_weights_past_double_range_on_the_grid_raise(self):
         # On 5 000 samples the same power's true weights pass double

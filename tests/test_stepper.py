@@ -284,8 +284,9 @@ class TestInversionRoutes:
             self, plate, h, terms, settled):
         # Past about 160 powers (h = 0.01) the coefficients underflow to
         # 0 while the power tables overflow, and past 342 powers Gamma
-        # itself overflows; every power beyond the first zero
-        # coefficient adds nothing, so more terms change no bit.
+        # itself overflows; those powers are taken in logs, and on
+        # [0, 5] they lie far below half an ulp of the fold, so more
+        # terms change no bit of y.
         def run(k):
             return solve(plate, SolverConfig(
                 h=h, t_end=5.0, inversion=Babenko(terms=k)))
@@ -367,6 +368,25 @@ class TestNanPolicy:
         (last, w), = seen
         assert w.size == 21 and np.all(np.isfinite(w[:20]))
         assert math.isfinite(_tail_norm(last, w[:20], math.inf))
+
+    def test_series_tail_of_a_gradual_runaway_warns_only_of_the_stop(self):
+        # D^1.5 y + 5 D^1.2 y = 1 + y runs away and stops at node 70.
+        # Its last series term outgrows double range while w is still
+        # finite, so the tail's sums overflow; that shows in the tail
+        # (inf), not as numpy warnings.
+        p = ProblemSpec(terms=((1.0, 1.5), (5.0, 1.2)),
+                        nonlinearity=Polynomial((0.0, -1.0)),
+                        forcing=PiecewiseForcing((
+                            ForcingSegment(0.0, math.inf, (1.0,)),)),
+                        initial_conditions=(0.0, 0.0))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            diag = solve(p, SolverConfig(h=0.1, t_end=20.0,
+                                         inversion=Babenko())).diagnostics
+        assert diag.nan_node == 70 and diag.babenko_tail == math.inf
+        plain = [str(w.message) for w in rec
+                 if w.category is RuntimeWarning]
+        assert len(plain) == 1 and plain[0].startswith("run stopped")
 
     def test_healthy_run_has_no_nan_node(self, plate):
         traj = solve(plate, SolverConfig(h=0.01, t_end=2.0))
