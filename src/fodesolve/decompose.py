@@ -467,7 +467,10 @@ def _babenko_bound(ratio: float, delta: float, t_end: float,
 
 # Below ln of half the least subnormal double (-745.1): exp rounds to 0.
 _LOG_UNDERFLOW = -750.0
-_TINY = np.finfo(np.float64).tiny
+# A subnormal coefficient down to 2^-1030 keeps 44 bits or more: no
+# fewer than an entry taken in logs, whose exp argument near -708 costs
+# it about 700 eps.
+_LEAST_COEFFICIENT = math.ldexp(1.0, -1030)
 
 
 def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
@@ -480,8 +483,9 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
 
     A power's table (j+1)^(k delta) - (j-1)^(k delta) may overflow, and
     its coefficient c = (-ratio)^k h^(k delta) / (2 Gamma(1 + k delta))
-    underflow, while their product is still in double range; such
-    entries are evaluated from ln|c| in logs (see _scaled_weights).  A
+    underflow, while their product is still in double range.  Such
+    entries are taken as two factors in double range, or from ln|c| in
+    logs where c is below _LEAST_COEFFICIENT (see _scaled_weights).  A
     weight on the grid that still exceeds double range raises
     OverflowError.  The fold ends early at the first power whose
     weights, at most |c| m^(k delta) for tables of length m, all
@@ -506,7 +510,7 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
             c = power * _integral_pref(h, order)
         except OverflowError:  # h^order or Gamma(1 + order)
             c = 0.0
-        if not _TINY <= abs(c) < math.inf:
+        if not _LEAST_COEFFICIENT <= abs(c) < math.inf:
             c = math.copysign(0.0, power)  # the weights come from log_c
         b = _scaled_weights(c, log_c, "integral_boundary", order, m)
         wts = _scaled_weights(c, log_c, "integral", order, m)

@@ -22,9 +22,12 @@ quadrature; only the rounding differs, and it grows with the history
 length and the order.
 
 The node form sums the lags near node i directly and the older ones by
-block FFT, so a whole series costs O(n log^2 n) rather than O(n^2);
-tables whose weights grow (integral orders above 1) keep one direct sum.
-It has two evaluators that agree bitwise on tables finite on the grid:
+block FFT, so a whole series costs O(n log^2 n) rather than O(n^2).
+Where the weights grow (integral orders above 1, the series fold's last
+power) a geometric scale flattens each block first; only blocks that no
+scale flattens (where the series fold dips and then grows) or that hold
+a weight past double range keep a direct sum.  The node form has two
+evaluators that agree bitwise on tables finite on the grid:
 a running one, node by node, for series whose next sample depends on
 the last output (the stepper's couplings and inverters and the
 single-node functions), and a whole-series one for a series known in
@@ -61,8 +64,8 @@ __all__ = [
 DEFAULT_ORDER_CAP = 10.0
 
 _WEIGHT_CACHE_SIZE = 256
-# Each cached quadrature also holds block spectra about twice the size
-# of its lag table.
+# Each cached quadrature also holds block spectra, and a growing table
+# block scales, each about twice the size of its lag table.
 _QUAD_CACHE_SIZE = 32
 
 
@@ -194,23 +197,30 @@ def _integral_ends(kind: str, j: np.ndarray) -> tuple:
 
 def _scaled_weights(c: float, log_c: float, kind: str, order: float,
                     m: int) -> np.ndarray:
-    """c times the m weights of an integral kind, built outside the
-    cache, where |c| = exp(log_c) and c is either a normal float or a
-    signed zero standing in for a smaller one.  The products may lie in
-    double range where the table, or c, does not: an entry that a
-    normal c does not give as a finite product, and every entry of a
-    zero c, is taken as sign(c) exp(log|c| + a log x1)
-    (-expm1(a log(x0/x1))) instead.  The other entries keep their bits."""
+    """c times the m weights x1^a - x0^a of an integral kind, built
+    outside the cache, where |c| = exp(log_c) and c is either a nonzero
+    float or a signed zero standing in for a smaller one.  The products
+    may lie in double range where the table, or c, does not.  An entry
+    that a nonzero c does not give as a finite product is taken as
+    (c x1^(a/2)) x1^(a/2) (1 - (x0/x1)^a), two factors in double range
+    wherever the product is; every entry of a zero c as
+    sign(c) exp(log|c| + a log x1) (1 - (x0/x1)^a), which loses about
+    |log|c|| eps.  The other entries keep their bits."""
     with np.errstate(all="ignore"):
         out = c * _weights.__wrapped__(kind, order, m)
         # Slot 0 is zero in both kinds.
         redo = np.flatnonzero(~np.isfinite(out)) if c else np.arange(1, m)
         if redo.size:
             x1, x0 = _integral_ends(kind, redo)
-            out[redo] = (math.copysign(1.0, c)
-                         * np.exp((math.log(abs(c)) if c else log_c)
-                                  + order * np.log(x1))
-                         * -np.expm1(order * np.log(x0 / x1)))
+            if c:
+                half = x1 ** (0.5 * order)
+                power = (c * half) * half
+            else:
+                power = (math.copysign(1.0, c)
+                         * np.exp(log_c + order * np.log(x1)))
+            # (x0/x1)^a in logs of 1 - (x1 - x0)/x1: its error does not
+            # grow with the order.
+            out[redo] = power * -np.expm1(order * np.log1p((x0 - x1) / x1))
     return out
 
 
@@ -253,16 +263,18 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # whole series by _series, which performs the same float operations in
 # the same order for every node.  A whole-series application and a
 # node-by-node one therefore agree bitwise on tables finite on the grid
-# (_series rejects a non-finite near lag, where the running evaluator
-# returns inf or nan), and the output at node i depends only on samples
-# 0..i (causality holds exactly, not just to rounding).
+# (_series rejects a non-finite lag on the grid, where the running
+# evaluator returns inf or nan), and the output at node i depends only
+# on samples 0..i (causality holds exactly, not just to rounding).
 #
 # The lag sum is split in two (Hairer, Lubich & Schlichte 1985).  The
 # near field, the lags inside node i's aligned leaf of _LEAF samples, is
 # one _history.  The far field covers the samples before that leaf with
 # aligned dyadic blocks: each node k that is a multiple of _LEAF closes
 # the block of the b = k & -k samples before it, and one FFT of size 2b
-# convolves that block with lag[0:2b] for the nodes k..k+b-1.  Node i's
+# convolves that block with lag[0:2b] for the nodes k..k+b-1, both
+# scaled by the powers of one ratio where the lags grow (_block_scale).
+# The plan (_quadrature) decides each block size once.  Node i's
 # blocks are the binary prefixes of its leaf start, O(log i) of them.
 # Every piece has bounds fixed by the node index alone and content
 # independent of the container length, so prefixes stay bitwise equal.
@@ -316,7 +328,10 @@ class _Quadrature(NamedTuple):
              else longer than the table, so one direct sum takes them;
     cap      0, or the smallest block size the far field leaves to a
              direct sum;
-    spectra  the far blocks' lag spectra by block size, filled on use.
+    scales   the scale vectors rho^j, j < 2b, of the far blocks whose
+             lags grow, by block size;
+    spectra  the far blocks' scaled lag spectra by block size, filled
+             on use.
     """
 
     pref: float
@@ -326,6 +341,7 @@ class _Quadrature(NamedTuple):
     support: int
     period: int
     cap: int
+    scales: dict
     spectra: dict
 
 
@@ -334,49 +350,94 @@ def _quadrature(pref: float, centre: float, boundary: np.ndarray,
     """The quadrature with its summation plan.
 
     The far field's rounding error scales with the largest lag it is
-    given, so a block of b samples is transformed only while the
-    largest |lag_j|, 1 <= j < 2b, lies inside the leaf.  That holds for
-    every block of the decaying tables (integral order <= 1, order
-    (0, 1), non-integer binomial orders); a growing table (integral
-    order > 1) keeps one direct sum and its accuracy; the series fold,
-    which decays until its truncated powers take over, transforms its
-    blocks up to that point.  Each block's choice reads lag[0:2b] only,
-    so it does not depend on n.  For an n-sample series the lag table
-    must be _table_length(n) long, the boundary n long.
+    given.  A block of b samples is transformed as it is while the
+    largest |lag_j|, 1 <= j < 2b, lies inside the leaf: every block of
+    the decaying tables (integral order <= 1, order (0, 1), non-integer
+    binomial orders).  Otherwise its growth is flattened first (see
+    _block_scale): every block of a table that grows like a power
+    (integral orders above 1, the series fold's last power).  A block
+    that neither admits, or whose lags are not all finite, is left to a
+    direct sum with every larger one: the series fold's where it decays
+    and then grows as its truncated powers take over, and a large
+    order's where its table passes double range past the grid.  Each
+    block's choice and scale read lag[0:2b] only, so they do not depend
+    on n.  For an n-sample series the lag table must be
+    _table_length(n) long, the boundary n long.
     """
     mag = np.abs(lag[1:])
     nonzero = mag != 0.0
     support = mag.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
     leaf = mag[:_LEAF - 1].max(initial=0.0)
-    # The first lag beyond the leaf that outgrows it (nan counts);
-    # blocks with 2b <= that lag are transformed.
-    over = ~(mag[_LEAF - 1:] <= leaf)
-    cap = (1 << ((int(np.argmax(over)) + _LEAF).bit_length() - 1)
-           if over.any() else 0)
+    scales = {}
+    b = _LEAF
+    while 2 * b <= lag.size:
+        block = mag[:2 * b - 1]  # lags 1..2b-1
+        if not np.isfinite(block).all():
+            break
+        if block.max() > leaf:
+            scale = _block_scale(block, b)
+            if scale is None:
+                break
+            scales[b] = scale
+        b *= 2
+    cap = b if 2 * b <= lag.size else 0
     far = support >= _LEAF and cap != _LEAF
     return _Quadrature(pref, centre, boundary, lag, support,
-                       _LEAF if far else lag.size + 1, cap, {})
+                       _LEAF if far else lag.size + 1, cap, scales, {})
+
+
+def _block_scale(block: np.ndarray, b: int):
+    """The scale vector rho^j, j = 0..2b-1, that flattens a far block of
+    b samples whose lags |lag_j|, j = 1..2b-1, are block; None if it
+    does not admit the block.
+
+    The block's sums are taken as
+    sum_m lag[i-m] v_m = rho^-(i-s) sum_m (lag[i-m] rho^(i-m)) (v_m rho^(m-s))
+    for its first sample s, with rho^b = |lag_b / lag_(2b-1)|, so every
+    power stays within rho^(+-(2b-1)).  Each output i of the block sums
+    one lag of the far half b <= j < 2b, with v_s; the block is
+    admitted while its largest scaled lag lies there, which a table
+    growing like a power meets (its scaled lags peak near j = 1.44 b),
+    and a block that dips and then grows does not."""
+    lo, hi = block[b - 1], block[2 * b - 2]
+    if lo == 0.0 or hi == 0.0:
+        return None
+    log_rho = (math.log(lo) - math.log(hi)) / b
+    # Keep rho^(+-(2b-1)) normal.
+    if (2 * b - 1) * abs(log_rho) > 700.0:
+        return None
+    scale = math.exp(log_rho) ** np.arange(2 * b, dtype=np.float64)
+    if int(np.argmax(block * scale[1:])) < b - 1:
+        return None
+    return scale
 
 
 def _far_block(quad: _Quadrature, values: np.ndarray, k: int) -> np.ndarray:
     """Far-field sums sum_{m=k-b..k-1} lag[i-m]*v_m of the block that node
-    k closes (b = k & -k), for the nodes i = k..k+b-1.  Sample 0 belongs
-    to the boundary term and counts as 0 here."""
+    k closes (b = k & -k), for the nodes i = k..k+b-1, scaled as
+    _block_scale says when the plan holds a scale for b.  Sample 0
+    belongs to the boundary term and counts as 0 here."""
     b = k & -k
+    scale = quad.scales.get(b)
     spectrum = quad.spectra.get(b)
     if spectrum is None:
         # Lag 0 never reaches the outputs kept below; zeroed, it adds no
         # rounding either.
         lag = quad.lag[:2 * b].copy()
         lag[0] = 0.0
+        if scale is not None:
+            lag *= scale
         spectrum = quad.spectra[b] = np.fft.rfft(lag)
     x = values[k - b:k]
     if k == b:
         x = x.copy()
         x[0] = 0.0
+    if scale is not None:
+        x = x * scale[:b]
     # A circular convolution of size 2b: the outputs b..2b-1 take lags
     # 1..2b-1 only, so none of them wraps.
-    return np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[b:]
+    out = np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[b:]
+    return out if scale is None else out / scale[b:]
 
 
 def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
@@ -413,7 +474,7 @@ def _running(quad: _Quadrature, n: int):
     It makes no finiteness check: a non-finite lag gives inf or nan
     where _series raises OverflowError, so the two agree bitwise on
     tables finite on the grid."""
-    pref, centre, boundary, lag, support, period, cap, _ = quad
+    pref, centre, boundary, lag, support, period, cap, _, _ = quad
     acc = np.zeros(n)
     done = 0  # the last leaf start visited
 
@@ -429,7 +490,7 @@ def _running(quad: _Quadrature, n: int):
         hi = near if near < i else i - 1
         lags = acc[i] + _history(lag, values, i, 1,
                                  hi if hi < support else support)
-        # Samples 1..s-1 lie in blocks too large for the far field.
+        # Samples 1..s-1 lie in blocks the far field leaves over.
         s = start & -cap
         if s > 1:
             lags += _history(lag, values, i, i - s + 1, i - 1)
@@ -448,20 +509,19 @@ def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
     increasing lag from 0.0, which is the order of _history; a table
     without far field is one leaf as long as the series.  Sample 0, the
     boundary term's, enters as +0.0, which leaves a near sum (never -0.0)
-    as it is while the lag is finite; a non-finite one raises
-    OverflowError.  The samples a
-    capped far field leaves over are added the same way, node by node
-    in increasing lag."""
-    pref, centre, boundary, lag, support, period, cap, _ = quad
+    as it is while the lag is finite.  The samples a capped far field
+    leaves over are added the same way, node by node in increasing lag.
+    A non-finite lag anywhere on the grid raises OverflowError."""
+    pref, centre, boundary, lag, support, period, cap, _, _ = quad
     n = values.size
+    if not np.isfinite(lag[1:min(n, support + 1)]).all():
+        raise OverflowError("weights exceed double range on this grid")
     far = np.zeros(n)
     if period <= n:
         for start in range(_LEAF, n, _LEAF):
             _close_blocks(quad, values, far, start - _LEAF, start)
     # Near lags j at node r*p + c: the samples c-j of the same leaf.
     p = min(period, n)
-    if not np.isfinite(lag[1:min(p, support + 1)]).all():
-        raise OverflowError("weights exceed double range on this grid")
     rows = -(-n // p)
     v = np.zeros(rows * p)
     v[1:n] = values[1:]
@@ -496,17 +556,25 @@ def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
     parts, mu >= 1 the binomial weights (whose sum covers v_0 as
     boundary[i] = w_i).  Cached with its plan and the block spectra it
     fills, so kernels built again on the same grid (single-node calls
-    among them) share them."""
-    if mu < 0.0:
-        return _quadrature(_integral_pref(h, -mu), 1.0,
-                           _weights("integral_boundary", -mu, m),
-                           _weights("integral", -mu, m))
-    if mu < 1.0:
-        return _quadrature(h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0,
-                           _weights("derivative01_boundary", mu, m),
-                           _weights("derivative01_lag", mu, m))
-    w = _weights("binomial", mu, m)
-    return _quadrature(h ** (-mu), w[0], w, w)
+    among them) share them.
+
+    The tables run past the grid to m; a large order's weights may
+    leave double range there, so their builds are silent about it.
+    _series raises OverflowError for a non-finite weight on the grid,
+    and the plan leaves a block holding one to a direct sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mu < 0.0:
+            pref, centre = _integral_pref(h, -mu), 1.0
+            boundary = _weights("integral_boundary", -mu, m)
+            lag = _weights("integral", -mu, m)
+        elif mu < 1.0:
+            pref, centre = h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0
+            boundary = _weights("derivative01_boundary", mu, m)
+            lag = _weights("derivative01_lag", mu, m)
+        else:
+            boundary = lag = _weights("binomial", mu, m)
+            pref, centre = h ** (-mu), lag[0]
+    return _quadrature(pref, centre, boundary, lag)
 
 
 def _node_kernel(mu: float, h: float, n: int):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def blowup_file(tmp_path):
 
 
 def read_csv(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     body = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
     return header, body
@@ -77,13 +78,13 @@ class TestSolve:
                 "--t-end", "2"]
         assert main(args + ["--out", a]) == 0
         assert main(args + ["--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_values_round_trip_through_text(self, plate_file, tmp_path):
         out = str(tmp_path / "out.csv")
         main(["solve", "--problem", plate_file, "--step", "0.01",
               "--t-end", "2", "--out", out])
-        for line in open(out).read().splitlines()[1:]:
+        for line in Path(out).read_text().splitlines()[1:]:
             for field in line.split(","):
                 v = float(field)
                 assert format(v, ".17g") == field
@@ -197,7 +198,7 @@ class TestConvergence:
                    "--steps", "0.04,0.02,0.01", "--t-end", "2",
                    "--out", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "h,sup_error,observed_order"
         first = lines[1].split(",")
         assert first[2] == ""  # coarsest row has no order yet
@@ -237,7 +238,7 @@ class TestConvergence:
 
 
 def read_csv_allow_blanks(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     rows = []
     for ln in lines[1:]:
@@ -331,7 +332,7 @@ class TestApply:
         main(["apply", "--in", ramp_csv, "--order", "-0.5", "--out", first])
         # identity pass over the produced file re-emits the same bytes
         main(["apply", "--in", first, "--order", "0", "--out", second])
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 class TestVerify:

@@ -522,11 +522,11 @@ class TestBabenkoInvert:
     def test_power_tables_past_double_range_are_taken_in_logs(self, terms):
         # At h = 1 the last power has order 169.29 and the coefficient
         # -2.6e-306 (171 terms), or order 170.28 and a subnormal 1.6e-308
-        # (172 terms), while its table passes double range from lag 66
-        # (64) on.  The products stay below 1e84: the fold is finite,
-        # built without numpy overflow warnings, and the last power
-        # matches exact arithmetic at every lag; the entries of a normal
-        # coefficient that did not overflow keep their bits.
+        # with 52 bits (172 terms), while its table passes double range
+        # from lag 66 (64) on.  The products stay below 1e84: the fold
+        # is finite, built without numpy overflow warnings, and the last
+        # power matches exact arithmetic at every lag; the entries of a
+        # normal coefficient that did not overflow keep their bits.
         n, order = 200, terms * 0.99
         w = SampleSeries(1.0, np.cos(0.1 * np.arange(n)))
         with warnings.catch_warnings():
@@ -549,6 +549,22 @@ class TestBabenkoInvert:
                                                            n)
             assert last.lag[:66].tobytes() == plain[:66].tobytes()
             assert not np.isfinite(plain[66])
+
+    def test_power_entries_past_double_range_keep_full_precision(self):
+        # The 172-term last power at h = 1 (see above) at the lags where
+        # its table overflows.  Each entry is taken as two factors in
+        # double range, (c x1^(a/2)) x1^(a/2) (1 - (x0/x1)^a), within a
+        # few eps of exact arithmetic; as exp(ln|c| + a ln x1) it would
+        # lose about 700 eps.
+        n, terms = 256, 172
+        _, last = _babenko_kernels(1.0, 0.99, 1.0, terms, n)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(terms * 0.99)
+            c = 1 / (2 * mpmath.gamma(1 + a))
+            for j in range(64, n):
+                exact = float(c * ((j + 1) ** a - (j - 1) ** a))
+                assert last.lag[j] == pytest.approx(exact, rel=2e-15,
+                                                    abs=0.0), j
 
     @pytest.mark.parametrize("h,n,ratio,delta,terms", [
         (0.05, 2000, 1.0, 0.99, 200), (0.01, 501, 0.5, 0.5, 250),

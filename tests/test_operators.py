@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -376,40 +377,61 @@ class TestFarField:
     def test_accuracy_against_an_exact_sum(self):
         # Error of each node against math.fsum of the same terms,
         # relative to sup |out|: the far field must be no worse than one
-        # direct sum over every lag.  Order -20 has growing weights, so
-        # it keeps the direct sum itself.
-        n, h = 16001, 0.00025
-        t = h * np.arange(n)
-        v = t ** 2 + 0.2 * t ** 3
-        z = SampleSeries(h, v)
-        nodes = [*range(1, n, 97), n - 1]
-        for mu in (-0.5, 0.5, 1.5, -20.0):
-            out = apply_operator(z, OperatorOrder(mu, cap=100)).values
+        # direct sum over every lag.  Orders -1.5, -6 and -20 and the
+        # 30-term plate fold's last power (order 15) have growing
+        # weights: every block of theirs is scaled.  The fold decays and,
+        # at h = 0.01, grows again: its blocks are taken as they are up
+        # to its cap, 2048, and by a direct sum beyond.
+        def quads():
+            n, h = 16001, 0.00025
+            for mu in (-0.5, 0.5, 1.5, -1.5, -6.0, -20.0):
+                quad = _kernel_quad(mu, h, _table_length(n))
+                if mu < -1.0:
+                    assert quad.cap == 0 and list(quad.scales) == _blocks(n)
+                yield mu, h, n, quad
+            for h, n in ((0.01, 6001), (0.00125, 4001)):
+                fold, last = _babenko_kernels(0.5, 0.5, h, 30, n)
+                assert last.cap == 0 and list(last.scales) == _blocks(n)
+                assert not fold.scales
+                yield "fold", h, n, fold
+                yield "last power", h, n, last
+
+        for case, h, n, quad in quads():
+            t = h * np.arange(n)
+            v = t ** 2 + 0.2 * t ** 3
+            out = _series(quad, v)
             scale = np.max(np.abs(out[1:]))
-            form = pref, centre, boundary, lag = _node_form(mu, h, n)
+            form = pref, centre, boundary, lag = quad[:4]
             err_far = err_direct = 0.0
-            for i in nodes:
+            for i in [*range(1, n, 97), n - 1]:
                 direct = _direct_sum(form, v, i)
                 exact = pref * math.fsum([centre * v[i], boundary[i] * v[0],
                                           *(lag[1:i] * v[i - 1:0:-1])])
                 err_far = max(err_far, abs(out[i] - exact) / scale)
                 err_direct = max(err_direct, abs(direct - exact) / scale)
-                if mu == -20.0:
-                    assert out[i] == direct
-            assert err_far <= err_direct, (mu, err_far, err_direct)
+            assert err_far <= err_direct, (case, h, err_far, err_direct)
+
+
+def _blocks(n):
+    """The far block sizes of an n-sample series' tables."""
+    return [b for b in (_LEAF << k for k in range(32))
+            if 2 * b <= _table_length(n)]
 
 
 def test_weights_beyond_double_range_raise():
     # The order-80 integral's weights pass double range from lag 7 132
     # on; summed over the whole grid they would give inf or nan there.
+    # Its tables are 8 192 long, so 7 000 samples, all of whose weights
+    # are finite, still build them past double range: silently, and the
+    # far blocks that hold those lags are left to direct sums.
     z = SampleSeries(0.01, np.sin(0.01 * np.arange(8000)))
     order = OperatorOrder(-80.0, cap=100.0)
-    # Both tables are 8 192 long, so both builds overflow past the grid.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(OverflowError):
-            apply_operator(z, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         short = SampleSeries(0.01, z.values[:7000])
         assert np.all(np.isfinite(apply_operator(short, order).values))
+        with pytest.raises(OverflowError):
+            apply_operator(z, order)
 
 
 def test_history_is_a_left_to_right_sum():
@@ -463,7 +485,8 @@ class TestSeriesEvaluator:
         if shape == "decaying":
             assert quad.period == _LEAF and quad.cap == 0
         elif shape == "growing":
-            assert quad.period > self.NS[-1]
+            assert quad.period == _LEAF and quad.cap == 0
+            assert list(quad.scales) == _blocks(self.NS[-1])
         else:
             assert quad.support == int(mu) and quad.period > self.NS[-1]
         for n in self.NS:
@@ -472,11 +495,16 @@ class TestSeriesEvaluator:
 
     def test_capped_fold_and_its_last_term(self):
         # At h = 0.01 the 30-term fold decays until its truncated powers
-        # take over: far blocks up to cap, direct sums beyond.
+        # take over: far blocks as they are up to cap, direct sums
+        # beyond, for no scaling flattens a block that dips and grows.
+        # Its last power grows throughout: every block is scaled.
         for n in (*self.NS, 6001):
             fold, last = _babenko_kernels(0.5, 0.5, 0.01, 30, n)
             if n == 6001:
-                assert fold.period == _LEAF and fold.cap > _LEAF
+                assert fold.period == _LEAF and fold.cap == 2048
+                assert not fold.scales
+                assert last.period == _LEAF and last.cap == 0
+                assert list(last.scales) == _blocks(n)
             v = self.samples(n, n + 1)
             self.assert_same_bytes(fold, v)
             self.assert_same_bytes(last, v)
