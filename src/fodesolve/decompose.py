@@ -348,6 +348,13 @@ class WLink:
     ratio: float
     order: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.ratio):
+            raise ValueError(f"link ratio must be finite, got {self.ratio!r}")
+        if not 0.0 < self.order < DEFAULT_ORDER_CAP:
+            raise ValueError(f"link order must lie in (0, {DEFAULT_ORDER_CAP}),"
+                             f" got {self.order!r}")
+
 
 @dataclass(frozen=True)
 class Babenko:
@@ -543,8 +550,10 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
     """
     ratio = float(ratio)
     delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not math.isfinite(ratio):
+        raise ValueError(f"ratio must be finite, got {ratio!r}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     bab = Babenko(terms, tail_tol)
     if ratio == 0.0:
         return BabenkoResult(w, 0.0)

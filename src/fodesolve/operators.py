@@ -24,12 +24,12 @@ length and the order.
 The node form sums the lags near node i directly and the older ones by
 block FFT, so a whole series costs O(n log^2 n) rather than O(n^2).
 Where the weights grow (integral orders above 1, the series fold's last
-power) a geometric scale flattens each block first; only blocks that no
-scale flattens (where the series fold dips and then grows) or that hold
-a weight past double range keep a direct sum.  The node form has two
-evaluators that agree bitwise on tables finite on the grid:
-a running one, node by node, for series whose next sample depends on
-the last output (the stepper's couplings and inverters and the
+power) a geometric scale flattens each block first; a block that no
+scale flattens (the series fold's, where it dips and then grows) or
+that holds a weight past double range is summed directly instead.  The
+node form has two evaluators that agree bitwise on tables finite on the
+grid: a running one, node by node, for series whose next sample depends
+on the last output (the stepper's couplings and inverters and the
 single-node functions), and a whole-series one for a series known in
 full (apply_operator, the series inversion and its tail).  The running
 one is a bare closure: the derivatives' origin checks belong to the
@@ -273,12 +273,13 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # aligned dyadic blocks: each node k that is a multiple of _LEAF closes
 # the block of the b = k & -k samples before it, and one FFT of size 2b
 # convolves that block with lag[0:2b] for the nodes k..k+b-1, both
-# scaled by the powers of one ratio where the lags grow (_block_scale).
-# The plan (_quadrature) decides each block size once.  Node i's
-# blocks are the binary prefixes of its leaf start, O(log i) of them.
+# scaled flat where the lags grow (_block_scale); a block that no scale
+# flattens is summed directly.  The plan (_quadrature) decides each
+# block size once.  Node i's blocks are the binary prefixes of its leaf
+# start, O(log i) of them.
 # Every piece has bounds fixed by the node index alone and content
 # independent of the container length, so prefixes stay bitwise equal.
-# The running evaluator (_running) transforms each block once, when a
+# The running evaluator (_running) sums each block once, when a
 # visited node first needs it, and accumulates it in increasing k: a
 # whole series costs O(n log^2 n), a single node its own O(log i)
 # blocks, and both give the same bits; _series fills its far field
@@ -326,8 +327,7 @@ class _Quadrature(NamedTuple):
              first derivative sums one lag);
     period   _LEAF when the far field takes the lags beyond the leaf,
              else longer than the table, so one direct sum takes them;
-    cap      0, or the smallest block size the far field leaves to a
-             direct sum;
+    cap      0, or the smallest block size summed directly;
     scales   the scale vectors rho^j, j < 2b, of the far blocks whose
              lags grow, by block size;
     spectra  the far blocks' scaled lag spectra by block size, filled
@@ -356,8 +356,8 @@ def _quadrature(pref: float, centre: float, boundary: np.ndarray,
     binomial orders).  Otherwise its growth is flattened first (see
     _block_scale): every block of a table that grows like a power
     (integral orders above 1, the series fold's last power).  A block
-    that neither admits, or whose lags are not all finite, is left to a
-    direct sum with every larger one: the series fold's where it decays
+    that neither admits, or whose lags are not all finite, is summed
+    directly with every larger one: the series fold's where it decays
     and then grows as its truncated powers take over, and a large
     order's where its table passes double range past the grid.  Each
     block's choice and scale read lag[0:2b] only, so they do not depend
@@ -381,9 +381,9 @@ def _quadrature(pref: float, centre: float, boundary: np.ndarray,
             scales[b] = scale
         b *= 2
     cap = b if 2 * b <= lag.size else 0
-    far = support >= _LEAF and cap != _LEAF
     return _Quadrature(pref, centre, boundary, lag, support,
-                       _LEAF if far else lag.size + 1, cap, scales, {})
+                       _LEAF if support >= _LEAF else lag.size + 1, cap,
+                       scales, {})
 
 
 def _block_scale(block: np.ndarray, b: int):
@@ -412,12 +412,21 @@ def _block_scale(block: np.ndarray, b: int):
     return scale
 
 
-def _far_block(quad: _Quadrature, values: np.ndarray, k: int) -> np.ndarray:
+def _far_block(quad: _Quadrature, values: np.ndarray, k: int,
+               n: int) -> np.ndarray:
     """Far-field sums sum_{m=k-b..k-1} lag[i-m]*v_m of the block that node
-    k closes (b = k & -k), for the nodes i = k..k+b-1, scaled as
-    _block_scale says when the plan holds a scale for b.  Sample 0
+    k closes (b = k & -k), for the nodes i = k..min(k+b, n)-1: by one
+    FFT, scaled as _block_scale says when the plan holds a scale for b,
+    or directly, in _history's order, from b = cap on.  Sample 0
     belongs to the boundary term and counts as 0 here."""
     b = k & -k
+    x = values[k - b:k]
+    if quad.cap and b >= quad.cap:
+        # Lag rising is sample falling; the lags past the grid may be inf.
+        out = np.zeros(min(b, n - k))
+        for m in range(b - 1, 0 if k == b else -1, -1):
+            out += quad.lag[b - m:b - m + out.size] * x[m]
+        return out
     scale = quad.scales.get(b)
     spectrum = quad.spectra.get(b)
     if spectrum is None:
@@ -428,7 +437,6 @@ def _far_block(quad: _Quadrature, values: np.ndarray, k: int) -> np.ndarray:
         if scale is not None:
             lag *= scale
         spectrum = quad.spectra[b] = np.fft.rfft(lag)
-    x = values[k - b:k]
     if k == b:
         x = x.copy()
         x[0] = 0.0
@@ -436,8 +444,8 @@ def _far_block(quad: _Quadrature, values: np.ndarray, k: int) -> np.ndarray:
         x = x * scale[:b]
     # A circular convolution of size 2b: the outputs b..2b-1 take lags
     # 1..2b-1 only, so none of them wraps.
-    out = np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[b:]
-    return out if scale is None else out / scale[b:]
+    out = np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[b:n - k + b]
+    return out if scale is None else out / scale[b:b + out.size]
 
 
 def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
@@ -446,14 +454,13 @@ def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
     start (its binary prefixes) that start after the leaf start done,
     in increasing k.  The one far-field path: both evaluators below fill
     their far field here."""
-    mask = quad.cap - 1
     closing, k = [], start
-    while k > done and k & mask:
+    while k > done:
         closing.append(k)
         k &= k - 1
     for k in reversed(closing):
-        block = _far_block(quad, values, k)
-        acc[k:k + block.size] += block[:acc.size - k]
+        block = _far_block(quad, values, k, acc.size)
+        acc[k:k + block.size] += block
 
 
 def _running(quad: _Quadrature, n: int):
@@ -463,18 +470,18 @@ def _running(quad: _Quadrature, n: int):
     values[i] is then never read: values need only cover 0..i-1.
 
     It holds the far field in an accumulator over the grid.  A visit
-    transforms node i's blocks (the binary prefixes of its leaf start)
-    that start after the last leaf start visited: a block that starts at
-    or before it and holds node i also held that visit's node, so it is
-    already in.  Each block is thus transformed at most once, only when
-    a visited node needs it, and every node's blocks are added in
+    closes node i's blocks (the binary prefixes of its leaf start) that
+    start after the last leaf start visited: a block that starts at or
+    before it and holds node i also held that visit's node, so it is
+    already in.  Each block is thus summed at most once, only when a
+    visited node needs it, and every node's blocks are added in
     increasing k.  A table without far field is one leaf, starting at
     0, so it closes no block.
 
     It makes no finiteness check: a non-finite lag gives inf or nan
     where _series raises OverflowError, so the two agree bitwise on
     tables finite on the grid."""
-    pref, centre, boundary, lag, support, period, cap, _, _ = quad
+    pref, centre, boundary, lag, support, period, _, _, _ = quad
     acc = np.zeros(n)
     done = 0  # the last leaf start visited
 
@@ -490,10 +497,6 @@ def _running(quad: _Quadrature, n: int):
         hi = near if near < i else i - 1
         lags = acc[i] + _history(lag, values, i, 1,
                                  hi if hi < support else support)
-        # Samples 1..s-1 lie in blocks the far field leaves over.
-        s = start & -cap
-        if s > 1:
-            lags += _history(lag, values, i, i - s + 1, i - 1)
         v_i = values[i] if current is None else current
         return float(pref * (centre * v_i + boundary[i] * values[0] + lags))
     return product_node
@@ -509,36 +512,23 @@ def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
     increasing lag from 0.0, which is the order of _history; a table
     without far field is one leaf as long as the series.  Sample 0, the
     boundary term's, enters as +0.0, which leaves a near sum (never -0.0)
-    as it is while the lag is finite.  The samples a capped far field
-    leaves over are added the same way, node by node in increasing lag.
-    A non-finite lag anywhere on the grid raises OverflowError."""
-    pref, centre, boundary, lag, support, period, cap, _, _ = quad
+    as it is while the lag is finite.  A non-finite lag anywhere on the
+    grid raises OverflowError."""
+    pref, centre, boundary, lag, support, period, _, _, _ = quad
     n = values.size
     if not np.isfinite(lag[1:min(n, support + 1)]).all():
         raise OverflowError("weights exceed double range on this grid")
     far = np.zeros(n)
-    if period <= n:
-        for start in range(_LEAF, n, _LEAF):
-            _close_blocks(quad, values, far, start - _LEAF, start)
+    for start in range(period, n, period):
+        _close_blocks(quad, values, far, start - period, start)
     # Near lags j at node r*p + c: the samples c-j of the same leaf.
     p = min(period, n)
-    rows = -(-n // p)
-    v = np.zeros(rows * p)
-    v[1:n] = values[1:]
-    v = v.reshape(rows, p)
-    near = np.zeros((rows, p))
+    v = np.zeros((-(-n // p), p))
+    v.reshape(-1)[1:n] = values[1:]
+    near = np.zeros(v.shape)
     for j in range(1, min(p, support + 1)):
         near[:, j:] += lag[j] * v[:, :p - j]
     lags = far + near.ravel()[:n]
-    if cap > _LEAF and period <= n:
-        # Node i leaves the samples 1..s-1 over, s = i & -cap > 1; lag j
-        # rising is sample m = i - j falling, and each node takes the
-        # samples below its own s only.
-        left = np.zeros(n)
-        for m in range((n - 1) // cap * cap - 1, 0, -1):
-            s = (m // cap + 1) * cap
-            left[s:] += lag[s - m:n - m] * values[m]
-        lags[cap:] += left[cap:]
     out = pref * (centre * values + boundary[:n] * values[0] + lags)
     out[0] = 0.0
     return out
@@ -561,7 +551,7 @@ def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
     The tables run past the grid to m; a large order's weights may
     leave double range there, so their builds are silent about it.
     _series raises OverflowError for a non-finite weight on the grid,
-    and the plan leaves a block holding one to a direct sum."""
+    and the far field sums a block holding one directly."""
     with np.errstate(over="ignore", invalid="ignore"):
         if mu < 0.0:
             pref, centre = _integral_pref(h, -mu), 1.0

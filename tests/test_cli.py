@@ -190,6 +190,17 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "line 1" in err
 
+    def test_link_ratio_past_double_range(self, tmp_path, capsys):
+        # a2 / a1 = 1e300 / 1e-300 overflows to inf.
+        path = tmp_path / "ratio.fode"
+        path.write_text("term 1e-300 2\nterm 1e300 1.5\ninit 0 0\n"
+                        "init 1 0\n")
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--problem", str(path), "--step", "0.01",
+                     "--t-end", "1", "--out", str(out)]) == 2
+        assert "link ratio must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConvergence:
     def test_self_oracle_csv(self, plate_file, tmp_path):

@@ -373,6 +373,18 @@ class TestVolterraDirect:
         with pytest.raises(SingularInversionError):
             volterra_direct_invert(w, links, 1, SampleSeries(h, [0.0]))
 
+    @pytest.mark.parametrize("ratio,order,field", [
+        (0.5, -0.5, "order"), (0.5, 0.0, "order"),
+        (0.5, DEFAULT_ORDER_CAP, "order"), (0.5, 50.0, "order"),
+        (0.5, math.nan, "order"), (0.5, math.inf, "order"),
+        (math.nan, 0.5, "ratio"), (math.inf, 0.5, "ratio"),
+        (-math.inf, 0.5, "ratio")])
+    def test_link_validation(self, ratio, order, field):
+        # Unchecked, each of these inverts to some number (or nan): a
+        # derivative kernel, the identity, an order past the cap.
+        with pytest.raises(ValueError, match=f"link {field}"):
+            WLink(ratio, order)
+
     def test_history_validation(self):
         w = SampleSeries(0.1, [0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
@@ -440,6 +452,16 @@ class TestBabenkoInvert:
             babenko_invert(w, 0.5, 0.0)
         with pytest.raises(ValueError):
             babenko_invert(w, 0.5, 0.5, terms=0)
+
+    @pytest.mark.parametrize("ratio,delta,field", [
+        (math.nan, 0.5, "ratio"), (math.inf, 0.5, "ratio"),
+        (-math.inf, 0.5, "ratio"), (0.5, math.nan, "delta"),
+        (0.5, math.inf, "delta"), (0.5, -0.5, "delta")])
+    def test_non_finite_ratio_or_delta_rejected(self, ratio, delta, field):
+        # Not an OverflowError from the weights, nor a Gamma error.
+        w = SampleSeries(0.1, [0.0, 1.0])
+        with pytest.raises(ValueError, match=field):
+            babenko_invert(w, ratio, delta)
 
     @pytest.mark.parametrize("kwargs", [{"terms": 2.7},
                                         {"tail_tol": math.nan},

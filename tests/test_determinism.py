@@ -5,7 +5,8 @@ neither of which depends on BLAS threading: operators._history, one `@`
 over the near lags (and over every lag where the far field does not
 apply), called by the running evaluator's node closure
 (operators._running's product_node) and by the oracle, and
-operators._far_block, one pocketfft transform per far block.  The
+operators._far_block, one pocketfft transform per far block (a block no
+scale flattens is summed there by elementwise multiply-adds).  The
 whole-series evaluator operators._series sums the same near lags by
 elementwise multiply-adds, which are no reduction and use no threads,
 and takes its far blocks through the one far-field path,
@@ -164,6 +165,15 @@ def test_history_is_summed_only_by_the_node_form_and_the_oracle():
                for func, _ in _walk(path, _history_call)}
     assert callers == {("operators.py", "product_node"),
                        ("oracle.py", "gl_direct_solve")}
+
+
+def test_the_node_closure_sums_its_history_once():
+    # product_node sums its near lags in one _history; every sample
+    # before its leaf, a block no scale flattens included, comes from the
+    # far field.
+    calls = [func for func, _ in _walk(PACKAGE / "operators.py",
+                                       _history_call)]
+    assert calls.count("product_node") == 1
 
 
 def test_one_direct_inverter_owns_the_pivot():
