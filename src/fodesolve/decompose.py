@@ -589,7 +589,7 @@ def _series_inverter(ratio: float, delta: float, h: float, terms: int,
     visited w once the run is over."""
     fold, last = _babenko_kernels(ratio, delta, h, terms, n)
     fold = _running(fold, n)
-    return (lambda w, z1, i: w[i] + fold(w, i)), last
+    return (lambda w, z1, i: w.item(i) + fold(w, i)), last
 
 
 def _guard_pivot(pivot: float, scale: float, message: str) -> float:
@@ -618,8 +618,13 @@ def _direct_inverter(h: float, w_links, n: int):
     pivot = _guard_pivot(sum(parts, 1.0), sum(map(abs, parts), 1.0),
                          "inversion pivot vanished for this step and coupling")
     links = [(r, _running(q, n)) for r, q in quads]
-    return lambda w, z1, i: (
-        w[i] - sum(r * node(z1, i, 0.0) for r, node in links)) / pivot
+
+    def invert(w, z1, i):
+        acc = 0.0
+        for r, node in links:
+            acc += r * node(z1, i, 0.0)
+        return (w.item(i) - acc) / pivot
+    return invert
 
 
 def volterra_direct_invert(w: SampleSeries, w_links, i: int,
@@ -648,4 +653,4 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
     if z1_history.h != w.h:
         raise ValueError("series must share the same step")
     invert = _direct_inverter(w.h, w_links, len(w))
-    return float(invert(w.values, z1_history.values, i))
+    return invert(w.values, z1_history.values, i)

@@ -123,13 +123,17 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
 
     Only problems with all initial conditions zero and nonlinearity of
     the exact form g(y) = c*y are supported (UnsupportedProblemError
-    otherwise).  Node i >= 1 satisfies
+    otherwise).  The terms fold into one weight table
 
-        y_i (sum_k a_k h^(-alpha_k) + c)
-            = f(t_i) - sum_k a_k h^(-alpha_k) sum_{j=1..i} w_j^(k) y_{i-j}
+        W_j = sum_k a_k h^(-alpha_k) w_j^(k),
 
-    and y_0 = 0 from the start values.  A vanishing pivot on the left
-    raises SingularInversionError.
+    and node i >= 1 satisfies
+
+        y_i (W_0 + c) = f(t_i) - sum_{j=1..i} W_j y_{i-j},
+
+    one history sum per node, where W_0 = sum_k a_k h^(-alpha_k) (every
+    w_0^(k) is 1).  y_0 = 0 from the start values.  A vanishing pivot on
+    the left raises SingularInversionError.
     """
     if any(v != 0.0 for v in problem.initial_conditions):
         raise UnsupportedProblemError(
@@ -146,20 +150,21 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     n = config.num_steps + 1
     fvec = np.asarray(problem.forcing.sample(h, n), dtype=np.float64)
     scales = [h ** (-tm.order) * tm.coefficient for tm in problem.terms]
-    tables = [_weights("binomial", tm.order, n) for tm in problem.terms]
     pivot = _guard_pivot(sum(scales) + c_lin,
                          sum(abs(s) for s in scales) + abs(c_lin),
                          "direct discretization pivot vanished for this step")
+    table = np.zeros(n)
+    for s, tm in zip(scales, problem.terms):
+        table += s * _weights("binomial", tm.order, n)
+    f_at = fvec.item
 
     y = np.zeros(n, dtype=np.float64)
     nan_node = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n):
-            acc = fvec[i]
-            for s, w in zip(scales, tables):
-                acc -= s * _history(w, y, i, 1, i)
-            y[i] = acc / pivot
-            if not math.isfinite(y[i]):
+            yi = (f_at(i) - _history(table, y, i, 1, i)) / pivot
+            y[i] = yi
+            if not math.isfinite(yi):
                 nan_node = i
                 break
     if nan_node is not None:

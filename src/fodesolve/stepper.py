@@ -227,28 +227,39 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     else:
         invert = _direct_inverter(h, system.w_links, n)
 
+    # The arrays are what the couplings read; the loop's own scalars are
+    # Python floats, which cost less per operation than numpy scalars.
+    # fvec and ic_poly are read through .item rather than copied into
+    # lists of n boxed floats.
     w = np.zeros(n, dtype=np.float64)
     z1 = np.zeros(n, dtype=np.float64)
     y = np.zeros(n, dtype=np.float64)
-    u = np.zeros(m1, dtype=np.float64)
+    u = [0.0] * m1
+    f_at = fvec.item
+    ic_at = ic_poly.item
     a1 = system.a1
     nan_node = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
             w[i] = u[0]
-            z1[i] = invert(w, z1, i)
-            dnu = z1[i] if nu_node is None else nu_node(z1, i)
-            yi = ic_poly[i] + dnu
+            z1i = invert(w, z1, i)
+            z1[i] = z1i
+            yi = ic_at(i) + (z1i if nu_node is None else nu_node(z1, i))
             y[i] = yi
-            if not (math.isfinite(yi) and math.isfinite(z1[i])):
+            if not (math.isfinite(yi) and math.isfinite(z1i)):
                 nan_node = i
                 break
-            acc = fvec[i]
+            acc = f_at(i)
             for c, node in links:
                 acc -= c * node(z1, i)
             for c, p in monomials:
-                acc -= c * yi ** p
+                try:
+                    acc -= c * yi ** p
+                except OverflowError:
+                    # A float power raises where a numpy one gives the
+                    # infinity, with which the run stops at the next node.
+                    acc -= c * math.copysign(math.inf, yi) ** p
             rhs = acc / a1
             u[m1 - 1] += h * rhs
             for k in range(m1 - 2, -1, -1):

@@ -341,10 +341,30 @@ class TestNanPolicy:
     def test_trajectory_truncated_before_first_bad_node(self):
         with pytest.warns(RuntimeWarning):
             traj = solve(blowup_problem(), SolverConfig(h=0.1, t_end=50.0))
-        assert traj.diagnostics.nan_node is not None
+        assert traj.diagnostics.nan_node == 9
         assert len(traj.y) == traj.diagnostics.nan_node
         assert np.all(np.isfinite(traj.y.values))
         assert np.all(np.isfinite(traj.z1.values))
+        # The last node kept is finite, but its cube is past double range.
+        with pytest.raises(OverflowError):
+            traj.y.values.item(-1) ** 3
+
+    def test_cubic_overflow_at_a_finite_node_stops_at_the_next(self):
+        # Dependent class: two leading terms fold, the direct inverter
+        # runs.  The last node kept is finite, but its cube is past double
+        # range: the stepper's float power raises there, where a numpy
+        # power gives inf.  The run must still go on to the next node,
+        # which comes out non-finite, and stop there.
+        p = ProblemSpec(terms=((1.0, 1.5), (0.5, 1.2)),
+                        nonlinearity=Polynomial((-1.0, 0.0, 0.0, -10.0)),
+                        initial_conditions=(0.0, 0.0))
+        with pytest.warns(RuntimeWarning, match="run stopped at node 20"):
+            traj = solve(p, SolverConfig(h=0.1, t_end=50.0))
+        assert traj.diagnostics.nan_node == 20
+        assert len(traj.y) == len(traj.z1) == 20
+        assert np.all(np.isfinite(traj.y.values))
+        with pytest.raises(OverflowError):
+            traj.y.values.item(-1) ** 3
 
     def test_series_tail_counts_the_node_the_run_stopped_at(
             self, monkeypatch):
