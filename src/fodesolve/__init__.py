@@ -40,7 +40,6 @@ from .gammafn import GAMMA_MAX, gamma
 from .operators import (
     OperatorOrder,
     SampleSeries,
-    WeightTable,
     apply_operator,
     frac_derivative01,
     frac_derivative_general,
@@ -98,7 +97,6 @@ __all__ = [
     "Trajectory",
     "UnsupportedProblemError",
     "WLink",
-    "WeightTable",
     "__version__",
     "apply_operator",
     "babenko_invert",

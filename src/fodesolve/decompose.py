@@ -39,6 +39,7 @@ from .errors import (
 from .operators import (
     DEFAULT_ORDER_CAP,
     SampleSeries,
+    _check_node,
     _integral_pref,
     _kernel_quad,
     _quadrature,
@@ -49,6 +50,7 @@ from .operators import (
 )
 
 __all__ = [
+    "TAIL_TOL",
     "FracTerm",
     "Polynomial",
     "ForcingSegment",
@@ -69,6 +71,12 @@ __all__ = [
     "babenko_invert",
     "volterra_direct_invert",
 ]
+
+
+# The series inversion warns when its last retained term, or the a-priori
+# bound on it, exceeds this.  Callers wanting another threshold read the
+# reported sup norm and filter BabenkoTailWarning with the warnings module.
+TAIL_TOL = 1e-8
 
 
 def integer_order(alpha: float) -> int:
@@ -359,23 +367,17 @@ class WLink:
 @dataclass(frozen=True)
 class Babenko:
     """Series inversion truncated after `terms` powers.  The sup norm of
-    the last retained term is reported; above tail_tol a warning is
-    raised because the truncation is then meaningful."""
+    the last retained term is reported; above TAIL_TOL a
+    BabenkoTailWarning is raised because the truncation is then
+    meaningful."""
 
     terms: int = 30
-    tail_tol: float = 1e-8
 
     def __post_init__(self):
-        # A nan tolerance would silence every truncation warning;
-        # math.inf turns them off on purpose.
         if not float(self.terms).is_integer() or self.terms < 1:
             raise ValueError(f"series inversion needs a whole number of"
                              f" terms, at least 1, got {self.terms!r}")
-        if not float(self.tail_tol) >= 0.0:
-            raise ValueError(f"tail tolerance must be nonnegative, got"
-                             f" {self.tail_tol!r}")
         object.__setattr__(self, "terms", int(self.terms))
-        object.__setattr__(self, "tail_tol", float(self.tail_tol))
 
 
 @dataclass(frozen=True)
@@ -392,7 +394,6 @@ class DecomposedSystem:
 
     m1: int
     a1: float
-    classification: Classification
     nu: float
     rhs_links: tuple
     w_links: tuple
@@ -444,7 +445,6 @@ def build_system(problem: ProblemSpec, inversion=None) -> DecomposedSystem:
     return DecomposedSystem(
         m1=m1,
         a1=lead.coefficient,
-        classification=cls,
         nu=nu,
         rhs_links=rhs_links,
         w_links=w_links,
@@ -533,7 +533,7 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
 
 
 def babenko_invert(w: SampleSeries, ratio: float, delta: float,
-                   terms: int = 30, tail_tol: float = 1e-8) -> BabenkoResult:
+                   terms: int = 30) -> BabenkoResult:
     """Recover z1 from w = (1 + ratio * I^delta) z1 by the operator
     binomial series
 
@@ -545,8 +545,8 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
     is only trustworthy while |ratio| t^delta stays moderate; the sup norm
     of the k = terms term, nan passed over, is returned as the truncation
     diagnostic and additionally raises BabenkoTailWarning when it exceeds
-    tail_tol.  terms and tail_tol are checked as Babenko checks them;
-    weights beyond double range on the grid raise OverflowError.
+    TAIL_TOL.  terms is checked as Babenko checks it; weights beyond
+    double range on the grid raise OverflowError.
     """
     ratio = float(ratio)
     delta = float(delta)
@@ -554,23 +554,23 @@ def babenko_invert(w: SampleSeries, ratio: float, delta: float,
         raise ValueError(f"ratio must be finite, got {ratio!r}")
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
-    bab = Babenko(terms, tail_tol)
+    bab = Babenko(terms)
     if ratio == 0.0:
         return BabenkoResult(w, 0.0)
     fold, last = _babenko_kernels(ratio, delta, w.h, bab.terms, len(w))
     v = w.values
     z1 = v + _series(fold, v)
-    tail_norm = _tail_norm(last, v, bab.tail_tol)
+    tail_norm = _tail_norm(last, v)
     return BabenkoResult(SampleSeries(w.h, z1), tail_norm)
 
 
-def _tail_norm(last, values: np.ndarray, tail_tol: float) -> float:
+def _tail_norm(last, values: np.ndarray) -> float:
     """Sup norm of the last retained power over the series values (0 at
     node 0, nan passed over), and a warning to the caller of
-    babenko_invert or solve when it exceeds tail_tol."""
+    babenko_invert or solve when it exceeds TAIL_TOL."""
     with np.errstate(over="ignore", invalid="ignore"):
         tail = float(np.nanmax(np.abs(_series(last, values))))
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         warnings.warn(
             f"series inversion truncated while its last term still has"
             f" sup norm {tail:.3g}; the result is unreliable on this"
@@ -643,9 +643,7 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
     afresh, work of order i log i; solve's direct inversion serves every
     node and transforms each block once.
     """
-    i = int(i)
-    if i < 0 or i >= len(w):
-        raise IndexError(f"node {i} outside series of length {len(w)}")
+    i = _check_node(w, i)
     if i == 0:
         return 0.0
     if len(z1_history) < i:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +52,6 @@ __all__ = [
     "DEFAULT_ORDER_CAP",
     "SampleSeries",
     "OperatorOrder",
-    "WeightTable",
     "weight_table",
     "frac_integral",
     "frac_derivative01",
@@ -61,6 +60,7 @@ __all__ = [
 ]
 
 # Orders beyond this are almost certainly misparsed input, not physics.
+# Terms, links and operators all share it.
 DEFAULT_ORDER_CAP = 10.0
 
 _WEIGHT_CACHE_SIZE = 256
@@ -104,41 +104,32 @@ class SampleSeries:
 @dataclass(frozen=True)
 class OperatorOrder:
     """Signed operator order: negative integrates, positive differentiates,
-    zero is the identity.  The magnitude cap rejects wild orders that are
-    usually a sign of a misread input file; it must be positive (nan is
-    not, math.inf turns the cap off)."""
+    zero is the identity.  Orders of magnitude DEFAULT_ORDER_CAP or more
+    are rejected: they are usually a sign of a misread input file."""
 
     mu: float
-    cap: float = DEFAULT_ORDER_CAP
 
     def __post_init__(self):
         mu = float(self.mu)
-        cap = float(self.cap)
-        if not cap > 0.0:
-            raise ValueError(f"order cap must be positive, got {cap!r}")
         if not np.isfinite(mu):
             raise ValueError(f"operator order must be finite, got {mu!r}")
-        if abs(mu) >= cap:
-            raise ValueError(f"operator order {mu!r} exceeds the cap {cap!r}")
+        if abs(mu) >= DEFAULT_ORDER_CAP:
+            raise ValueError(f"operator order {mu!r} exceeds the cap"
+                             f" {DEFAULT_ORDER_CAP!r}")
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "cap", cap)
 
     @property
     def is_identity(self) -> bool:
         return self.mu == 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class WeightTable:
-    """Grid-independent quadrature weights for one (kind, order) pair.
-
-    kind is one of "integral", "derivative01", "binomial".  Weights carry
-    no h factor; the caller applies the h**(+-order) prefactor.
-    """
-
-    order: float
-    kind: str
-    weights: np.ndarray = field(repr=False)
+def _whole(x, what: str) -> int:
+    """x as an int when it is whole-valued (numpy integers and floats
+    such as 3.0 included); ValueError for 2.5, nan or inf, which int()
+    would cut or fail on."""
+    if not float(x).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {x!r}")
+    return int(x)
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
@@ -224,13 +215,15 @@ def _scaled_weights(c: float, log_c: float, kind: str, order: float,
     return out
 
 
-def weight_table(kind: str, order: float, n: int) -> WeightTable:
-    """The weight table of the given kind and order, long enough for an
-    n-sample series.
+def weight_table(kind: str, order: float, n: int) -> np.ndarray:
+    """The weights of the given kind and order for an n-sample series.
 
-    Repeated calls with the same arguments wrap the same cached weight
-    array, built on first use; the array is read-only."""
+    kind is one of "integral", "derivative01", "binomial".  Weights carry
+    no h factor; the caller applies the h**(+-order) prefactor.  Repeated
+    calls with the same arguments return the same cached array, built on
+    first use; the array is read-only."""
     order = float(order)
+    n = _whole(n, "table length")
     if n < 1:
         raise ValueError("table length must be at least 1")
     if kind == "integral":
@@ -244,11 +237,11 @@ def weight_table(kind: str, order: float, n: int) -> WeightTable:
             raise ValueError("binomial order must be at least 1")
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
-    return WeightTable(order=order, kind=kind, weights=_weights(kind, order, n))
+    return _weights(kind, order, n)
 
 
 def _check_node(z: SampleSeries, i: int) -> int:
-    i = int(i)
+    i = _whole(i, "node index")
     if not 0 <= i < len(z):
         raise IndexError(f"node {i} outside series of length {len(z)}")
     return i
@@ -589,7 +582,7 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
     Node 0 is the empty integral and returns 0.  Reduces to the composite
     trapezoid rule at alpha = 1.
 
-    Orders at or above the cap of OperatorOrder are rejected, as
+    Orders at or above DEFAULT_ORDER_CAP are rejected, as
     apply_operator rejects them.
 
     One call transforms node i's O(log i) far blocks of samples afresh,
@@ -640,7 +633,7 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     its internal series.  At alpha = 1 this is the plain backward
     difference.
 
-    Orders at or above the cap of OperatorOrder are rejected, as
+    Orders at or above DEFAULT_ORDER_CAP are rejected, as
     apply_operator rejects them.
 
     One call transforms node i's O(log i) far blocks of samples afresh,

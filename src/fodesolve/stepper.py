@@ -32,7 +32,9 @@ from .decompose import (
     Babenko,
     DirectVolterra,
     ProblemSpec,
+    TAIL_TOL,
     build_system,
+    integer_order,
     _babenko_bound,
     _direct_inverter,
     _series_inverter,
@@ -157,13 +159,18 @@ def reconstruct_derivatives(z1: SampleSeries, ics, alpha1: float,
 
         y^(k)_i = sum_{j=k..m1-1} b_j t_i^(j-k) / (j-k)!  +  D^(nu+k) z1,
 
-    with nu = m1 - alpha1, so that row k starts exactly at b_k.  The
-    fractional part always has order >= 1 here and z1 starts at zero,
-    so the binomial-weight scheme applies.  Returns an empty tuple when
-    m1 <= 1.
+    with nu = m1 - alpha1, so that row k starts exactly at b_k.  m1 must
+    be integer_order(alpha1), so nu lies in [0, 1): the fractional part
+    always has order >= 1 here and z1 starts at zero, so the
+    binomial-weight scheme applies.  Returns an empty tuple when m1 <= 1.
     """
-    m1 = int(m1)
-    nu = float(m1) - float(alpha1)
+    alpha1 = float(alpha1)
+    want = integer_order(alpha1)
+    if m1 != want:
+        raise ValueError(f"m1 must be the integer order {want} of"
+                         f" alpha1 = {alpha1:g}, got {m1!r}")
+    m1 = want
+    nu = float(m1) - alpha1
     ics = tuple(float(b) for b in ics)
     if len(ics) != m1:
         raise ValueError(f"need {m1} initial values, got {len(ics)}")
@@ -217,7 +224,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
         link = system.w_links[0]
         bab = system.inversion
         bound = _babenko_bound(link.ratio, link.order, big_n * h, bab.terms)
-        if bound > bab.tail_tol:
+        if bound > TAIL_TOL:
             warnings.warn(
                 f"series inversion's a-priori term factor is {bound:.3g}"
                 f" at t = {big_n * h:g}; the result will be unreliable",
@@ -286,8 +293,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     tail = None
     if last is not None:
         # Over every node visited, the one a cut run stopped at included.
-        tail = _tail_norm(last, w[:n if nan_node is None else nan_node + 1],
-                          system.inversion.tail_tol)
+        tail = _tail_norm(last, w[:n if nan_node is None else nan_node + 1])
     return Trajectory(
         h=h,
         num_steps=len(y) - 1,

@@ -25,6 +25,7 @@ from fodesolve import (
     solve,
 )
 from fodesolve.cli import main as cli_main
+from fodesolve.decompose import TAIL_TOL
 
 
 def report(name, ok, detail):
@@ -155,7 +156,7 @@ class TestInversionRouteEquivalence:
 
     def test_routes_agree(self, plate):
         start = time.perf_counter()
-        tail_tol = Babenko().tail_tol
+        tail_tol = TAIL_TOL
         direct = {h: solve(plate, SolverConfig(h=h, t_end=30.0)).y.values
                   for h in self.STEPS}
 

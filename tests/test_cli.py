@@ -55,6 +55,16 @@ class TestSolve:
         assert body[0, 0] == 0.0 and body[0, 1] == 0.0
         assert body[-1, 0] == 2.0
 
+    def test_csv_goes_to_stdout_without_out(self, plate_file, tmp_path,
+                                            capsys):
+        out = tmp_path / "out.csv"
+        args = ["solve", "--problem", plate_file, "--step", "0.1",
+                "--t-end", "1"]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_full_span_row_count(self, plate_file, tmp_path):
         out = str(tmp_path / "out.csv")
         rc = main(["solve", "--problem", plate_file, "--step", "0.01",
@@ -324,7 +334,8 @@ class TestApply:
 
     @pytest.mark.parametrize("text,reason", [
         ("", "empty"), ("t,value\n0,1\n", "at least two samples"),
-        ("t,value\n0,0\n-0.1,1\n-0.2,2\n", "increasing")])
+        ("t,value\n0,0\n-0.1,1\n-0.2,2\n", "increasing"),
+        ("t,value\n0,0\n0.1\n0.2,2\n", "expected two CSV columns")])
     def test_unusable_input_rejected(self, text, reason, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text(text)

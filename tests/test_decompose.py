@@ -36,7 +36,10 @@ from fodesolve.operators import (
     OperatorOrder,
     SampleSeries,
     apply_operator,
+    _kernel_quad,
     _running,
+    _series,
+    _table_length,
     _weights,
 )
 
@@ -69,6 +72,11 @@ class TestBuildingBlocks:
         assert p(3.0) == 6.0
         assert Polynomial(()).is_zero and Polynomial((0.0,)).is_zero
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_polynomial_coefficients_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Polynomial((1.0, bad))
+
     def test_forcing_segment_validation(self):
         with pytest.raises(ValueError):
             ForcingSegment(-1.0, 2.0, (1.0,))
@@ -85,6 +93,10 @@ class TestBuildingBlocks:
                 ForcingSegment(0.0, 1.0, (1.0,)),
                 ForcingSegment(1.5, 2.0, (1.0,)),
             ))
+
+    def test_piecewise_needs_a_segment(self):
+        with pytest.raises(ValueError, match="at least one segment"):
+            PiecewiseForcing(())
 
     def test_piecewise_boundary_belongs_to_next_segment(self):
         f = PiecewiseForcing((
@@ -133,6 +145,17 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(terms=((1.0, 1.5),), initial_conditions=(0.0,))
         ProblemSpec(terms=((1.0, 1.5),), initial_conditions=(0.0, 1.0))
+
+    @pytest.mark.parametrize("kwargs,reason", [
+        ({"terms": ()}, "at least one term"),
+        ({"initial_conditions": (math.nan,)}, "finite"),
+        ({"initial_conditions": (math.inf,)}, "finite"),
+        ({"forcing": math.sin}, "sample")])
+    def test_incomplete_or_non_finite_input_rejected(self, kwargs, reason):
+        spec = {"terms": ((1.0, 0.5),), "initial_conditions": (0.0,),
+                **kwargs}
+        with pytest.raises(ValueError, match=reason):
+            ProblemSpec(**spec)
 
     def test_plain_tuples_coerced(self):
         p = ProblemSpec(terms=((2.0, 1.5), (1.0, 0.5)),
@@ -222,20 +245,15 @@ class TestBuildSystem:
 
     @pytest.mark.parametrize("kwargs", [{"terms": 2.7},
                                         {"terms": math.nan},
-                                        {"terms": math.inf},
-                                        {"tail_tol": math.nan},
-                                        {"tail_tol": -1e-8}])
+                                        {"terms": math.inf}])
     def test_babenko_rejects_fractional_terms_and_bad_tolerance(self, kwargs):
-        # A nan tolerance would turn every truncation warning off, and a
-        # fractional term count would be cut silently.
+        # A fractional term count would be cut silently.
         with pytest.raises(ValueError):
             Babenko(**kwargs)
 
     def test_babenko_accepts_whole_float_terms_and_infinite_tolerance(self):
-        bab = Babenko(terms=12.0, tail_tol=math.inf)
+        bab = Babenko(terms=12.0)
         assert bab.terms == 12 and isinstance(bab.terms, int)
-        assert bab.tail_tol == math.inf
-        assert Babenko(tail_tol=0.0).tail_tol == 0.0
 
     @pytest.mark.parametrize("inversion", ["babenko", "direct", Babenko])
     def test_unknown_inversion_rejected(self, plate, inversion):
@@ -385,6 +403,20 @@ class TestVolterraDirect:
         with pytest.raises(ValueError, match=f"link {field}"):
             WLink(ratio, order)
 
+    @pytest.mark.parametrize("i,error", [
+        (-1, IndexError), (3, IndexError), (1.5, ValueError),
+        (math.nan, ValueError), (math.inf, ValueError)])
+    def test_node_index_checked(self, i, error):
+        # int() would have cut 1.5 to node 1.
+        w = SampleSeries(0.1, [0.0, 1.0, 2.0])
+        with pytest.raises(error):
+            volterra_direct_invert(w, (), i, w)
+
+    def test_whole_valued_node_index_accepted(self):
+        w = SampleSeries(0.1, [0.0, 1.0, 2.0])
+        assert volterra_direct_invert(w, (), 2.0, w) == 2.0
+        assert volterra_direct_invert(w, (), np.int64(2), w) == 2.0
+
     def test_history_validation(self):
         w = SampleSeries(0.1, [0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
@@ -463,14 +495,14 @@ class TestBabenkoInvert:
         with pytest.raises(ValueError, match=field):
             babenko_invert(w, ratio, delta)
 
-    @pytest.mark.parametrize("kwargs", [{"terms": 2.7},
-                                        {"tail_tol": math.nan},
-                                        {"tail_tol": -1.0}])
+    @pytest.mark.parametrize("kwargs", [{"terms": 2.7}])
     def test_series_parameters_checked_like_babenko(self, kwargs):
         w = SampleSeries(0.1, [0.0, 1.0])
         with pytest.raises(ValueError):
             babenko_invert(w, 0.5, 0.5, **kwargs)
-        res = babenko_invert(w, 0.5, 0.5, terms=3.0, tail_tol=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BabenkoTailWarning)
+            res = babenko_invert(w, 0.5, 0.5, terms=3.0)
         assert np.isfinite(res.tail_norm)
 
     @pytest.mark.parametrize("terms,t_end", [(30, 5.0), (80, 30.0)])
@@ -484,8 +516,8 @@ class TestBabenkoInvert:
         res = babenko_invert(w, ratio, delta, terms=terms)
         acc = w.values.copy()
         for k in range(1, terms + 1):
-            last = (-ratio) ** k * apply_operator(
-                w, OperatorOrder(-k * delta, cap=100)).values
+            last = (-ratio) ** k * _series(
+                _kernel_quad(-k * delta, h, _table_length(len(w))), w.values)
             acc += last
         scale = np.max(np.abs(w.values))
         assert np.max(np.abs(res.series.values - acc)) <= 1e-12 * scale
@@ -535,8 +567,9 @@ class TestBabenkoInvert:
         for i in range(n):
             z1[i] = invert(v, z1, i)
             tail = max(tail, abs(last_node(v, i)))
-        res = babenko_invert(SampleSeries(h, v), 0.5, 0.5, terms=30,
-                             tail_tol=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BabenkoTailWarning)
+            res = babenko_invert(SampleSeries(h, v), 0.5, 0.5, terms=30)
         assert res.series.values.tobytes() == z1.tobytes()
         assert res.tail_norm == tail and math.isfinite(tail)
 
@@ -598,7 +631,7 @@ class TestBabenkoInvert:
         # weights and terms are still near 1e42; in the second the last
         # power is 1e-195.  The fold runs to the last power, which on
         # w = 1 is ratio^K t^(K delta) / Gamma(1 + K delta) exactly, and
-        # the truncation warning fires where that exceeds tail_tol.
+        # the truncation warning fires where that exceeds TAIL_TOL.
         a = mpmath.mpf(terms * delta)
         exact = float(mpmath.mpf(ratio) ** terms
                       * mpmath.mpf((n - 1) * h) ** a / mpmath.gamma(1 + a))

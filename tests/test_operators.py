@@ -17,6 +17,7 @@ from fodesolve.operators import (
     frac_integral,
     weight_table,
     _LEAF,
+    _block_scale,
     _history,
     _kernel_quad,
     _node_kernel,
@@ -87,16 +88,6 @@ class TestOperatorOrder:
         with pytest.raises(ValueError):
             OperatorOrder(mu)
 
-    @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0, -math.inf])
-    def test_cap_must_be_positive(self, cap):
-        # abs(mu) >= nan is False, so a nan cap used to pass any order;
-        # a negative one rejected every order and blamed the order.
-        with pytest.raises(ValueError, match="cap must be positive"):
-            OperatorOrder(0.5, cap=cap)
-
-    def test_infinite_cap_turns_the_cap_off(self):
-        assert OperatorOrder(50.0, cap=math.inf).mu == 50.0
-
     @pytest.mark.parametrize("call,alpha", [
         (frac_integral, 50.0), (frac_integral, 200.0),
         (frac_derivative_general, 12.0)])
@@ -112,32 +103,32 @@ class TestOperatorOrder:
 
 class TestWeightTables:
     def test_integral_weights_frozen(self):
-        w = weight_table("integral", 0.5, 4).weights
+        w = weight_table("integral", 0.5, 4)
         assert w[0] == 0.0
         assert w[1] == pytest.approx(SQRT2, rel=1e-15)
         assert w[2] == pytest.approx(SQRT3_MINUS_1, rel=1e-15)
 
     def test_derivative01_weights_frozen(self):
-        w = weight_table("derivative01", 0.5, 3).weights
+        w = weight_table("derivative01", 0.5, 3)
         assert w[0] == 1.0
         assert w[1] == pytest.approx(V1, rel=1e-15)
         assert w[2] == pytest.approx(V2, rel=1e-15)
 
     def test_binomial_weights_frozen(self):
         # w_j = w_{j-1} (1 - (alpha+1)/j) for alpha = 1.5
-        w = weight_table("binomial", 1.5, 6).weights
+        w = weight_table("binomial", 1.5, 6)
         assert np.allclose(
             w, [1.0, -1.5, 0.375, 0.0625, 0.0234375, 0.01171875],
             rtol=1e-15, atol=0.0)
 
     def test_binomial_integer_order_terminates(self):
-        w = weight_table("binomial", 2.0, 6).weights
+        w = weight_table("binomial", 2.0, 6)
         assert np.array_equal(w, [1.0, -2.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_tables_are_cached(self):
         a = weight_table("integral", 0.5, 100)
         b = weight_table("integral", 0.5, 100)
-        assert a.weights is b.weights
+        assert a is b
 
     def test_kind_and_range_gating(self):
         with pytest.raises(ValueError):
@@ -148,6 +139,54 @@ class TestWeightTables:
             weight_table("binomial", 0.5, 4)
         with pytest.raises(ValueError):
             weight_table("nope", 0.5, 4)
+
+    @pytest.mark.parametrize("n", [0, 2.5, math.nan, math.inf])
+    def test_length_must_be_whole_and_positive(self, n):
+        # int() would have cut 2.5, and np.arange(2.5) gives 3 weights.
+        with pytest.raises(ValueError, match="table length"):
+            weight_table("integral", 0.5, n)
+
+    def test_whole_valued_lengths_accepted(self):
+        a = weight_table("integral", 0.5, 4)
+        assert weight_table("integral", 0.5, 4.0) is a
+        assert weight_table("integral", 0.5, np.int64(4)) is a
+
+
+NODE_CALLS = [(frac_integral, 0.5), (frac_derivative01, 0.5),
+              (frac_derivative_general, 1.5)]
+
+
+class TestSingleNodeArguments:
+    @pytest.mark.parametrize("call,alpha", NODE_CALLS)
+    @pytest.mark.parametrize("i", [2.5, 2.9, math.nan, math.inf])
+    def test_node_index_must_be_whole(self, call, alpha, i):
+        # int() would have cut 2.9 to node 2.
+        z = SampleSeries(0.1, np.arange(5.0))
+        with pytest.raises(ValueError, match="node index"):
+            call(z, alpha, i)
+
+    @pytest.mark.parametrize("call,alpha", NODE_CALLS)
+    def test_whole_valued_node_index_accepted(self, call, alpha):
+        z = SampleSeries(0.1, np.arange(5.0))
+        want = call(z, alpha, 3)
+        assert call(z, alpha, 3.0) == want
+        assert call(z, alpha, np.int64(3)) == want
+
+    @pytest.mark.parametrize("call,alpha", NODE_CALLS)
+    @pytest.mark.parametrize("i", [-1, 5])
+    def test_node_index_out_of_range(self, call, alpha, i):
+        z = SampleSeries(0.1, np.arange(5.0))
+        with pytest.raises(IndexError, match="outside series"):
+            call(z, alpha, i)
+
+    @pytest.mark.parametrize("call,alpha", [
+        (frac_integral, 0.0), (frac_integral, -0.5),
+        (frac_derivative01, -0.1), (frac_derivative01, 1.0),
+        (frac_derivative_general, 0.5)])
+    def test_order_outside_the_kernel_range(self, call, alpha):
+        z = SampleSeries(0.1, np.arange(5.0))
+        with pytest.raises(ValueError, match="order"):
+            call(z, alpha, 4)
 
 
 class TestIntegral:
@@ -234,7 +273,7 @@ class TestDerivative01:
         # quadrature is defined on sample differences:
         # sum_{j<i} w_j (z_{i-j} - z_{i-j-1}) + (1-alpha) z_0 / i^alpha.
         n, h = 4001, 1.0 / 4000
-        w = weight_table("derivative01", alpha, n).weights
+        w = weight_table("derivative01", alpha, n)
         pref = h ** -alpha / math.gamma(2.0 - alpha)
         t = h * np.arange(n)
         for vals in (t ** 2 + 1.0, t ** 3 - 0.5, np.sin(3.0 * t) + 2.0):
@@ -374,6 +413,20 @@ class TestFarField:
         for i in range(1, n):
             assert out[i] == _direct_sum(form, v, i)
 
+    def test_block_scale_refusals(self):
+        # A block growing like a power is admitted; one with a zero end
+        # lag, or one whose scale would pass e^(+-700), is not.
+        b = _LEAF
+        grows = np.arange(1.0, 2 * b) ** 1.5
+        assert _block_scale(grows, b) is not None
+        for end in (b - 1, 2 * b - 2):
+            block = grows.copy()
+            block[end] = 0.0
+            assert _block_scale(block, b) is None
+        steep = np.ones(2 * b - 1)
+        steep[b - 1], steep[2 * b - 2] = 1e-300, 1e300
+        assert _block_scale(steep, b) is None
+
     def test_accuracy_against_an_exact_sum(self):
         # Error of each node against math.fsum of the same terms,
         # relative to sup |out|: the far field must be no worse than one
@@ -432,13 +485,13 @@ def test_weights_beyond_double_range_raise():
     # are finite, still build them past double range: silently, and the
     # far blocks that hold those lags are left to direct sums.
     z = SampleSeries(0.01, np.sin(0.01 * np.arange(8000)))
-    order = OperatorOrder(-80.0, cap=100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        short = SampleSeries(0.01, z.values[:7000])
-        assert np.all(np.isfinite(apply_operator(short, order).values))
+        short = z.values[:7000]
+        assert np.all(np.isfinite(
+            _series(_kernel_quad(-80.0, 0.01, _table_length(7000)), short)))
         with pytest.raises(OverflowError):
-            apply_operator(z, order)
+            _series(_kernel_quad(-80.0, 0.01, _table_length(8000)), z.values)
 
 
 def test_history_is_a_left_to_right_sum():

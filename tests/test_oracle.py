@@ -81,6 +81,8 @@ class TestPowerRule:
             power_rule(0.5, -1, 1.0, "integral")
         with pytest.raises(ValueError):
             power_rule(0.5, 1, 1.0, "nope")
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            power_rule(0.5, 1, -1.0, "integral")
 
 
 class TestManufacture:

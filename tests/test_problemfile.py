@@ -145,6 +145,15 @@ class TestDiagnostics:
         err = _err("term 1 -0.5\ninit 0 0\n")
         assert "nonnegative" in str(err)
 
+    @pytest.mark.parametrize("line,reason", [
+        ("nonlinear -1 2", "power must be nonnegative"),
+        ("forcing -1 1 2", "t_from must be nonnegative"),
+        ("init -1 0", "derivative index must be nonnegative")])
+    def test_negative_power_start_or_index(self, line, reason):
+        err = _err(f"term 1 0.5\n{line}\ninit 0 0\n")
+        assert err.line == 2 and err.column == len(line.split()[0]) + 2
+        assert reason in str(err)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [

@@ -54,6 +54,8 @@ class TestSolverConfig:
         cfg = SolverConfig(h=0.3, t_end=1.0)
         assert cfg.num_steps == 3  # covers [0, 0.9]
         assert cfg.num_steps * cfg.h <= cfg.t_end * (1 + 1e-12)
+        # floor(t_end/h + 1e-9) is 3 here, and 3 steps pass t_end.
+        assert SolverConfig(h=0.1, t_end=0.29999999991).num_steps == 2
 
     def test_at_least_two_steps(self):
         with pytest.raises(ValueError):
@@ -93,6 +95,16 @@ class TestReconstruction:
         z1 = SampleSeries(0.1, np.zeros(8))
         with pytest.raises(ValueError):
             reconstruct_derivatives(z1, (0.0,), 1.5, 2)
+
+    @pytest.mark.parametrize("ics,alpha1,m1", [
+        ((0.0, 0.0, 0.0), 1.5, 3), ((0.0, 0.0), 2.7, 2),
+        ((0.0, 0.0), 1.5, 2.5)])
+    def test_derivative_rows_need_the_matching_m1(self, ics, alpha1, m1):
+        # Unchecked, the first case built its rows with nu = 1.5 and the
+        # second a "y'" row of D^0.3 z1 (nu = -0.7).
+        z1 = SampleSeries(0.1, np.zeros(8))
+        with pytest.raises(ValueError, match="integer order"):
+            reconstruct_derivatives(z1, ics, alpha1, m1)
 
     def test_derivative_rows_start_at_their_initial_values(self):
         z1 = SampleSeries(0.1, np.zeros(8))
@@ -373,9 +385,9 @@ class TestNanPolicy:
         # inf tail shows node 20 was counted.
         seen = []
 
-        def spy(last, values, tail_tol):
+        def spy(last, values):
             seen.append((last, values.copy()))
-            return _tail_norm(last, values, tail_tol)
+            return _tail_norm(last, values)
         monkeypatch.setattr(stepper, "_tail_norm", spy)
         p = ProblemSpec(terms=((1.0, 1.5), (0.5, 1.2)),
                         nonlinearity=Polynomial((-1.0, 0.0, 0.0, -10.0)),
@@ -387,7 +399,9 @@ class TestNanPolicy:
         assert diag.nan_node == 20 and diag.babenko_tail == math.inf
         (last, w), = seen
         assert w.size == 21 and np.all(np.isfinite(w[:20]))
-        assert math.isfinite(_tail_norm(last, w[:20], math.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BabenkoTailWarning)
+            assert math.isfinite(_tail_norm(last, w[:20]))
 
     def test_series_tail_of_a_gradual_runaway_warns_only_of_the_stop(self):
         # D^1.5 y + 5 D^1.2 y = 1 + y runs away and stops at node 70.
