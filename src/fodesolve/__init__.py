@@ -11,7 +11,6 @@ Discrete Riemann-Liouville quadratures for sampled series live in
 from .decompose import (
     Babenko,
     BabenkoResult,
-    Classification,
     DecomposedSystem,
     DirectVolterra,
     ForcingSegment,
@@ -21,11 +20,9 @@ from .decompose import (
     PowerSumForcing,
     ProblemSpec,
     RhsLink,
-    SubclassKind,
     WLink,
     babenko_invert,
     build_system,
-    classify,
     integer_order,
     volterra_direct_invert,
 )
@@ -72,7 +69,6 @@ __all__ = [
     "BabenkoResult",
     "BabenkoTailWarning",
     "CheckResult",
-    "Classification",
     "ConvergenceRow",
     "DecomposedSystem",
     "Diagnostics",
@@ -93,7 +89,6 @@ __all__ = [
     "SingularInversionError",
     "SingularOriginError",
     "SolverConfig",
-    "SubclassKind",
     "Trajectory",
     "UnsupportedProblemError",
     "WLink",
@@ -101,7 +96,6 @@ __all__ = [
     "apply_operator",
     "babenko_invert",
     "build_system",
-    "classify",
     "convergence_study",
     "format_problem",
     "frac_derivative01",

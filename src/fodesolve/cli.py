@@ -28,7 +28,7 @@ from .errors import (
 )
 from .operators import OperatorOrder, SampleSeries, apply_operator
 from .oracle import convergence_study
-from .problemfile import ParseError, parse_problem
+from .problemfile import ParseError, _fmt, parse_problem
 from .stepper import SolverConfig, solve
 from .verify import run_verify
 
@@ -44,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
     # one exception so usage problems map to exit code 1 instead.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _write_lines(path: str | None, lines) -> None:

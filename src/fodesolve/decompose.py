@@ -13,17 +13,18 @@ nu = m1 - alpha1, and every remaining term becomes a derivative of z1 of
 order nu + alpha_i, which is always below m1.  What is left is a single
 m1-th order equation for z1 driven by those lower-order couplings.
 
-When several leading terms share the integer order m1 they are folded
-into one combined series w = z1 + sum_j (a_j/a1) I^(alpha1-alpha_j) z1,
-and the ODE advances w instead.  Each step then has to recover z1 from w
-by inverting that Abel-type relation; two inverters are provided, a
-truncated binomial-series expansion and a direct node-by-node solve of
-the discrete system (the default, exact at the quadrature level).
+The leading run of r terms whose integer order equals m1 is folded into
+one combined series w = z1 + sum_{j=2..r} (a_j/a1) I^(alpha1-alpha_j) z1,
+and the ODE advances w instead; the terms after the run couple through
+the right-hand side.  With r = 1 nothing folds and w = z1.  Otherwise
+each step has to recover z1 from w by inverting that Abel-type
+relation; two inverters are provided, a truncated binomial-series
+expansion and a direct node-by-node solve of the discrete system (the
+default, exact at the quadrature level).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -57,15 +58,12 @@ __all__ = [
     "PiecewiseForcing",
     "PowerSumForcing",
     "ProblemSpec",
-    "SubclassKind",
-    "Classification",
     "RhsLink",
     "WLink",
     "Babenko",
     "DirectVolterra",
     "DecomposedSystem",
     "integer_order",
-    "classify",
     "build_system",
     "BabenkoResult",
     "babenko_invert",
@@ -122,20 +120,11 @@ class Polynomial:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.coefficients)
-
     def monomials(self):
         """Nonzero (coefficient, power) pairs, ascending in power."""
         return tuple(
             (c, p) for p, c in enumerate(self.coefficients) if c != 0.0
         )
-
-    def __call__(self, y):
-        if not self.coefficients:
-            return 0.0 * y
-        return npoly.polyval(y, self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -171,8 +160,11 @@ _BOUNDARY_SLACK = 1e-9
 class PiecewiseForcing:
     """Forcing assembled from contiguous polynomial segments starting at 0.
 
+    The forcing is evaluated on the grid only, through sample(h, n).
     Each node t is evaluated on the segment with t_from <= t < t_to; a
-    node exactly on a boundary belongs to the segment that starts there.
+    node exactly on a boundary, or less than 1e-9*h below it, belongs
+    to the segment that starts there (with h = 0.03, node 11 is
+    t = 0.32999999999999996 and takes a segment starting at 0.33).
     """
 
     segments: tuple
@@ -216,13 +208,6 @@ class PiecewiseForcing:
                 out[mask] = npoly.polyval(t[mask], seg.coefficients)
         return out
 
-    def __call__(self, t: float) -> float:
-        t = float(t)
-        for seg in self.segments:
-            if seg.t_from <= t < seg.t_to:
-                return float(npoly.polyval(t, seg.coefficients))
-        raise ValueError(f"t = {t:g} is outside the forcing coverage")
-
 
 @dataclass(frozen=True)
 class PowerSumForcing:
@@ -248,12 +233,6 @@ class PowerSumForcing:
         for c, e in self.terms:
             out += c * t ** e if e != 0.0 else c
         return out
-
-    def __call__(self, t: float) -> float:
-        t = float(t)
-        return float(
-            sum(c * t ** e if e != 0.0 else c for c, e in self.terms)
-        )
 
 
 @dataclass(frozen=True)
@@ -301,43 +280,6 @@ class ProblemSpec:
     @property
     def leading_order(self) -> float:
         return self.terms[0].order
-
-
-class SubclassKind(enum.Enum):
-    ONE_TERM = "one-term"
-    DEPENDENT = "dependent"
-    INDEPENDENT = "independent"
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Shape of the problem: one kind tag, the integer order m_i of every
-    term, and the count r of leading terms sharing m1 (1 unless
-    dependent)."""
-
-    kind: SubclassKind
-    integer_orders: tuple
-    r: int
-
-
-def classify(problem: ProblemSpec) -> Classification:
-    """Classify a problem by how its terms share integer orders.
-
-    A single term is one-term.  With several terms, the leading run of
-    terms whose integer order equals m1 decides: a run of r >= 2 makes
-    the problem dependent (those terms fold into one combined series),
-    otherwise the terms are independent and couple only through the
-    right-hand side.
-    """
-    ms = tuple(integer_order(tm.order) for tm in problem.terms)
-    if len(ms) == 1:
-        return Classification(SubclassKind.ONE_TERM, ms, 1)
-    r = 1
-    while r < len(ms) and ms[r] == ms[0]:
-        r += 1
-    if r >= 2:
-        return Classification(SubclassKind.DEPENDENT, ms, r)
-    return Classification(SubclassKind.INDEPENDENT, ms, 1)
 
 
 @dataclass(frozen=True)
@@ -404,6 +346,12 @@ class DecomposedSystem:
 def build_system(problem: ProblemSpec, inversion=None) -> DecomposedSystem:
     """Reduce a problem to its integer-order form.
 
+    The leading run of r terms whose integer order equals m1 folds into
+    the combined series: terms 2..r become WLinks, and every later term
+    couples through the right-hand side as an RhsLink.  In the paper's
+    words a single term is one-term, a run of r >= 2 is dependent, and
+    several terms with r = 1 are independent; r = 1 folds nothing.
+
     Raises UnsupportedProblemError for shapes the reduction cannot
     express: a term of order zero (the plain-y contribution belongs in
     the nonlinearity, where it sees the full reconstructed solution),
@@ -421,21 +369,17 @@ def build_system(problem: ProblemSpec, inversion=None) -> DecomposedSystem:
             "a term of order zero is outside the reduction; put the"
             " plain-y contribution in the nonlinearity instead"
         )
-    cls = classify(problem)
-    m1 = cls.integer_orders[0]
     lead = problem.terms[0]
+    m1 = integer_order(lead.order)
     nu = float(m1) - lead.order
-    w_links = ()
-    tail_terms = problem.terms[1:]
-    if cls.kind is SubclassKind.DEPENDENT:
-        absorbed = problem.terms[1:cls.r]
-        tail_terms = problem.terms[cls.r:]
-        w_links = tuple(
-            WLink(tm.coefficient / lead.coefficient, lead.order - tm.order)
-            for tm in absorbed
-        )
+    # Orders strictly decrease, so the terms sharing m1 are a leading run.
+    r = sum(integer_order(tm.order) == m1 for tm in problem.terms)
+    w_links = tuple(
+        WLink(tm.coefficient / lead.coefficient, lead.order - tm.order)
+        for tm in problem.terms[1:r]
+    )
     rhs_links = tuple(
-        RhsLink(tm.coefficient, nu + tm.order) for tm in tail_terms
+        RhsLink(tm.coefficient, nu + tm.order) for tm in problem.terms[r:]
     )
     if isinstance(inversion, Babenko) and len(w_links) > 1:
         raise UnsupportedProblemError(

@@ -78,9 +78,6 @@ class ManufacturedCase:
     problem: ProblemSpec
     power: int
 
-    def exact(self, t):
-        return np.asarray(t, dtype=np.float64) ** self.power
-
     def exact_series(self, h: float, n: int) -> SampleSeries:
         return SampleSeries(h, (np.arange(n) * h) ** self.power)
 

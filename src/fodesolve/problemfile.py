@@ -76,6 +76,7 @@ def parse_problem(text: str) -> ProblemSpec:
     segments = []
     segment_lines = []
     inits = {}
+    init_lines = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -91,10 +92,10 @@ def parse_problem(text: str) -> ProblemSpec:
                                  "term needs <coefficient> <order>")
             coef = _number(args[0], lineno, "coefficient")
             order = _number(args[1], lineno, "order")
-            if order < 0.0:
-                raise ParseError(lineno, args[1][1],
-                                 "order must be nonnegative")
-            terms.append((coef, order))
+            try:
+                terms.append(FracTerm(coef, order))
+            except ValueError as exc:
+                raise ParseError(lineno, args[1][1], str(exc)) from None
             term_lines.append((lineno, args[1][1]))
 
         elif word == "nonlinear":
@@ -142,6 +143,7 @@ def parse_problem(text: str) -> ProblemSpec:
                 raise ParseError(lineno, args[0][1],
                                  f"duplicate init for derivative {k}")
             inits[k] = value
+            init_lines[k] = (lineno, args[0][1])
 
         else:
             raise ParseError(lineno, col, f"unknown directive {word!r}")
@@ -150,11 +152,11 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ParseError(1, 1, "problem defines no terms")
 
     for idx in range(1, len(terms)):
-        if terms[idx][1] >= terms[idx - 1][1]:
+        if terms[idx].order >= terms[idx - 1].order:
             lineno, col = term_lines[idx]
             raise ParseError(lineno, col,
                              "orders must be strictly decreasing")
-    if terms[0][0] == 0.0:
+    if terms[0].coefficient == 0.0:
         lineno, col = term_lines[0]
         raise ParseError(lineno, col, "leading coefficient must be nonzero")
 
@@ -173,19 +175,21 @@ def parse_problem(text: str) -> ProblemSpec:
     else:
         forcing = PiecewiseForcing.zero()
 
-    m1 = integer_order(terms[0][1])
+    lead = terms[0].order
+    m1 = integer_order(lead)
     for k in inits:
         if k >= m1:
+            lineno, col = init_lines[k]
             raise ParseError(
-                1, 1,
+                lineno, col,
                 f"init {k} is out of range; the leading order"
-                f" {terms[0][1]:g} takes derivatives 0..{m1 - 1}")
+                f" {lead:g} takes derivatives 0..{m1 - 1}")
     missing = [k for k in range(m1) if k not in inits]
     if missing:
         raise ParseError(
             1, 1,
             f"missing init for derivative(s) {missing};"
-            f" the leading order {terms[0][1]:g} needs all of 0..{m1 - 1}")
+            f" the leading order {lead:g} needs all of 0..{m1 - 1}")
 
     if nonlinear:
         top = max(nonlinear)
@@ -194,7 +198,7 @@ def parse_problem(text: str) -> ProblemSpec:
         coeffs = ()
 
     return ProblemSpec(
-        terms=tuple(FracTerm(c, a) for c, a in terms),
+        terms=tuple(terms),
         nonlinearity=Polynomial(coeffs),
         forcing=forcing,
         initial_conditions=tuple(inits[k] for k in range(m1)),
@@ -202,8 +206,7 @@ def parse_problem(text: str) -> ProblemSpec:
 
 
 def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
+    """17 significant digits: parsing the text gives back the same float."""
     return format(float(v), ".17g")
 
 

@@ -132,8 +132,6 @@ class Trajectory:
 def _ic_poly_values(ics, t: np.ndarray) -> np.ndarray:
     """sum_k b_k t^k / k! evaluated on an array of times."""
     out = np.zeros_like(t)
-    if not ics:
-        return out
     fact = 1.0
     for k, b in enumerate(ics):
         if k > 0:

@@ -15,14 +15,12 @@ from fodesolve.decompose import (
     Polynomial,
     PowerSumForcing,
     ProblemSpec,
-    SubclassKind,
     WLink,
     babenko_invert,
     build_system,
     _babenko_kernels,
     _direct_inverter,
     _series_inverter,
-    classify,
     integer_order,
     volterra_direct_invert,
 )
@@ -69,8 +67,6 @@ class TestBuildingBlocks:
         p = Polynomial((0.0, 2.0, 0.0, 0.0))
         assert p.coefficients == (0.0, 2.0)
         assert p.monomials() == ((2.0, 1),)
-        assert p(3.0) == 6.0
-        assert Polynomial(()).is_zero and Polynomial((0.0,)).is_zero
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_polynomial_coefficients_must_be_finite(self, bad):
@@ -105,28 +101,36 @@ class TestBuildingBlocks:
         ))
         got = f.sample(0.25, 9)  # nodes 0, 0.25, ..., 2.0
         assert np.array_equal(got, [8, 8, 8, 8, 0, 0, 0, 0, 0])
-        assert f(1.0) == 0.0 and f(0.999) == 8.0
+        assert f.sample(1.0, 2)[1] == 0.0 and f.sample(0.999, 2)[1] == 8.0
+
+    def test_piecewise_snaps_a_rounded_node_onto_the_boundary(self):
+        # Node 11 at h = 0.03 is 0.32999999999999996, below the boundary
+        # 0.33 by far less than 1e-9*h, so it takes the new segment.
+        f = PiecewiseForcing((
+            ForcingSegment(0.0, 0.33, (1.0,)),
+            ForcingSegment(0.33, math.inf, (2.0,)),
+        ))
+        assert 11 * 0.03 < 0.33
+        assert np.array_equal(f.sample(0.03, 12), [1.0] * 11 + [2.0])
 
     def test_piecewise_coverage_enforced(self):
         f = PiecewiseForcing((ForcingSegment(0.0, 1.0, (3.0,)),))
         with pytest.raises(ValueError):
             f.sample(0.5, 4)  # extends to t = 1.5
-        with pytest.raises(ValueError):
-            f(2.0)
 
     def test_piecewise_polynomial_segments(self):
         f = PiecewiseForcing((
             ForcingSegment(0.0, 2.0, (1.0, 0.0, 1.0)),  # 1 + t^2
             ForcingSegment(2.0, math.inf, (5.0,)),
         ))
-        assert f(1.5) == 1.0 + 1.5 ** 2
+        assert f.sample(1.5, 2)[1] == 1.0 + 1.5 ** 2
         assert np.allclose(f.sample(1.0, 4), [1.0, 2.0, 5.0, 5.0])
 
     def test_power_sum_forcing(self):
         f = PowerSumForcing(((2.0, 1.5), (1.0, 0.0)))
         t = 0.25 * np.arange(5)
         assert np.allclose(f.sample(0.25, 5), 2.0 * t ** 1.5 + 1.0)
-        assert f(4.0) == 2.0 * 8.0 + 1.0
+        assert f.sample(4.0, 2)[1] == 2.0 * 8.0 + 1.0
         with pytest.raises(ValueError):
             PowerSumForcing(((1.0, -0.5),))
 
@@ -165,28 +169,35 @@ class TestProblemSpec:
 
 
 class TestClassify:
+    """The paper's three problem classes, read off the leading run of
+    terms sharing ceil(alpha1): those after the first fold as WLinks,
+    the rest couple as RhsLinks."""
+
     def test_one_term(self):
         p = ProblemSpec(terms=((1.0, 0.5),), initial_conditions=(0.0,))
-        c = classify(p)
-        assert c.kind is SubclassKind.ONE_TERM and c.r == 1
+        sys = build_system(p)
+        assert sys.m1 == 1 and sys.w_links == () and sys.rhs_links == ()
 
     def test_dependent(self, plate):
-        c = classify(plate)
-        assert c.kind is SubclassKind.DEPENDENT
-        assert c.integer_orders == (2, 2) and c.r == 2
+        sys = build_system(plate)
+        assert sys.m1 == 2
+        assert [lk.order for lk in sys.w_links] == [0.5]
+        assert sys.rhs_links == ()
 
     def test_independent(self):
         p = ProblemSpec(terms=((1.0, 1.7), (1.0, 0.3)),
                         initial_conditions=(0.0, 0.0))
-        c = classify(p)
-        assert c.kind is SubclassKind.INDEPENDENT
-        assert c.integer_orders == (2, 1) and c.r == 1
+        sys = build_system(p)
+        assert sys.m1 == 2 and sys.w_links == ()
+        assert [lk.order for lk in sys.rhs_links] == [pytest.approx(0.6)]
 
     def test_dependent_run_of_three(self):
         p = ProblemSpec(terms=((1.0, 1.9), (1.0, 1.5), (1.0, 1.2), (2.0, 0.4)),
                         initial_conditions=(0.0, 0.0))
-        c = classify(p)
-        assert c.kind is SubclassKind.DEPENDENT and c.r == 3
+        sys = build_system(p)
+        assert [lk.order for lk in sys.w_links] == [
+            pytest.approx(0.4), pytest.approx(0.7)]
+        assert [lk.order for lk in sys.rhs_links] == [pytest.approx(0.5)]
 
 
 class TestBuildSystem:

@@ -60,7 +60,7 @@ class TestParsing:
         p = parse_problem(
             "term 1 0.5\nforcing 0 inf 1 0 2\ninit 0 0\n")
         # segment coefficients ascend in power: 1 + 2 t^2
-        assert p.forcing(2.0) == 1.0 + 2.0 * 4.0
+        assert p.forcing.sample(2.0, 2)[1] == 1.0 + 2.0 * 4.0
 
     def test_nonlinear_lines_accumulate_per_power(self):
         p = parse_problem(
@@ -132,6 +132,19 @@ class TestDiagnostics:
     def test_init_out_of_range(self):
         err = _err("term 1 0.5\ninit 0 0\ninit 1 0\n")
         assert "out of range" in str(err)
+
+    @pytest.mark.parametrize("inits", [12, 1])
+    def test_order_past_the_cap_points_at_the_order(self, inits):
+        # reported before the inits are counted
+        text = "term 1 12\n" + "".join(f"init {k} 0\n" for k in range(inits))
+        err = _err(text)
+        assert (err.line, err.column) == (1, 8)
+        assert "exceeds the supported cap" in str(err)
+
+    def test_init_out_of_range_points_at_its_index(self):
+        err = _err("term 1 0.5\n# comment\n\ninit 0 0\ninit 3 0\n")
+        assert (err.line, err.column) == (5, 6)
+        assert "init 3 is out of range" in str(err)
 
     def test_missing_init(self):
         err = _err("term 1 1.5\ninit 0 0\n")

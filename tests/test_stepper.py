@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,6 +280,21 @@ class TestInversionRoutes:
     def test_direct_route_has_no_bound(self, plate):
         diag = solve(plate, SolverConfig(h=0.01, t_end=2.0)).diagnostics
         assert diag.babenko_bound is None and diag.babenko_tail is None
+
+    def test_series_route_with_a_zero_folded_term(self, plate):
+        # A folded term with coefficient 0 gives ratio 0: the a-priori
+        # factor and the last retained power are both 0, no warning is
+        # raised, and the series route gives the direct route's bits.
+        zero = replace(plate, terms=((1.0, 2.0), (0.0, 1.5)))
+        cfg = SolverConfig(h=0.01, t_end=5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ser = solve(zero, replace(cfg, inversion=Babenko(terms=30)))
+        direct = solve(zero, cfg)
+        assert ser.diagnostics.babenko_bound == 0.0
+        assert ser.diagnostics.babenko_tail == 0.0
+        assert np.array_equal(ser.y.values, direct.y.values)
+        assert np.array_equal(ser.z1.values, direct.z1.values)
 
     def test_series_route_is_prefix_causal(self, plate):
         inv = Babenko(terms=30)

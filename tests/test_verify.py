@@ -2,6 +2,8 @@ import io
 import json
 
 import fodesolve.gammafn
+import fodesolve.verify
+from fodesolve.operators import SampleSeries
 from fodesolve.verify import run_checks, run_verify
 
 
@@ -55,3 +57,16 @@ class TestRunVerify:
         failing = [ln for ln in text.splitlines()
                    if "gamma-reference-points" in ln]
         assert failing and "FAIL" in failing[0]
+
+    def test_non_causal_operator_is_detected(self, monkeypatch):
+        # an operator whose every output also sees the last sample
+        real = fodesolve.verify.apply_operator
+
+        def peeking(z, mu):
+            out = real(z, mu)
+            return SampleSeries(out.h, out.values + z.values[-1])
+
+        monkeypatch.setattr(fodesolve.verify, "apply_operator", peeking)
+        [causality] = [r for r in run_checks() if r.name == "causality"]
+        assert not causality.passed
+        assert causality.measured == "prefix differs for mu=-0.7"
