@@ -276,8 +276,9 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # visited node first needs it, and accumulates it in increasing k: a
 # whole series costs O(n log^2 n), a single node its own O(log i)
 # blocks, and both give the same bits; _series fills its far field
-# through the same function, _close_blocks.  The FFT is numpy's
-# pocketfft, which uses no BLAS threads.
+# through the same function, _close_blocks, and so does the oracle's
+# leaf-blocked forward substitution (oracle.gl_direct_solve).  The FFT
+# is numpy's pocketfft, which uses no BLAS threads.
 _LEAF = 64
 
 
@@ -445,8 +446,8 @@ def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
                   done: int, start: int) -> None:
     """Add to the far-field accumulator acc the blocks of the leaf start
     start (its binary prefixes) that start after the leaf start done,
-    in increasing k.  The one far-field path: both evaluators below fill
-    their far field here."""
+    in increasing k.  The one far-field path: both evaluators below, and
+    the oracle's leaf solve, fill their far field here."""
     closing, k = [], start
     while k > done:
         closing.append(k)

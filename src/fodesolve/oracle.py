@@ -3,9 +3,13 @@ one-shot solver that never goes through the decomposition.
 
 The direct solver discretizes every term of a linear zero-start problem
 with binomial weights on the same grid and solves the resulting lower
-triangular system node by node.  Because it shares no code path with the
-decomposition stepper beyond the weight recurrences, agreement between
-the two is a meaningful cross-check rather than a tautology.
+triangular Toeplitz system a leaf at a time.  It shares with the
+decomposition stepper the weight recurrences and the history
+summation's far field (operators._quadrature's plan and
+operators._close_blocks' block FFTs, whose accuracy tests/test_operators
+checks against exact sums), but not the decomposition: no integer-order
+stepping, no Abel coupling, no inversion.  Agreement between the two is
+a meaningful cross-check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -24,7 +28,14 @@ from .decompose import (
     _guard_pivot,
 )
 from .errors import UnsupportedProblemError
-from .operators import SampleSeries, _history, _weights
+from .operators import (
+    _LEAF,
+    SampleSeries,
+    _close_blocks,
+    _quadrature,
+    _table_length,
+    _weights,
+)
 from .stepper import Diagnostics, SolverConfig, Trajectory, solve
 
 __all__ = [
@@ -128,9 +139,17 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
 
         y_i (W_0 + c) = f(t_i) - sum_{j=1..i} W_j y_{i-j},
 
-    one history sum per node, where W_0 = sum_k a_k h^(-alpha_k) (every
-    w_0^(k) is 1).  y_0 = 0 from the start values.  A vanishing pivot on
-    the left raises SingularInversionError.
+    where W_0 = sum_k a_k h^(-alpha_k) (every w_0^(k) is 1).  y_0 = 0
+    from the start values.  A vanishing pivot W_0 + c raises
+    SingularInversionError.
+
+    The lower-triangular Toeplitz system is solved a leaf of _LEAF nodes
+    at a time (Hairer, Lubich & Schlichte 1985): the history from before
+    the leaf comes from the node form's far field, and the leaf's own
+    nodes from G (f - far), where G is the inverse of the leaf's
+    Toeplitz matrix (W_0 + c, W_1, ..., W_63).  That costs
+    O(N log^2 N) rather than one O(N) history sum per node.  The run
+    stops at the first non-finite node.
     """
     if any(v != 0.0 for v in problem.initial_conditions):
         raise UnsupportedProblemError(
@@ -150,19 +169,33 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     pivot = _guard_pivot(sum(scales) + c_lin,
                          sum(abs(s) for s in scales) + abs(c_lin),
                          "direct discretization pivot vanished for this step")
-    table = np.zeros(n)
+    table = np.zeros(_table_length(n))
     for s, tm in zip(scales, problem.terms):
-        table += s * _weights("binomial", tm.order, n)
-    f_at = fvec.item
+        table += s * _weights("binomial", tm.order, table.size)
+    quad = _quadrature(1.0, pivot, np.zeros(n), table)
+    inverse = _leaf_inverse(pivot, table[:min(_LEAF, n)])
 
     y = np.zeros(n, dtype=np.float64)
+    far = np.zeros(n)
     nan_node = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n):
-            yi = (f_at(i) - _history(table, y, i, 1, i)) / pivot
-            y[i] = yi
-            if not math.isfinite(yi):
-                nan_node = i
+        for s in range(0, n, _LEAF):
+            if s:
+                _close_blocks(quad, y, far, s - _LEAF, s)
+            e = min(s + _LEAF, n)
+            r = fvec[s:e] - far[s:e]
+            # y_0 = 0: the rest of the first leaf is the same Toeplitz
+            # system one node shorter.
+            if not s:
+                r[0] = 0.0
+            # A non-finite r_j makes y_j non-finite; the rows before it
+            # must not meet it as 0 * inf.
+            finite = np.isfinite(r)
+            y[s:e] = (inverse[:e - s, :e - s]
+                      * np.where(finite, r, 0.0)).sum(axis=1)
+            stop = ~(finite & np.isfinite(y[s:e]))
+            if stop.any():
+                nan_node = s + int(stop.argmax())
                 break
     if nan_node is not None:
         y = y[:nan_node]
@@ -174,6 +207,21 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
         y_derivs=None,
         diagnostics=Diagnostics(nan_node=nan_node),
     )
+
+
+def _leaf_inverse(pivot: float, table: np.ndarray) -> np.ndarray:
+    """The inverse of the lower-triangular Toeplitz matrix with first
+    column (pivot, table[1], ..., table[m-1]), m = table.size: lower
+    triangular Toeplitz too, its first column g from g_0 = 1/pivot and
+    g_k = -sum_{j=1..k} table[j] g_(k-j) / pivot, each sum of rounded
+    products taken exactly (math.fsum)."""
+    m = table.size
+    g = np.zeros(m)
+    g[0] = 1.0 / pivot
+    for k in range(1, m):
+        g[k] = -math.fsum((table[1:k + 1] * g[k - 1::-1]).tolist()) / pivot
+    lag = np.arange(m)
+    return np.tril(g[np.abs(lag[:, None] - lag)])
 
 
 @dataclass(frozen=True)

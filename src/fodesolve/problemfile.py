@@ -186,8 +186,10 @@ def parse_problem(text: str) -> ProblemSpec:
                 f" {lead:g} takes derivatives 0..{m1 - 1}")
     missing = [k for k in range(m1) if k not in inits]
     if missing:
+        # The leading order sets how many inits are needed.
+        lineno, col = term_lines[0]
         raise ParseError(
-            1, 1,
+            lineno, col,
             f"missing init for derivative(s) {missing};"
             f" the leading order {lead:g} needs all of 0..{m1 - 1}")
 

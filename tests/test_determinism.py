@@ -2,18 +2,19 @@
 
 Every causal history sum in the package goes through two reductions,
 neither of which depends on BLAS threading: operators._history, one `@`
-over the near lags (and over every lag where the far field does not
-apply), called by the running evaluator's node closure
-(operators._running's product_node) and by the oracle, and
-operators._far_block, one pocketfft transform per far block (a block no
-scale flattens is summed there by elementwise multiply-adds).  The
-whole-series evaluator operators._series sums the same near lags by
-elementwise multiply-adds, which are no reduction and use no threads,
-and takes its far blocks through the one far-field path,
-operators._close_blocks.  The subprocess test checks the promise end to
-end through the CLI; the source scans keep a thread-dependent
-reduction, a hand-written history sum or a second far-field path from
-coming back in some other function.
+over the near lags, called only by the running evaluator's node closure
+(operators._running's product_node), and operators._far_block, one
+pocketfft transform per far block (a block no scale flattens is summed
+there by elementwise multiply-adds).  The whole-series evaluator
+operators._series sums the same near lags by elementwise multiply-adds,
+which are no reduction and use no threads.  The oracle's leaf solve
+(oracle.gl_direct_solve) takes each leaf's history from the far field
+and applies the leaf's Toeplitz inverse by an elementwise product and a
+row sum, no BLAS call either.  Both take their far blocks through the
+one far-field path, operators._close_blocks.  The subprocess tests check
+the promise end to end through the CLI; the source scans keep a
+thread-dependent reduction, a hand-written history sum or a second
+far-field path from coming back in some other function.
 """
 
 import ast
@@ -69,6 +70,16 @@ def test_apply_bytes_independent_of_blas_threads(tmp_path):
     signal.write_text("\n".join(rows) + "\n")
     _assert_same_bytes_on_1_and_2_threads(
         ["apply", "--in", str(signal), "--order", "-0.5"], tmp_path)
+
+
+def test_convergence_gl_bytes_independent_of_blas_threads(tmp_path):
+    # The gl oracle at N = 10 001: its leaf solves and far field, and the
+    # three stepper runs it is compared with.
+    _assert_same_bytes_on_1_and_2_threads(
+        ["convergence", "--problem",
+         str(ROOT / "problems/bagley_torvik.fode"),
+         "--steps", "0.008,0.004,0.002", "--t-end", "20", "--oracle", "gl"],
+        tmp_path)
 
 
 def _walk(path, match):
@@ -156,15 +167,14 @@ def test_one_far_field_path():
     assert callers == {("operators.py", "_close_blocks")}
 
 
-def test_history_is_summed_only_by_the_node_form_and_the_oracle():
+def test_history_is_summed_only_by_the_node_form():
     # Every product quadrature goes through the running evaluator's node
-    # closure, operators._running's product_node; the whole-history
-    # oracle keeps its own per-term sums as a cross-check.
+    # closure, operators._running's product_node; the oracle's leaf
+    # solve sums no history directly.
     callers = {(path.name, func)
                for path in sorted(PACKAGE.glob("*.py"))
                for func, _ in _walk(path, _history_call)}
-    assert callers == {("operators.py", "product_node"),
-                       ("oracle.py", "gl_direct_solve")}
+    assert callers == {("operators.py", "product_node")}
 
 
 def test_the_node_closure_sums_its_history_once():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fodesolve.decompose import (
     ProblemSpec,
 )
 from fodesolve.errors import UnsupportedProblemError
+from fodesolve.operators import _history, _weights
 from fodesolve.oracle import (
     convergence_study,
     gl_direct_solve,
@@ -43,6 +45,37 @@ RUNAWAY = ProblemSpec(terms=((1.0, 1.5),),
                       forcing=PiecewiseForcing((ForcingSegment(
                           0.0, math.inf, (1.0,)),)),
                       initial_conditions=(0.0, 0.0))
+
+# D^1.5 y + 0.7 D^0.7 y + 0.4 y = f: two terms of the independent class
+# (orders 1.5 and 0.7) plus a reaction.
+INDEPENDENT = ProblemSpec(terms=((1.0, 1.5), (0.7, 0.7)),
+                          nonlinearity=Polynomial((0.0, 0.4)),
+                          forcing=PiecewiseForcing((
+                              ForcingSegment(0.0, 2.0, (1.0, -0.5)),
+                              ForcingSegment(2.0, math.inf, (0.3,)))),
+                          initial_conditions=(0.0, 0.0))
+
+
+def _loop_solve(problem, config):
+    """Reference: the whole-history forward substitution node by node,
+    y_i = (f_i - sum_{j=1..i} W_j y_{i-j}) / (W_0 + c), one direct
+    history sum per node over the folded table, O(N^2).  Stops before
+    the first non-finite node."""
+    h, n = config.h, config.num_steps + 1
+    f = problem.forcing.sample(h, n)
+    scales = [tm.coefficient * h ** -tm.order for tm in problem.terms]
+    coeffs = problem.nonlinearity.coefficients
+    pivot = sum(scales) + (coeffs[1] if len(coeffs) > 1 else 0.0)
+    table = np.zeros(n)
+    for s, tm in zip(scales, problem.terms):
+        table += s * _weights("binomial", tm.order, n)
+    y = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n):
+            y[i] = (f[i] - _history(table, y, i, 1, i)) / pivot
+            if not math.isfinite(y[i]):
+                return y[:i]
+    return y
 
 
 class TestPowerRule:
@@ -171,10 +204,53 @@ class TestGlDirectSolve:
 
     def test_stops_at_the_first_non_finite_node(self):
         # D^1.5 y - 50 y = 1 grows without bound and overflows at node
-        # 691 of 1 001; the nodes before it are kept.
-        traj = gl_direct_solve(RUNAWAY, SolverConfig(h=0.1, t_end=100.0))
-        assert traj.diagnostics.nan_node == 691
-        assert len(traj.y) == 691 and np.all(np.isfinite(traj.y.values))
+        # 694 of 1 001; the nodes before it are kept.  The same run with
+        # its forcing scaled by 2^-1000 gives the true values: on nodes
+        # 0..690 bitwise those of the node-by-node loop, which overflows
+        # inside its history sum at node 691, and finite at 691..693
+        # (-1.137e307, 3.183e307, -8.910e307).  The kept nodes must match
+        # it to 1e-12 relative, node by node.
+        cfg = SolverConfig(h=0.1, t_end=100.0)
+        traj = gl_direct_solve(RUNAWAY, cfg)
+        assert traj.diagnostics.nan_node == 694
+        assert len(traj.y) == 694 and np.all(np.isfinite(traj.y.values))
+        tiny = replace(RUNAWAY, forcing=PiecewiseForcing((ForcingSegment(
+            0.0, math.inf, (2.0 ** -1000,)),)))
+        ref = _loop_solve(tiny, cfg)[:694] * 2.0 ** 1000
+        assert np.all(np.abs(traj.y.values - ref) <= 1e-12 * np.abs(ref))
+
+    def test_a_non_finite_forcing_sample_stops_the_run_there(self):
+        # The forcing overflows at node 180, inside the leaf of nodes
+        # 128..191.  The nodes before it keep their zeros: the leaf's
+        # earlier rows must not meet the inf as 0 * inf.
+        p = ProblemSpec(terms=((1.0, 0.5),),
+                        nonlinearity=Polynomial((0.0, 1.0)),
+                        forcing=PiecewiseForcing((
+                            ForcingSegment(0.0, 17.95, (0.0,)),
+                            ForcingSegment(17.95, math.inf, (0.0, 1e308)))),
+                        initial_conditions=(0.0,))
+        with np.errstate(over="ignore"):
+            traj = gl_direct_solve(p, SolverConfig(h=0.1, t_end=30.0))
+        assert traj.diagnostics.nan_node == 180
+        assert np.array_equal(traj.y.values, np.zeros(180))
+
+    @pytest.mark.parametrize("problem,t_end", [("plate", 10.0),
+                                               ("independent", 20.0)])
+    def test_leaf_solve_matches_the_node_by_node_loop(self, problem, t_end,
+                                                      plate):
+        # The leaf solve takes each leaf's history from the far field's
+        # block FFTs and the leaf itself from the inverse of its Toeplitz
+        # matrix; the loop sums every node's history directly.  Same
+        # equations, different rounding.  Bound: 1e-9 sup |y| at
+        # N = 4 001, far above the rounding either carries to y over
+        # that many nodes and far below the change a wrong block, lag or
+        # leaf inverse would make.
+        problem = plate if problem == "plate" else INDEPENDENT
+        cfg = SolverConfig(h=t_end / 4000, t_end=t_end)
+        ref = _loop_solve(problem, cfg)
+        y = gl_direct_solve(problem, cfg).y.values
+        assert len(ref) == len(y) == 4001
+        assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_folded_table_matches_a_per_term_exact_sum(self, plate):
         # The solver folds its terms into one table W_j = sum_k s_k w_j^(k)

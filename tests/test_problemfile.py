@@ -150,6 +150,11 @@ class TestDiagnostics:
         err = _err("term 1 1.5\ninit 0 0\n")
         assert "missing init" in str(err)
 
+    def test_missing_init_points_at_the_leading_order(self):
+        err = _err("# plate\n\nterm 1 1.5\ninit 0 0\n")
+        assert (err.line, err.column) == (3, 8)
+        assert "missing init for derivative(s) [1]" in str(err)
+
     def test_fractional_init_index(self):
         err = _err("term 1 0.5\ninit 0.5 0\n")
         assert "integer" in str(err)
