@@ -7,9 +7,15 @@ Subcommands:
     apply        run one fractional operator over a t,value CSV
     verify       run the built-in property battery
 
-Exit codes: 0 success, 1 usage, 2 unreadable or invalid input,
-3 numerical failure.  CSV values are written with 17 significant digits,
-so re-reading and re-emitting a CSV reproduces it byte for byte.
+Exit codes: 0 success, 1 usage, 2 unreadable or invalid input or an
+unwritable output file, 3 numerical failure.  CSV values are written
+with 17 significant digits, so re-reading and re-emitting a CSV
+reproduces it byte for byte.  solve and apply format their columns a
+chunk of rows at a time and write each chunk as it is made.
+
+Each subcommand imports the modules it runs inside its own function, so
+`apply` never loads the solver and `solve` never loads the cross-check
+solver or the verification battery.
 """
 
 from __future__ import annotations
@@ -19,23 +25,26 @@ import sys
 
 import numpy as np
 
-from .decompose import Babenko, DirectVolterra
 from .errors import (
     NonzeroOriginError,
+    ParseError,
     SingularInversionError,
     SingularOriginError,
     UnsupportedProblemError,
 )
-from .operators import OperatorOrder, SampleSeries, apply_operator
-from .oracle import convergence_study
-from .problemfile import ParseError, _fmt, parse_problem
-from .stepper import SolverConfig, solve
-from .verify import run_verify
 
 __all__ = ["main"]
 
+# Rows formatted per written chunk: neither the full row list nor the
+# whole text is ever held.
+_CHUNK = 4096
+
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -46,16 +55,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_lines(path: str | None, lines) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _write(path: str | None, chunks) -> None:
+    """Write the text chunks to the file at path, or to stdout when path
+    is None or "-"; a failed open or write raises _OutputError."""
+    try:
+        if path is None or path == "-":
+            sys.stdout.writelines(chunks)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.writelines(chunks)
+    except OSError as exc:
+        raise _OutputError(exc) from None
+
+
+def _csv_chunks(header: str, cols):
+    """The header line, then the rows of the float columns in chunks of
+    _CHUNK rows, every value as %.17g."""
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    yield header + "\n"
+    for s in range(0, len(cols[0]), _CHUNK):
+        yield "".join(map(row.__mod__, zip(
+            *[c[s:s + _CHUNK].tolist() for c in cols])))
 
 
 def _read_problem(path: str):
+    from .problemfile import parse_problem
+
     with open(path) as fh:
         return parse_problem(fh.read())
 
@@ -102,6 +127,8 @@ def _build_parser() -> _Parser:
 
 
 def _inversion_from(args):
+    from .decompose import Babenko, DirectVolterra
+
     if args.inversion == "babenko":
         if args.babenko_terms < 1:
             raise _UsageError("--babenko-terms must be at least 1")
@@ -110,6 +137,8 @@ def _inversion_from(args):
 
 
 def _cmd_solve(args) -> int:
+    from .stepper import SolverConfig, solve
+
     if args.step <= 0:
         raise _UsageError("--step must be positive")
     if args.t_end <= 0:
@@ -119,16 +148,14 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(h=args.step, t_end=args.t_end, inversion=inversion,
                        output_derivatives=args.derivatives)
     traj = solve(problem, cfg)
-    cols = [("t", traj.y.times), ("y", traj.y.values)]
+    names, cols = ["t", "y"], [traj.y.times, traj.y.values]
     if args.derivatives:
-        cols.append(("z1", traj.z1.values))
+        names.append("z1")
+        cols.append(traj.z1.values)
         for k, dser in enumerate(traj.y_derivs or (), start=1):
-            cols.append((f"dy{k}", dser.values[: len(traj.y)]))
-    header = ",".join(name for name, _ in cols)
-    rows = [header]
-    for i in range(len(traj.y)):
-        rows.append(",".join(_fmt(vals[i]) for _, vals in cols))
-    _write_lines(args.out, rows)
+            names.append(f"dy{k}")
+            cols.append(dser.values[: len(traj.y)])
+    _write(args.out, _csv_chunks(",".join(names), cols))
     if traj.diagnostics.nan_node is not None:
         node = traj.diagnostics.nan_node
         sys.stderr.write(
@@ -140,6 +167,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    from .oracle import convergence_study
+    from .problemfile import _fmt
+
     try:
         steps = [float(tok) for tok in args.steps.split(",") if tok.strip()]
     except ValueError:
@@ -154,11 +184,11 @@ def _cmd_convergence(args) -> int:
     problem = _read_problem(args.problem)
     rows = convergence_study(problem, steps, args.t_end,
                              oracle=args.oracle, inversion=inversion)
-    lines = ["h,sup_error,observed_order"]
+    lines = ["h,sup_error,observed_order\n"]
     for row in rows:
         order = "" if row.observed_order is None else _fmt(row.observed_order)
-        lines.append(f"{_fmt(row.h)},{_fmt(row.sup_error)},{order}")
-    _write_lines(args.out, lines)
+        lines.append(f"{_fmt(row.h)},{_fmt(row.sup_error)},{order}\n")
+    _write(args.out, lines)
     return 0
 
 
@@ -189,6 +219,8 @@ def _read_csv_pairs(path: str):
 
 
 def _cmd_apply(args) -> int:
+    from .operators import OperatorOrder, SampleSeries, apply_operator
+
     try:
         order = OperatorOrder(args.order)
     except ValueError as exc:
@@ -203,10 +235,7 @@ def _cmd_apply(args) -> int:
     if np.max(np.abs(gaps - h)) > 1e-9 * h:
         raise ValueError("time column must be uniformly spaced")
     out = apply_operator(SampleSeries(float(h), v), order)
-    lines = ["t,value"]
-    for ti, vi in zip(t, out.values):
-        lines.append(f"{_fmt(ti)},{_fmt(vi)}")
-    _write_lines(args.out, lines)
+    _write(args.out, _csv_chunks("t,value", [t, out.values]))
     return 0
 
 
@@ -223,6 +252,8 @@ def main(argv=None) -> int:
         if args.command == "apply":
             return _cmd_apply(args)
         if args.command == "verify":
+            from .verify import run_verify
+
             return run_verify(json_output=args.json)
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as exc:
@@ -230,6 +261,9 @@ def main(argv=None) -> int:
         return 1
     except ParseError as exc:
         sys.stderr.write(f"problem file: {exc}\n")
+        return 2
+    except _OutputError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
         return 2
     except OSError as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")

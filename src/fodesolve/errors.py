@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+They live apart from the modules that raise them so that a caller can
+catch any of them, as the command line does, without importing the
+numerical code behind it.  That includes ParseError, the problem-file
+syntax error, which fodesolve.problemfile raises and re-exports.
+"""
 
 
 class SingularOriginError(ValueError):
@@ -24,3 +30,13 @@ class UnsupportedProblemError(ValueError):
 class BabenkoTailWarning(RuntimeWarning):
     """The last retained term of the truncated inversion series is still
     large, so the returned series is likely inaccurate."""
+
+
+class ParseError(ValueError):
+    """Problem-file error carrying its 1-based line and column."""
+
+    def __init__(self, line: int, column: int, message: str):
+        self.line = line
+        self.column = column
+        self.message = message
+        super().__init__(f"line {line}, col {column}: {message}")

@@ -27,20 +27,11 @@ from .decompose import (
     ProblemSpec,
     integer_order,
 )
+from .errors import ParseError
 
 __all__ = ["ParseError", "parse_problem", "format_problem"]
 
 _TOKEN = re.compile(r"\S+")
-
-
-class ParseError(ValueError):
-    """Problem-file error carrying its 1-based line and column."""
-
-    def __init__(self, line: int, column: int, message: str):
-        self.line = line
-        self.column = column
-        self.message = message
-        super().__init__(f"line {line}, col {column}: {message}")
 
 
 def _tokens(line: str):

@@ -1,13 +1,17 @@
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fodesolve.cli import main
+from fodesolve.cli import _csv_chunks, _write, main
 from fodesolve.problemfile import format_problem
 
 BENCHMARK = "problems/bagley_torvik.fode"
@@ -211,6 +215,12 @@ class TestInputErrors:
         assert "link ratio must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_output(self, plate_file, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "out.csv"
+        assert main(["solve", "--problem", plate_file, "--step", "0.1",
+                     "--t-end", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output:")
+
 
 class TestConvergence:
     def test_self_oracle_csv(self, plate_file, tmp_path):
@@ -355,6 +365,71 @@ class TestApply:
         # identity pass over the produced file re-emits the same bytes
         main(["apply", "--in", first, "--order", "0", "--out", second])
         assert Path(first).read_bytes() == Path(second).read_bytes()
+
+    def test_unwritable_output(self, ramp_csv, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "out.csv"
+        assert main(["apply", "--in", ramp_csv, "--order", "-0.5",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output:")
+
+
+# Values the per-cell formatting must reproduce exactly: nan, both
+# infinities, both zeros, subnormals and the ends of double range.
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+           2.2250738585072009e-308, -1.5e-310, 1.7976931348623157e308,
+           -1.7976931348623157e308, 2.2250738585072014e-308]
+
+
+def _cellwise(header, cols):
+    # The CSV text as it was written before the column-wise writer: one
+    # format call per cell, row by row.
+    rows = [header] + [",".join(format(float(v), ".17g") for v in row)
+                       for row in zip(*cols)]
+    return "\n".join(rows) + "\n"
+
+
+class TestWriter:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 4095, 4096, 4097]),
+        width=st.integers(min_value=1, max_value=4),
+        pool=st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                allow_subnormal=True), max_size=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bytes_equal_cellwise_format(self, n, width, pool, seed):
+        values = np.array(SPECIAL + pool)
+        rng = np.random.default_rng(seed)
+        cols = [values[rng.integers(0, values.size, n)]
+                for _ in range(width)]
+        header = ",".join(f"c{k}" for k in range(width))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.csv")
+            _write(path, _csv_chunks(header, cols))
+            got = Path(path).read_bytes()
+        assert got == _cellwise(header, cols).encode()
+
+    def test_stdout_bytes_equal_file_bytes(self, tmp_path):
+        # 4 097 rows: the output crosses a chunk boundary.
+        src = tmp_path / "ramp.csv"
+        src.write_text("".join(f"{format(i * 0.01, '.17g')},"
+                               f"{format(0.5 * i, '.17g')}\n"
+                               for i in range(4097)))
+        out = tmp_path / "out.csv"
+        args = [sys.executable, "-m", "fodesolve", "apply", "--in",
+                str(src), "--order", "-0.5", "--out"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                          env.get("PYTHONPATH")]))
+        to_file = subprocess.run(args + [str(out)], env=env,
+                                 capture_output=True, timeout=120)
+        to_stdout = subprocess.run(args + ["-"], env=env,
+                                   capture_output=True, timeout=120)
+        assert to_file.returncode == 0 and to_stdout.returncode == 0
+        assert to_file.stdout == b""
+        assert to_stdout.stdout == out.read_bytes()
+        assert out.read_bytes().count(b"\n") == 4098
 
 
 class TestVerify:
