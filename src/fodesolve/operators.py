@@ -22,7 +22,11 @@ quadrature; only the rounding differs, and it grows with the history
 length and the order.
 
 The node form sums the lags near node i directly and the older ones by
-block FFT, so a whole series costs O(n log^2 n) rather than O(n^2).
+block FFT, so a whole series costs O(n log^2 n) rather than O(n^2).  A
+whole series transforms all its blocks of one size together, one FFT
+pair per size, the largest size first: a node's blocks all differ in
+size, and a larger one starts earlier, so every node still adds its
+blocks in the order the running evaluator adds them.
 Where the weights grow (integral orders above 1, the series fold's last
 power) a geometric scale flattens each block first; a block that no
 scale flattens (the series fold's, where it dips and then grows) or
@@ -277,8 +281,17 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # whole series costs O(n log^2 n), a single node its own O(log i)
 # blocks, and both give the same bits; _series fills its far field
 # through the same function, _close_blocks, and so does the oracle's
-# leaf-blocked forward substitution (oracle.gl_direct_solve).  The FFT
-# is numpy's pocketfft, which uses no BLAS threads.
+# leaf-blocked forward substitution (oracle.gl_direct_solve).
+# _close_blocks transforms the blocks it is given size by size, all of
+# one size in one FFT pair (a direct sum from cap on), the largest size
+# first.  _series gives it every block at once; the running evaluator
+# the blocks a visited node still lacks (one per leaf boundary in a
+# dense run), and the oracle one per leaf boundary.  A node's
+# blocks are one of each size, and of two prefixes of its leaf start
+# the larger block has the smaller k, so largest size first is
+# increasing k for every node, and no bit depends on how the blocks
+# were grouped.  The FFT is numpy's pocketfft, which uses no BLAS
+# threads.
 _LEAF = 64
 
 
@@ -406,20 +419,31 @@ def _block_scale(block: np.ndarray, b: int):
     return scale
 
 
-def _far_block(quad: _Quadrature, values: np.ndarray, k: int,
+def _far_block(quad: _Quadrature, values: np.ndarray, k: int, count: int,
                n: int) -> np.ndarray:
-    """Far-field sums sum_{m=k-b..k-1} lag[i-m]*v_m of the block that node
-    k closes (b = k & -k), for the nodes i = k..min(k+b, n)-1: by one
-    FFT, scaled as _block_scale says when the plan holds a scale for b,
-    or directly, in _history's order, from b = cap on.  Sample 0
-    belongs to the boundary term and counts as 0 here."""
+    """Far-field sums sum_{m=s-b..s-1} lag[i-m]*v_m of the count blocks of
+    b = k & -k samples that the nodes s = k, k + 2b, ..., k + 2b(count-1)
+    close, one row per block, for the nodes i = s..s+b-1; entries for
+    nodes at or past n are not meaningful.  All blocks go through one
+    FFT pair, scaled as _block_scale says when the plan holds a scale
+    for b, or are summed directly, in _history's order, from b = cap
+    on.  Sample 0 belongs to the boundary term and counts as 0 here."""
     b = k & -k
-    x = values[k - b:k]
+    # The blocks' samples, one row each: every other b of one span.
+    x = np.empty((count, 2 * b))
+    x.reshape(-1)[:(2 * count - 1) * b] = values[k - b:k + 2 * b * (count - 1)]
+    x = x[:, :b]
     if quad.cap and b >= quad.cap:
-        # Lag rising is sample falling; the lags past the grid may be inf.
-        out = np.zeros(min(b, n - k))
-        for m in range(b - 1, 0 if k == b else -1, -1):
-            out += quad.lag[b - m:b - m + out.size] * x[m]
+        # Lag rising is sample falling.  Lags past the grid reach only
+        # the nodes past it, and may be inf: they count as 0 here.
+        lag = quad.lag[:2 * b]
+        if n < 2 * b:
+            lag = lag.copy()
+            lag[n:] = 0.0
+        out = np.zeros((count, b))
+        for m in range(b - 1, -1, -1):
+            r = 1 if m == 0 and k == b else 0
+            out[r:] += lag[b - m:2 * b - m] * x[r:, m, None]
         return out
     scale = quad.scales.get(b)
     spectrum = quad.spectra.get(b)
@@ -432,29 +456,36 @@ def _far_block(quad: _Quadrature, values: np.ndarray, k: int,
             lag *= scale
         spectrum = quad.spectra[b] = np.fft.rfft(lag)
     if k == b:
-        x = x.copy()
-        x[0] = 0.0
+        x[0, 0] = 0.0
     if scale is not None:
         x = x * scale[:b]
     # A circular convolution of size 2b: the outputs b..2b-1 take lags
     # 1..2b-1 only, so none of them wraps.
-    out = np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[b:n - k + b]
-    return out if scale is None else out / scale[b:b + out.size]
+    out = np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[:, b:]
+    return out if scale is None else out / scale[b:]
 
 
 def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
-                  done: int, start: int) -> None:
-    """Add to the far-field accumulator acc the blocks of the leaf start
-    start (its binary prefixes) that start after the leaf start done,
-    in increasing k.  The one far-field path: both evaluators below, and
-    the oracle's leaf solve, fill their far field here."""
-    closing, k = [], start
-    while k > done:
-        closing.append(k)
-        k &= k - 1
-    for k in reversed(closing):
-        block = _far_block(quad, values, k, acc.size)
-        acc[k:k + block.size] += block
+                  closing) -> None:
+    """Add to the far-field accumulator acc the blocks that the leaf
+    starts closing close, each size's blocks by one _far_block call,
+    from the largest size to the smallest, which is increasing k for
+    every node (see the comment above _LEAF).  Those of one size b must
+    be consecutive odd multiples of b: every leaf start of a range, or
+    the binary prefixes of one leaf start (one of each size).  The one
+    far-field path: both evaluators below, and the oracle's leaf solve,
+    fill their far field here."""
+    n = acc.size
+    sizes = {}
+    for k in closing:
+        sizes.setdefault(k & -k, []).append(k)
+    for b in sorted(sizes, reverse=True):
+        ks = sizes[b]
+        k = min(ks)
+        out = _far_block(quad, values, k, len(ks), n)
+        for row in out:
+            acc[k:k + b] += row[:n - k]
+            k += 2 * b
 
 
 def _running(quad: _Quadrature, n: int):
@@ -486,7 +517,11 @@ def _running(quad: _Quadrature, n: int):
         near = i % period
         start = i - near
         if start > done:
-            _close_blocks(quad, values, acc, done, start)
+            closing, k = [], start
+            while k > done:
+                closing.append(k)
+                k &= k - 1
+            _close_blocks(quad, values, acc, closing)
             done = start
         hi = near if near < i else i - 1
         lags = acc[i] + _history(lag, values, i, 1,
@@ -501,7 +536,8 @@ def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
     running evaluator gives node by node: the same float operations in
     the same order, batched over the nodes.
 
-    The far field visits every leaf start in turn.  The near field is at
+    The far field closes every leaf start's block in one _close_blocks
+    call, one FFT pair per block size.  The near field is at
     most min(_LEAF - 1, support) multiply-adds over the leaves, in
     increasing lag from 0.0, which is the order of _history; a table
     without far field is one leaf as long as the series.  Sample 0, the
@@ -513,8 +549,7 @@ def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
     if not np.isfinite(lag[1:min(n, support + 1)]).all():
         raise OverflowError("weights exceed double range on this grid")
     far = np.zeros(n)
-    for start in range(period, n, period):
-        _close_blocks(quad, values, far, start - period, start)
+    _close_blocks(quad, values, far, range(period, n, period))
     # Near lags j at node r*p + c: the samples c-j of the same leaf.
     p = min(period, n)
     v = np.zeros((-(-n // p), p))
@@ -545,19 +580,25 @@ def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
     The tables run past the grid to m; a large order's weights may
     leave double range there, so their builds are silent about it.
     _series raises OverflowError for a non-finite weight on the grid,
-    and the far field sums a block holding one directly."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mu < 0.0:
-            pref, centre = _integral_pref(h, -mu), 1.0
-            boundary = _weights("integral_boundary", -mu, m)
-            lag = _weights("integral", -mu, m)
-        elif mu < 1.0:
-            pref, centre = h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0
-            boundary = _weights("derivative01_boundary", mu, m)
-            lag = _weights("derivative01_lag", mu, m)
-        else:
-            boundary = lag = _weights("binomial", mu, m)
-            pref, centre = h ** (-mu), lag[0]
+    and the far field sums a block holding one directly.  A prefactor
+    h**(-mu) past double range raises OverflowError naming h and mu."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mu < 0.0:
+                pref, centre = _integral_pref(h, -mu), 1.0
+                boundary = _weights("integral_boundary", -mu, m)
+                lag = _weights("integral", -mu, m)
+            elif mu < 1.0:
+                pref, centre = h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0
+                boundary = _weights("derivative01_boundary", mu, m)
+                lag = _weights("derivative01_lag", mu, m)
+            else:
+                boundary = lag = _weights("binomial", mu, m)
+                pref, centre = h ** (-mu), lag[0]
+    except OverflowError:
+        raise OverflowError(
+            f"operator of order {mu:g} at step {h:.6g}: h**{-mu:g} exceeds"
+            f" double range") from None
     return _quadrature(pref, centre, boundary, lag)
 
 

@@ -181,7 +181,7 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, _LEAF):
             if s:
-                _close_blocks(quad, y, far, s - _LEAF, s)
+                _close_blocks(quad, y, far, (s,))
             e = min(s + _LEAF, n)
             r = fvec[s:e] - far[s:e]
             # y_0 = 0: the rest of the first leaf is the same Toeplitz

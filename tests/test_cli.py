@@ -355,6 +355,21 @@ class TestApply:
         assert reason in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("order", ["1.5", "9.99"])
+    def test_prefactor_past_double_range_names_step_and_order(
+            self, order, tmp_path, capsys):
+        # h**(-order) overflows at a subnormal step.
+        src = tmp_path / "tiny.csv"
+        src.write_text("t,value\n0,0\n1e-320,1\n2e-320,2\n")
+        out = tmp_path / "out.csv"
+        assert main(["apply", "--in", str(src), "--order", order,
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"numerical failure: operator of order {order} at"
+                       f" step {1e-320:.6g}: h**-{order} exceeds double"
+                       f" range\n")
+        assert not out.exists()
+
     def test_order_beyond_cap_is_usage_error(self, ramp_csv):
         assert main(["apply", "--in", ramp_csv, "--order", "20"]) == 1
 
