@@ -528,12 +528,13 @@ def _tail_norm(last, values: np.ndarray) -> float:
 def _series_inverter(ratio: float, delta: float, h: float, terms: int,
                      n: int):
     """babenko_invert as a stateless node map (w, z1, i) -> z1_i that
-    never reads z1, for nodes visited in increasing order, and the last
+    never reads z1, for nodes visited in increasing order, with the
+    folded quadrature it applies, z1 = w + fold(w), and the last
     retained power's quadrature, whose norm _tail_norm takes over the
     visited w once the run is over."""
     fold, last = _babenko_kernels(ratio, delta, h, terms, n)
-    fold = _running(fold, n)
-    return (lambda w, z1, i: w.item(i) + fold(w, i)), last
+    node = _running(fold, n)
+    return (lambda w, z1, i: w.item(i) + node(w, i)), fold, last
 
 
 def _guard_pivot(pivot: float, scale: float, message: str) -> float:
@@ -554,7 +555,8 @@ def _direct_inverter(h: float, w_links, n: int):
     current sample's weights make the pivot 1 + sum_j ratio_j pref_j
     centre_j.  Without links the pivot is 1 and z1_i = w_i exactly.
     A vanishing pivot raises SingularInversionError here, before any
-    node is inverted.
+    node is inverted.  Returns the node map, the links as (ratio,
+    quadrature) pairs and the pivot.
     """
     m = _table_length(n)
     quads = [(l.ratio, _kernel_quad(-l.order, h, m)) for l in w_links]
@@ -568,7 +570,7 @@ def _direct_inverter(h: float, w_links, n: int):
         for r, node in links:
             acc += r * node(z1, i, 0.0)
         return (w.item(i) - acc) / pivot
-    return invert
+    return invert, quads, pivot
 
 
 def volterra_direct_invert(w: SampleSeries, w_links, i: int,
@@ -594,5 +596,5 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
         raise ValueError("z1 history must cover nodes 0..i-1")
     if z1_history.h != w.h:
         raise ValueError("series must share the same step")
-    invert = _direct_inverter(w.h, w_links, len(w))
+    invert, _, _ = _direct_inverter(w.h, w_links, len(w))
     return invert(w.values, z1_history.values, i)

@@ -165,7 +165,7 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     h = config.h
     n = config.num_steps + 1
     fvec = np.asarray(problem.forcing.sample(h, n), dtype=np.float64)
-    scales = [h ** (-tm.order) * tm.coefficient for tm in problem.terms]
+    scales = [_term_scale(tm, h) for tm in problem.terms]
     pivot = _guard_pivot(sum(scales) + c_lin,
                          sum(abs(s) for s in scales) + abs(c_lin),
                          "direct discretization pivot vanished for this step")
@@ -207,6 +207,18 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
         y_derivs=None,
         diagnostics=Diagnostics(nan_node=nan_node),
     )
+
+
+def _term_scale(tm, h: float) -> float:
+    """The term's a h**(-alpha); a prefactor past double range raises
+    OverflowError naming h and the order, as operators._kernel_quad
+    does."""
+    try:
+        return h ** (-tm.order) * tm.coefficient
+    except OverflowError:
+        raise OverflowError(
+            f"term of order {tm.order:g} at step {h:.6g}: h**{-tm.order:g}"
+            f" exceeds double range") from None
 
 
 def _leaf_inverse(pivot: float, table: np.ndarray) -> np.ndarray:

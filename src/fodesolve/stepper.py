@@ -13,11 +13,19 @@ nothing extra and keeps the cubic benchmark stable on coarse grids
 where the fully explicit ordering blows up.
 
 Every fractional coupling is evaluated by causal quadrature over the
-nodes computed so far, through a bare running evaluator (one closure
-call per coupling and node) that sums the recent lags directly and the
-older ones by block FFT, so the whole solve costs O(N log^2 N) and in
-practice grows about linearly in N: its floor is the per-node Python
-loop, which holds only the work the next node depends on.
+nodes computed so far: the lags inside a node's aligned leaf of 64
+nodes directly, the older samples by block FFT (the operators' far
+field), so a whole solve costs O(N log^2 N).  A problem whose
+nonlinearity has degree at most 1 is linear throughout, and its
+recurrence over one leaf is one fixed linear map of the state at the
+leaf start, each coupling's far field, the forcing and the
+initial-condition polynomial (the blocked convolution of Hairer,
+Lubich & Schlichte 1985).  Such a problem steps a leaf at a time: the
+map is built once per solve, and each leaf costs one far block per
+coupling, one elementwise product with the map and one row sum.  A
+nonlinear problem steps node by node, one running-evaluator call per
+coupling and node, and its floor is that Python loop.  The update
+order and the right-hand side are written once for both routes.
 """
 
 from __future__ import annotations
@@ -42,10 +50,15 @@ from .decompose import (
 )
 from .errors import BabenkoTailWarning
 from .operators import (
+    _LEAF,
     SampleSeries,
     apply_operator,
     frac_derivative01,
-    _node_kernel,
+    _close_blocks,
+    _kernel_quad,
+    _running,
+    _series,
+    _table_length,
 )
 
 __all__ = [
@@ -210,14 +223,16 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
 
     # Every coupling order is positive; z1[0] = 0 on both routes, so no
     # origin check is needed and the d01 boundary term is an exact 0.
-    links = [(l.coefficient, _node_kernel(l.order, h, n))
+    m = _table_length(n)
+    links = [(l.coefficient, _kernel_quad(l.order, h, m))
              for l in system.rhs_links]
-    nu_node = _node_kernel(nu, h, n) if nu > 0.0 else None
+    nu_quad = _kernel_quad(nu, h, m) if nu > 0.0 else None
 
     # The series route needs a folded link; every other problem, with or
     # without links, takes the direct inverter.  Both are node maps
-    # (w, z1, i) -> z1_i over the one w history.
-    bound = last = None
+    # (w, z1, i) -> z1_i over the one w history, linear in w and z1.
+    bound = last = fold = pivot = None
+    w_links = ()
     if system.w_links and isinstance(system.inversion, Babenko):
         link = system.w_links[0]
         bab = system.inversion
@@ -227,48 +242,24 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 f"series inversion's a-priori term factor is {bound:.3g}"
                 f" at t = {big_n * h:g}; the result will be unreliable",
                 BabenkoTailWarning, stacklevel=2)
-        invert, last = _series_inverter(link.ratio, link.order, h,
-                                        bab.terms, n)
+        invert, fold, last = _series_inverter(link.ratio, link.order, h,
+                                              bab.terms, n)
     else:
-        invert = _direct_inverter(h, system.w_links, n)
-
-    # The arrays are what the couplings read; the loop's own scalars are
-    # Python floats, which cost less per operation than numpy scalars.
-    # fvec and ic_poly are read through .item rather than copied into
-    # lists of n boxed floats.
-    w = np.zeros(n, dtype=np.float64)
-    z1 = np.zeros(n, dtype=np.float64)
-    y = np.zeros(n, dtype=np.float64)
-    u = [0.0] * m1
-    f_at = fvec.item
-    ic_at = ic_poly.item
-    a1 = system.a1
-    nan_node = None
+        invert, w_links, pivot = _direct_inverter(h, system.w_links, n)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            w[i] = u[0]
-            z1i = invert(w, z1, i)
-            z1[i] = z1i
-            yi = ic_at(i) + (z1i if nu_node is None else nu_node(z1, i))
-            y[i] = yi
-            if not (math.isfinite(yi) and math.isfinite(z1i)):
-                nan_node = i
-                break
-            acc = f_at(i)
-            for c, node in links:
-                acc -= c * node(z1, i)
-            for c, p in monomials:
-                try:
-                    acc -= c * yi ** p
-                except OverflowError:
-                    # A float power raises where a numpy one gives the
-                    # infinity, with which the run stops at the next node.
-                    acc -= c * math.copysign(math.inf, yi) ** p
-            rhs = acc / a1
-            u[m1 - 1] += h * rhs
-            for k in range(m1 - 2, -1, -1):
-                u[k] += h * u[k + 1]
+        if _leaf_route(monomials):
+            coef = {p: c for c, p in monomials}
+            g, quads = _leaf_map(m1, system.a1, h, fold, w_links, pivot,
+                                 links, nu_quad, coef.get(1, 0.0))
+            w, z1, y, nan_node = _leaf_solve(
+                g, quads, m1, fold is not None, fvec - coef.get(0, 0.0),
+                ic_poly, nu_quad)
+        else:
+            w, z1, y, nan_node = _node_loop(
+                system, h, invert, [(c, _running(q, n)) for c, q in links],
+                None if nu_quad is None else _running(nu_quad, n),
+                monomials, fvec, ic_poly)
 
     if nan_node is not None:
         cut = nan_node
@@ -301,3 +292,195 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
         diagnostics=Diagnostics(babenko_tail=tail, nan_node=nan_node,
                                 babenko_bound=bound),
     )
+
+
+def _leaf_route(monomials) -> bool:
+    """Whether a problem steps through the leaf map: every monomial of
+    its nonlinearity has power 0 or 1, so that every node is linear in
+    what came before."""
+    return all(p <= 1 for _, p in monomials)
+
+
+def _step(u, h, a1, f, links, y, monomials):
+    """One explicit step of the state u = (w, w', ..., w^(m1-1)) in
+    place, driven by the right-hand side
+
+        (f - sum_links c*v - sum_monomials c*y**p) / a1,
+
+    subtracted term by term in that order.  The update runs from the
+    top: the highest component absorbs the right-hand side first, and
+    each lower one then integrates the component above it in its
+    already updated form.  Both routes step through here: the node
+    loop on Python floats, the leaf map on coefficient rows."""
+    for c, v in links:
+        f = f - c * v
+    for c, p in monomials:
+        try:
+            f = f - c * y ** p
+        except OverflowError:
+            # A float power raises where a numpy one gives the infinity,
+            # with which the run stops at the next node.
+            f = f - c * math.copysign(math.inf, y) ** p
+    u[-1] = u[-1] + h * (f / a1)
+    for k in range(len(u) - 2, -1, -1):
+        u[k] = u[k] + h * u[k + 1]
+
+
+def _node_loop(system, h, invert, links, nu_node, monomials, fvec, ic_poly):
+    """Step node by node, every coupling a running evaluator; the route
+    of a nonlinear problem.  Returns w, z1, y and the first node where
+    y or z1 came out non-finite (None for a clean run)."""
+    n = fvec.size
+    # The arrays are what the couplings read; the loop's own scalars are
+    # Python floats, which cost less per operation than numpy scalars.
+    # fvec and ic_poly are read through .item rather than copied into
+    # lists of n boxed floats.
+    w = np.zeros(n, dtype=np.float64)
+    z1 = np.zeros(n, dtype=np.float64)
+    y = np.zeros(n, dtype=np.float64)
+    u = [0.0] * system.m1
+    f_at = fvec.item
+    ic_at = ic_poly.item
+    a1 = system.a1
+    for i in range(n):
+        w[i] = u[0]
+        z1i = invert(w, z1, i)
+        z1[i] = z1i
+        yi = ic_at(i) + (z1i if nu_node is None else nu_node(z1, i))
+        y[i] = yi
+        if not (math.isfinite(yi) and math.isfinite(z1i)):
+            return w, z1, y, i
+        _step(u, h, a1, f_at(i), [(c, node(z1, i)) for c, node in links],
+              yi, monomials)
+    return w, z1, y, None
+
+
+def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
+    """The leaf map G of a linear problem with reaction c1*y, and the
+    quadratures whose far fields it reads: one aligned leaf of _LEAF
+    nodes as one matrix, so that (G * x).sum(axis=1) gives z1 at the
+    leaf's nodes, then w there on the series route (fold given; else
+    the direct inverter's links and pivot), then the state after the
+    leaf.  x holds the state at the leaf start, the far field of each
+    quadrature (the inverter's, the right-hand-side links', then nu's)
+    at the leaf's nodes, f - c0 there and the initial-condition
+    polynomial there.
+
+    Every piece of the node recurrence (the explicit update, the
+    inverter, the right-hand-side links, the reconstruction of y) is
+    linear and, within a leaf, shift-invariant: a leaf node's near lags
+    reach only the leaf's earlier nodes, everything before the leaf
+    comes in as a far field, and the first samples of w and z1, which
+    the boundary weights read, are 0.  So G is built once, by running
+    the node recurrence on coefficient rows (entry c of a row is the
+    value's response to a unit input c), with elementwise products and
+    sums only.  Its near sums run from the farthest lag, not in
+    _history's order: G agrees with the node loop to rounding, not
+    bitwise."""
+    quads = [fold] if fold is not None else [q for _, q in w_links]
+    quads += [q for _, q in links] + ([] if nu_quad is None else [nu_quad])
+    width = m1 + _LEAF * (len(quads) + 2)
+    force, ic = width - 2 * _LEAF, width - _LEAF
+    lags = []
+    for q in quads:
+        # Lags past a table shorter than the leaf reach only nodes past
+        # the grid.
+        lag = np.zeros(_LEAF)
+        lag[:q.lag.size] = q.lag[:_LEAF]
+        lags.append(lag)
+
+    def unit(col):
+        e = np.zeros(width)
+        e[col] = 1.0
+        return e
+
+    def node(k, rows, r, current=None):
+        # Quad k at leaf node r over the rows of the leaf's nodes before
+        # it, pref * (centre*current + far + near) as the running
+        # evaluator forms it; the direct inverter's links have no
+        # current.
+        q = quads[k]
+        v = unit(m1 + k * _LEAF + r) + (lags[k][r:0:-1, None]
+                                         * rows[:r]).sum(axis=0)
+        if current is not None:
+            v = q.centre * current + v
+        return q.pref * v
+
+    u = [unit(k) for k in range(m1)]
+    w = np.zeros((_LEAF, width))
+    z = np.zeros((_LEAF, width))
+    first_link = 1 if fold is not None else len(w_links)
+    for r in range(_LEAF):
+        w[r] = u[0]
+        if fold is not None:
+            z[r] = w[r] + node(0, w, r, w[r])
+        else:
+            acc = 0.0
+            for k, (ratio, _) in enumerate(w_links):
+                acc = acc + ratio * node(k, z, r)
+            z[r] = (w[r] - acc) / pivot
+        y = unit(ic + r) + (z[r] if nu_quad is None
+                            else node(len(quads) - 1, z, r, z[r]))
+        _step(u, h, a1, unit(force + r),
+              [(c, node(first_link + j, z, r, z[r]))
+               for j, (c, _) in enumerate(links)],
+              y, [(c1, 1)] if c1 else ())
+    return np.vstack([z] + ([w] if fold is not None else []) + u), quads
+
+
+def _leaf_solve(g, quads, m1, on_w, force, ic_poly, nu_quad):
+    """Step a linear problem a leaf at a time through its leaf map g and
+    quadratures (see _leaf_map), force being f - c0 on the grid; on_w
+    when the first quadrature, the series fold, reads w.  Returns w
+    (zeros off the series route), z1, y and the first node where z1 or
+    y is not finite (None for a clean run).
+
+    Each leaf start closes each coupling's far block through
+    operators._close_blocks, as the running evaluator does, and the leaf
+    is one elementwise product with g and one row sum over inputs padded
+    to the full leaf width.  A non-finite input counts as 0 there, and
+    every output it reaches through a nonzero entry of g becomes nan: an
+    earlier output does not meet it as 0 * inf, so a prefix of the grid
+    gives the same bits.  Where g itself overflowed, a zero input adds
+    0.  Stepping stops after the first leaf whose z1 is not finite.
+    y is ic_poly + nu's whole-series pass over z1 (ic_poly + z1 at
+    nu = 0), bitwise what apply_operator gives."""
+    n = force.size
+    z1 = np.zeros(n)
+    w = np.zeros(n)
+    far = [np.zeros(n) for _ in quads]
+    reads = [w if on_w else z1] + [z1] * (len(quads) - 1)
+    inputs = np.zeros((2, -(-n // _LEAF) * _LEAF))
+    inputs[0, :n] = force
+    inputs[1, :n] = ic_poly
+    g_finite = bool(np.isfinite(g).all())
+    state = np.zeros(m1)
+    end = n
+    for s in range(0, n, _LEAF):
+        e = min(s + _LEAF, n)
+        x = np.zeros(g.shape[1])
+        x[:m1] = state
+        for k, q in enumerate(quads):
+            if s:
+                _close_blocks(q, reads[k], far[k], (s,))
+            x[m1 + k * _LEAF:m1 + k * _LEAF + e - s] = far[k][s:e]
+        x[-2 * _LEAF:] = inputs[:, s:s + _LEAF].ravel()
+        bad = ~np.isfinite(x)
+        x[bad] = 0.0
+        prod = g * x
+        if not g_finite:
+            prod[:, x == 0.0] = 0.0
+        out = prod.sum(axis=1)
+        if bad.any():
+            out[(g[:, bad] != 0.0).any(axis=1)] = np.nan
+        z1[s:e] = out[:e - s]
+        if on_w:
+            w[s:e] = out[_LEAF:_LEAF + e - s]
+        state = out[-m1:]
+        if not np.isfinite(z1[s:e]).all():
+            end = e
+            break
+    y = ic_poly[:end] + (z1[:end] if nu_quad is None
+                         else _series(nu_quad, z1[:end]))
+    stop = ~(np.isfinite(z1[:end]) & np.isfinite(y))
+    return w, z1, y, int(stop.argmax()) if stop.any() else None

@@ -262,6 +262,19 @@ class TestConvergence:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oracle_prefactor_past_double_range_names_step_and_order(
+            self, plate_file, tmp_path, capsys):
+        # The gl oracle's h**(-order) overflows at a subnormal step, as
+        # apply's does (TestApply); the plate's leading order 2 goes first.
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--problem", plate_file,
+                     "--steps", "2e-320,1e-320", "--t-end", "1e-318",
+                     "--oracle", "gl", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"numerical failure: term of order 2 at step"
+                       f" {1e-320:.6g}: h**-2 exceeds double range\n")
+        assert not out.exists()
+
     def test_gl_on_nonlinear_problem(self, plate_cubic_file):
         assert main(["convergence", "--problem", plate_cubic_file,
                      "--steps", "0.02,0.01", "--t-end", "2",

@@ -385,7 +385,7 @@ class TestVolterraDirect:
         t = h * np.arange(n)
         links = (WLink(0.5, 0.5), WLink(0.25, 0.3))
         w = _w_from(SampleSeries(h, t ** 2 * np.exp(-t)), links)
-        invert = _direct_inverter(h, links, n)
+        invert, _, _ = _direct_inverter(h, links, n)
         z1 = np.zeros(n)
         for i in range(n):
             z1[i] = invert(w.values, z1, i)
@@ -571,7 +571,7 @@ class TestBabenkoInvert:
         v = np.cos(t) + 0.1 * t
         if bad is not None:
             v[bad] = np.nan
-        invert, last = _series_inverter(0.5, 0.5, h, 30, n)
+        invert, _, last = _series_inverter(0.5, 0.5, h, 30, n)
         last_node = _running(last, n)
         z1 = np.zeros(n)
         tail = 0.0

@@ -4,17 +4,21 @@ Every causal history sum in the package goes through two reductions,
 neither of which depends on BLAS threading: operators._history, one `@`
 over the near lags, called only by the running evaluator's node closure
 (operators._running's product_node), and operators._far_block, one
-pocketfft transform per far block (a block no scale flattens is summed
-there by elementwise multiply-adds).  The whole-series evaluator
-operators._series sums the same near lags by elementwise multiply-adds,
-which are no reduction and use no threads.  The oracle's leaf solve
-(oracle.gl_direct_solve) takes each leaf's history from the far field
-and applies the leaf's Toeplitz inverse by an elementwise product and a
-row sum, no BLAS call either.  Both take their far blocks through the
-one far-field path, operators._close_blocks.  The subprocess tests check
-the promise end to end through the CLI; the source scans keep a
-thread-dependent reduction, a hand-written history sum or a second
-far-field path from coming back in some other function.
+pocketfft rfft/irfft pair per block size in each operators._close_blocks
+call (one block per call in a running evaluator; a block no scale
+flattens is summed there by elementwise multiply-adds).  The
+whole-series evaluator operators._series sums the same near lags by
+elementwise multiply-adds, which are no reduction and use no threads.
+Two leaf solves take each 64-node leaf's history from the far field and
+the leaf itself from one matrix, applied by an elementwise product and
+a row sum, no BLAS call either: the oracle's (oracle.gl_direct_solve,
+the inverse of the leaf's Toeplitz matrix) and the stepper's for a
+linear problem (stepper._leaf_map, the node recurrence over the leaf).
+All of them take their far blocks through the one far-field path,
+operators._close_blocks.  The subprocess tests check the promise end to
+end through the CLI; the source scans keep a thread-dependent
+reduction, a hand-written history sum or a second far-field path from
+coming back in some other function.
 """
 
 import ast

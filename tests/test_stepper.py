@@ -464,3 +464,163 @@ class TestForcingWindows:
         )
         with pytest.raises(ValueError):
             solve(p, SolverConfig(h=0.1, t_end=2.0))
+
+
+def _node_loop_solve(monkeypatch, problem, config):
+    """solve through the node loop, the only route of a nonlinear problem,
+    whatever the problem's nonlinearity."""
+    with monkeypatch.context() as m:
+        m.setattr(stepper, "_leaf_route", lambda monomials: False)
+        return solve(problem, config)
+
+
+def _rel_sup(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _const(*coeffs):
+    return PiecewiseForcing((ForcingSegment(0.0, math.inf, coeffs),))
+
+
+LINEAR = {
+    # One term, m1 = 1, a nonzero initial value and a constant monomial.
+    "one_term": (ProblemSpec(terms=((1.0, 0.6),),
+                             nonlinearity=Polynomial((0.3, 0.8)),
+                             forcing=_const(1.0, 0.2),
+                             initial_conditions=(1.5,)),
+                 SolverConfig(h=0.005, t_end=20.0)),
+    # Independent class: nu = 0.5 and one right-hand-side link.
+    "independent": (ProblemSpec(terms=((1.0, 1.5), (0.3, 0.7)),
+                                nonlinearity=Polynomial((0.0, 0.5)),
+                                forcing=_const(1.0),
+                                initial_conditions=(1.0, 0.5)),
+                    SolverConfig(h=0.005, t_end=20.0)),
+    # Dependent class: two folded links through the direct inverter.
+    "dependent": (ProblemSpec(terms=((1.0, 2.0), (0.5, 1.6), (0.3, 1.3)),
+                              nonlinearity=Polynomial((0.0, 0.5)),
+                              forcing=PiecewiseForcing((
+                                  ForcingSegment(0.0, 1.0, (8.0,)),
+                                  ForcingSegment(1.0, math.inf, (0.0,)))),
+                              initial_conditions=(0.0, 0.0)),
+                  SolverConfig(h=0.005, t_end=20.0)),
+    # m1 = 3: a three-component state, nu = 0.5, two links.
+    "m1_3": (ProblemSpec(terms=((1.0, 2.5), (0.4, 1.2), (0.2, 0.5)),
+                         nonlinearity=Polynomial((0.1, 0.5)),
+                         forcing=_const(1.0),
+                         initial_conditions=(0.5, -0.2, 0.1)),
+             SolverConfig(h=0.005, t_end=10.0)),
+}
+
+
+class TestLeafRoute:
+    @pytest.mark.parametrize("name", [*LINEAR, "plate_series"])
+    def test_leaf_map_matches_the_node_loop(self, monkeypatch, plate, name):
+        # A linear problem steps through one leaf map per leaf, the node
+        # loop through the running couplings: the same recurrence, summed
+        # in another order.  Bound: 1e-11 relative sup of y and of z1,
+        # far above the rounding either route carries over these
+        # 2 001-4 001 nodes (1e-15 to 9e-13 measured) and far below the
+        # change a wrong far block, lag or update order would make.
+        if name == "plate_series":
+            problem = plate
+            config = SolverConfig(h=0.00125, t_end=5.0,
+                                  inversion=Babenko(terms=30))
+        else:
+            problem, config = LINEAR[name]
+        leaf = solve(problem, config)
+        loop = _node_loop_solve(monkeypatch, problem, config)
+        assert len(leaf.y) == len(loop.y) == config.num_steps + 1
+        assert _rel_sup(leaf.y.values, loop.y.values) <= 1e-11
+        assert _rel_sup(leaf.z1.values, loop.z1.values) <= 1e-11
+        if name == "plate_series":
+            tails = (leaf.diagnostics.babenko_tail,
+                     loop.diagnostics.babenko_tail)
+            assert tails[0] == pytest.approx(tails[1], rel=1e-11)
+
+    @pytest.mark.parametrize("t_short", [0.2, 2.5])
+    def test_prefix_causal_over_a_partial_last_leaf(self, t_short):
+        # 41 and 501 nodes: the short grid's only or last leaf is cut
+        # short, and its padded inputs must not reach a node on the grid.
+        problem, _ = LINEAR["m1_3"]
+        short = solve(problem, SolverConfig(h=0.005, t_end=t_short))
+        whole = solve(problem, SolverConfig(h=0.005, t_end=5.0))
+        n = len(short.y)
+        assert n % 64 and n < len(whole.y)
+        assert np.array_equal(short.y.values, whole.y.values[:n])
+        assert np.array_equal(short.z1.values, whole.z1.values[:n])
+
+    def test_linear_solve_sums_no_history_node_by_node(self, monkeypatch,
+                                                       plate, plate_cubic):
+        # The leaf route takes each leaf's history from the far field and
+        # its leaf from the leaf map; only the node loop calls _history,
+        # once per node after the first and per coupling (the plate has
+        # one, the direct inverter's link).
+        from fodesolve import operators
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return history(*args)
+        history = operators._history
+        monkeypatch.setattr(operators, "_history", counted)
+        config = SolverConfig(h=0.01, t_end=5.0)
+        solve(plate, config)
+        assert len(calls) == 0
+        solve(plate_cubic, config)
+        assert len(calls) == config.num_steps
+
+    def test_an_overflowed_leaf_map_entry_meets_zero_inputs_as_zero(
+            self, monkeypatch):
+        # y' + 0.2 D^0.5 y = 1 + 1e5 y at h = 1 grows 1e5-fold a node: the
+        # leaf map's response to the start state overflows within the
+        # first leaf, where that state is 0.  The run must stop where the
+        # node loop stops, at node 64, not at the first overflowed entry.
+        p = ProblemSpec(terms=((1.0, 1.0), (0.2, 0.5)),
+                        nonlinearity=Polynomial((0.0, -1e5)),
+                        forcing=_const(1.0),
+                        initial_conditions=(0.0,))
+        config = SolverConfig(h=1.0, t_end=200.0)
+        with pytest.warns(RuntimeWarning, match="run stopped at node 64"):
+            leaf = solve(p, config)
+        with pytest.warns(RuntimeWarning, match="run stopped at node 64"):
+            loop = _node_loop_solve(monkeypatch, p, config)
+        assert _rel_sup(leaf.y.values, loop.y.values) <= 1e-11
+
+    def test_a_non_finite_forcing_sample_stops_the_run_after_it(
+            self, monkeypatch):
+        # The forcing overflows at node 180, inside the leaf of nodes
+        # 128..191; it enters z1 through the state at node 181, where
+        # both routes stop.  The leaf's earlier nodes must not meet the
+        # inf as 0 * inf.
+        p = ProblemSpec(terms=((1.0, 0.5),),
+                        nonlinearity=Polynomial((0.0, 1.0)),
+                        forcing=PiecewiseForcing((
+                            ForcingSegment(0.0, 17.95, (1.0,)),
+                            ForcingSegment(17.95, math.inf, (0.0, 1e308)))),
+                        initial_conditions=(0.0,))
+        config = SolverConfig(h=0.1, t_end=30.0)
+        with np.errstate(over="ignore"):
+            with pytest.warns(RuntimeWarning, match="stopped at node 181"):
+                leaf = solve(p, config)
+            with pytest.warns(RuntimeWarning, match="stopped at node 181"):
+                loop = _node_loop_solve(monkeypatch, p, config)
+        assert _rel_sup(leaf.y.values, loop.y.values) <= 1e-11
+
+    def test_a_runaway_is_kept_up_to_its_own_overflow(self):
+        # D^1.5 y - 50 y = 1 passes double range after node 630.  The
+        # node loop stops at 628, where its history sums overflow; the
+        # leaf map keeps 628..630 (1.3e307, 4.2e307, 1.3e308), which the
+        # same run with its forcing scaled by 2^-1000 confirms: it is
+        # linear, so the two agree to the last bit.
+        def runaway(level):
+            return ProblemSpec(terms=((1.0, 1.5),),
+                               nonlinearity=Polynomial((0.0, -50.0)),
+                               forcing=_const(level),
+                               initial_conditions=(0.0, 0.0))
+        config = SolverConfig(h=0.1, t_end=100.0)
+        with pytest.warns(RuntimeWarning, match="stopped at node 631"):
+            traj = solve(runaway(1.0), config)
+        tiny = solve(runaway(2.0 ** -1000), config)
+        assert np.all(np.isfinite(traj.y.values))
+        assert np.array_equal(traj.y.values,
+                              tiny.y.values[:631] * 2.0 ** 1000)
