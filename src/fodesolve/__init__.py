@@ -2,8 +2,9 @@
 
 The package decomposes a multi-term fractional equation into one
 integer-order ODE coupled to inverse Abel-integral relations, steps the
-integer part with a semi-implicit Euler scheme, and resolves the
-coupling either by a direct Volterra update or by a Babenko series.
+integer part with a semi-implicit Euler scheme (explicit Euler when that
+part is first order), and resolves the coupling either by a direct
+Volterra update or by a Babenko series.
 Discrete Riemann-Liouville quadratures for sampled series live in
 :mod:`fodesolve.operators`.
 """
@@ -26,14 +27,14 @@ _HOMES = {
                     "SingularInversionError", "SingularOriginError",
                     "UnsupportedProblemError")),
         ("gammafn", ("GAMMA_MAX", "gamma")),
-        ("operators", ("OperatorOrder", "SampleSeries", "apply_operator",
-                       "frac_derivative01", "frac_derivative_general",
-                       "frac_integral", "weight_table")),
+        ("operators", ("SampleSeries", "apply_operator", "frac_derivative01",
+                       "frac_derivative_general", "frac_integral",
+                       "weight_table")),
         ("oracle", ("ConvergenceRow", "ManufacturedCase", "convergence_study",
                     "gl_direct_solve", "manufacture", "power_rule")),
         ("problemfile", ("format_problem", "parse_problem")),
         ("stepper", ("Diagnostics", "SolverConfig", "Trajectory",
-                     "reconstruct_derivatives", "reconstruct_y", "solve")),
+                     "reconstruct_derivatives", "solve")),
         ("verify", ("CheckResult", "run_checks", "run_verify")),
     )
     for name in names
@@ -41,57 +42,7 @@ _HOMES = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Babenko",
-    "BabenkoResult",
-    "BabenkoTailWarning",
-    "CheckResult",
-    "ConvergenceRow",
-    "DecomposedSystem",
-    "Diagnostics",
-    "DirectVolterra",
-    "ForcingSegment",
-    "FracTerm",
-    "GAMMA_MAX",
-    "ManufacturedCase",
-    "NonzeroOriginError",
-    "OperatorOrder",
-    "ParseError",
-    "PiecewiseForcing",
-    "Polynomial",
-    "PowerSumForcing",
-    "ProblemSpec",
-    "RhsLink",
-    "SampleSeries",
-    "SingularInversionError",
-    "SingularOriginError",
-    "SolverConfig",
-    "Trajectory",
-    "UnsupportedProblemError",
-    "WLink",
-    "__version__",
-    "apply_operator",
-    "babenko_invert",
-    "build_system",
-    "convergence_study",
-    "format_problem",
-    "frac_derivative01",
-    "frac_derivative_general",
-    "frac_integral",
-    "gamma",
-    "gl_direct_solve",
-    "integer_order",
-    "manufacture",
-    "parse_problem",
-    "power_rule",
-    "reconstruct_derivatives",
-    "reconstruct_y",
-    "run_checks",
-    "run_verify",
-    "solve",
-    "volterra_direct_invert",
-    "weight_table",
-]
+__all__ = sorted([*_HOMES, "__version__"])
 
 
 def __getattr__(name):

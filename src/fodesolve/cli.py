@@ -21,6 +21,7 @@ solver or the verification battery.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -29,7 +30,6 @@ from .errors import (
     NonzeroOriginError,
     ParseError,
     SingularInversionError,
-    SingularOriginError,
     UnsupportedProblemError,
 )
 
@@ -126,6 +126,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_positive(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageError(f"{flag} must be positive and finite")
+
+
 def _inversion_from(args):
     from .decompose import Babenko, DirectVolterra
 
@@ -139,10 +144,8 @@ def _inversion_from(args):
 def _cmd_solve(args) -> int:
     from .stepper import SolverConfig, solve
 
-    if args.step <= 0:
-        raise _UsageError("--step must be positive")
-    if args.t_end <= 0:
-        raise _UsageError("--t-end must be positive")
+    _check_positive("--step", args.step)
+    _check_positive("--t-end", args.t_end)
     inversion = _inversion_from(args)
     problem = _read_problem(args.problem)
     cfg = SolverConfig(h=args.step, t_end=args.t_end, inversion=inversion,
@@ -176,10 +179,9 @@ def _cmd_convergence(args) -> int:
         raise _UsageError(f"--steps must be numbers, got {args.steps!r}")
     if len(set(steps)) < 2:
         raise _UsageError("--steps needs at least two distinct values")
-    if any(s <= 0 for s in steps):
-        raise _UsageError("--steps must all be positive")
-    if args.t_end <= 0:
-        raise _UsageError("--t-end must be positive")
+    for s in steps:
+        _check_positive("--steps", s)
+    _check_positive("--t-end", args.t_end)
     inversion = _inversion_from(args)
     problem = _read_problem(args.problem)
     rows = convergence_study(problem, steps, args.t_end,
@@ -219,10 +221,10 @@ def _read_csv_pairs(path: str):
 
 
 def _cmd_apply(args) -> int:
-    from .operators import OperatorOrder, SampleSeries, apply_operator
+    from .operators import SampleSeries, _signed_order, apply_operator
 
     try:
-        order = OperatorOrder(args.order)
+        order = _signed_order(args.order)
     except ValueError as exc:
         raise _UsageError(str(exc))
     t, v = _read_csv_pairs(args.infile)
@@ -268,8 +270,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return 2
-    except (UnsupportedProblemError, NonzeroOriginError,
-            SingularOriginError) as exc:
+    except (UnsupportedProblemError, NonzeroOriginError) as exc:
         sys.stderr.write(f"unsupported input: {exc}\n")
         return 2
     except ValueError as exc:

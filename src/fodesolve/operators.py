@@ -55,7 +55,6 @@ from .errors import NonzeroOriginError, SingularOriginError
 __all__ = [
     "DEFAULT_ORDER_CAP",
     "SampleSeries",
-    "OperatorOrder",
     "weight_table",
     "frac_integral",
     "frac_derivative01",
@@ -105,26 +104,18 @@ class SampleSeries:
         return np.arange(self.values.size) * self.h
 
 
-@dataclass(frozen=True)
-class OperatorOrder:
-    """Signed operator order: negative integrates, positive differentiates,
-    zero is the identity.  Orders of magnitude DEFAULT_ORDER_CAP or more
-    are rejected: they are usually a sign of a misread input file."""
-
-    mu: float
-
-    def __post_init__(self):
-        mu = float(self.mu)
-        if not np.isfinite(mu):
-            raise ValueError(f"operator order must be finite, got {mu!r}")
-        if abs(mu) >= DEFAULT_ORDER_CAP:
-            raise ValueError(f"operator order {mu!r} exceeds the cap"
-                             f" {DEFAULT_ORDER_CAP!r}")
-        object.__setattr__(self, "mu", mu)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.mu == 0.0
+def _signed_order(mu) -> float:
+    """mu as a signed operator order: negative integrates, positive
+    differentiates, zero is the identity.  A non-finite order, or one of
+    magnitude DEFAULT_ORDER_CAP or more, is rejected: it is usually a
+    sign of a misread input file."""
+    mu = float(mu)
+    if not math.isfinite(mu):
+        raise ValueError(f"operator order must be finite, got {mu!r}")
+    if abs(mu) >= DEFAULT_ORDER_CAP:
+        raise ValueError(f"operator order {mu!r} exceeds the cap"
+                         f" {DEFAULT_ORDER_CAP!r}")
+    return mu
 
 
 def _whole(x, what: str) -> int:
@@ -634,7 +625,7 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("integral order must be positive")
-    OperatorOrder(-alpha)
+    _signed_order(-alpha)
     i = _check_node(z, i)
     return _node_kernel(-alpha, z.h, len(z))(z.values, i)
 
@@ -685,7 +676,7 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     alpha = float(alpha)
     if alpha < 1.0:
         raise ValueError("general derivative order must be at least 1")
-    OperatorOrder(alpha)
+    _signed_order(alpha)
     i = _check_node(z, i)
     _check_zero_origin(z.values)
     return _node_kernel(alpha, z.h, len(z))(z.values, i)
@@ -699,12 +690,12 @@ def apply_operator(z: SampleSeries, mu) -> SampleSeries:
     binomial weights (which require z_0 = 0).  The output is causal node
     by node.  For 0 < mu < 1 and z_0 != 0 the first output sample is nan,
     since the derivative is singular at t = 0; all later nodes are fine.
+    mu is a plain number; a non-finite one, or one of magnitude
+    DEFAULT_ORDER_CAP or more, raises ValueError.
     """
-    if not isinstance(mu, OperatorOrder):
-        mu = OperatorOrder(float(mu))
-    if mu.is_identity:
+    m = _signed_order(mu)
+    if m == 0.0:
         return z
-    m = mu.mu
     v = z.values
     if m >= 1.0:
         _check_zero_origin(v)

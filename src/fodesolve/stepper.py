@@ -1,6 +1,6 @@
 """Time stepper for the decomposed system.
 
-One explicit Euler pass advances the state vector u = (w, w', ...,
+One semi-implicit Euler pass advances the state vector u = (w, w', ...,
 w^(m1-1)), where w = z1 + sum_j ratio_j I^(delta_j) z1 combines the
 leading terms that fold together (w = z1 when none do).  Each node
 records w_i = u_0 in one w history and recovers z1_i from it by a node
@@ -8,9 +8,11 @@ map (w, z1, i) -> z1_i: the series inverter when a Babenko inversion is
 asked for and a link folds, the direct inverter otherwise.  The update
 is sequential from the top: the highest component absorbs the
 right-hand side first and each lower component then integrates the
-component above it in its already updated form.  That ordering costs
-nothing extra and keeps the cubic benchmark stable on coarse grids
-where the fully explicit ordering blows up.
+component above it in its already updated form.  That is
+semi-implicit Euler for m1 >= 2 and, with one component, explicit
+Euler for m1 = 1.  The ordering costs nothing extra and keeps the cubic
+benchmark stable on coarse grids where the fully explicit ordering
+blows up.
 
 Every fractional coupling is evaluated by causal quadrature over the
 nodes computed so far: the lags inside a node's aligned leaf of 64
@@ -53,7 +55,6 @@ from .operators import (
     _LEAF,
     SampleSeries,
     apply_operator,
-    frac_derivative01,
     _close_blocks,
     _kernel_quad,
     _running,
@@ -66,7 +67,6 @@ __all__ = [
     "Diagnostics",
     "Trajectory",
     "solve",
-    "reconstruct_y",
     "reconstruct_derivatives",
 ]
 
@@ -151,16 +151,6 @@ def _ic_poly_values(ics, t: np.ndarray) -> np.ndarray:
             fact *= k
         out += (b / fact) * t ** k
     return out
-
-
-def reconstruct_y(z1: SampleSeries, ics, nu: float, i: int) -> float:
-    """Recover the unknown at node i from the temporary series:
-    y_i = sum_k b_k t_i^k / k!  +  D^nu z1 at node i (identity at nu = 0).
-    Costs one frac_derivative01 call; solve reconstructs every node.
-    """
-    t = np.array([i * z1.h])
-    poly = float(_ic_poly_values(tuple(float(b) for b in ics), t)[0])
-    return poly + frac_derivative01(z1, nu, i)
 
 
 def reconstruct_derivatives(z1: SampleSeries, ics, alpha1: float,
@@ -302,8 +292,8 @@ def _leaf_route(monomials) -> bool:
 
 
 def _step(u, h, a1, f, links, y, monomials):
-    """One explicit step of the state u = (w, w', ..., w^(m1-1)) in
-    place, driven by the right-hand side
+    """One semi-implicit Euler step of the state
+    u = (w, w', ..., w^(m1-1)) in place, driven by the right-hand side
 
         (f - sum_links c*v - sum_monomials c*y**p) / a1,
 
@@ -366,7 +356,7 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     at the leaf's nodes, f - c0 there and the initial-condition
     polynomial there.
 
-    Every piece of the node recurrence (the explicit update, the
+    Every piece of the node recurrence (the Euler update, the
     inverter, the right-hand-side links, the reconstruction of y) is
     linear and, within a leaf, shift-invariant: a leaf node's near lags
     reach only the leaf's earlier nodes, everything before the leaf

@@ -161,9 +161,12 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 
-    def test_negative_step(self, plate_file):
-        assert main(["solve", "--problem", plate_file, "--step", "-1",
-                     "--t-end", "1"]) == 1
+    def test_negative_step(self, plate_file, capsys):
+        # nan and inf pass a plain "<= 0" check.
+        for step in ("-1", "nan", "inf"):
+            assert main(["solve", "--problem", plate_file, "--step", step,
+                         "--t-end", "1"]) == 1, step
+            assert "usage error: --step" in capsys.readouterr().err
 
     def test_missing_required_flag(self):
         assert main(["solve", "--step", "0.01", "--t-end", "1"]) == 1
@@ -172,13 +175,19 @@ class TestUsageErrors:
         assert main(["solve", "--problem", plate_file, "--step", "x",
                      "--t-end", "1"]) == 1
 
-    def test_non_positive_horizon(self, plate_file):
-        assert main(["solve", "--problem", plate_file, "--step", "0.01",
-                     "--t-end", "0"]) == 1
+    def test_non_positive_horizon(self, plate_file, capsys):
+        for t_end in ("0", "nan", "inf"):
+            assert main(["solve", "--problem", plate_file, "--step", "0.01",
+                         "--t-end", t_end]) == 1, t_end
+            assert "usage error: --t-end" in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps,t_end", [("a,b", "2"), ("0.1,0", "2"),
                                              ("0.1,-0.1", "2"),
-                                             ("0.02,0.01", "0")])
+                                             ("0.02,0.01", "0"),
+                                             ("0.1,nan", "2"),
+                                             ("0.1,inf", "2"),
+                                             ("0.02,0.01", "nan"),
+                                             ("0.02,0.01", "inf")])
     def test_bad_convergence_grid(self, plate_file, steps, t_end, capsys):
         assert main(["convergence", "--problem", plate_file,
                      "--steps", steps, "--t-end", t_end]) == 1

@@ -31,12 +31,12 @@ from fodesolve.errors import (
 )
 from fodesolve.operators import (
     DEFAULT_ORDER_CAP,
-    OperatorOrder,
     SampleSeries,
     apply_operator,
     _kernel_quad,
     _running,
     _series,
+    _signed_order,
     _table_length,
     _weights,
 )
@@ -294,7 +294,7 @@ class TestBuildSystem:
         assert sys.m1 <= DEFAULT_ORDER_CAP
         for link in sys.rhs_links:
             assert 0.0 < link.order < sys.m1
-            assert OperatorOrder(link.order).mu == link.order
+            assert _signed_order(link.order) == link.order
         for link in sys.w_links:
             # Below 1 exactly, but the difference of the orders may round
             # up to 1.

@@ -79,8 +79,10 @@ class TestSubcommandImports:
 
 class TestNamespace:
     def test_names_resolve_to_their_home_objects(self):
-        assert set(fodesolve._HOMES) | {"__version__"} == set(
-            fodesolve.__all__)
+        assert len(set(fodesolve.__all__)) == len(fodesolve.__all__)
+        for gone in ("OperatorOrder", "reconstruct_y"):
+            with pytest.raises(AttributeError, match=gone):
+                getattr(fodesolve, gone)
         for name, home in fodesolve._HOMES.items():
             module = importlib.import_module(f"fodesolve.{home}")
             value = getattr(fodesolve, name)

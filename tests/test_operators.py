@@ -9,7 +9,6 @@ from fodesolve.decompose import _babenko_kernels
 from fodesolve.errors import NonzeroOriginError, SingularOriginError
 from fodesolve.operators import (
     DEFAULT_ORDER_CAP,
-    OperatorOrder,
     SampleSeries,
     apply_operator,
     frac_derivative01,
@@ -23,6 +22,7 @@ from fodesolve.operators import (
     _node_kernel,
     _running,
     _series,
+    _signed_order,
     _table_length,
     _weights,
 )
@@ -79,14 +79,18 @@ class TestSampleSeries:
 
 class TestOperatorOrder:
     def test_identity(self):
-        assert OperatorOrder(0.0).is_identity
-        assert not OperatorOrder(0.5).is_identity
+        z = SampleSeries(0.1, np.arange(5.0))
+        assert apply_operator(z, 0.0) is z
+        assert apply_operator(z, -0.0) is z
+        assert apply_operator(z, 0.5) is not z
 
     @pytest.mark.parametrize("mu", [DEFAULT_ORDER_CAP, -DEFAULT_ORDER_CAP,
                                     math.nan, math.inf])
     def test_cap(self, mu):
         with pytest.raises(ValueError):
-            OperatorOrder(mu)
+            _signed_order(mu)
+        with pytest.raises(ValueError):
+            apply_operator(SampleSeries(0.1, np.zeros(5)), mu)
 
     @pytest.mark.parametrize("call,alpha", [
         (frac_integral, 50.0), (frac_integral, 200.0),

@@ -20,7 +20,6 @@ from fodesolve.stepper import (
     SolverConfig,
     Trajectory,
     reconstruct_derivatives,
-    reconstruct_y,
     solve,
 )
 from fodesolve.operators import SampleSeries, apply_operator
@@ -64,20 +63,36 @@ class TestSolverConfig:
 
 
 class TestReconstruction:
+    # solve reconstructs y at every node as the initial-condition
+    # polynomial plus D^nu z1.  With no cubic term a problem takes the
+    # leaf map, with one the node loop.
     def test_node_zero_is_b0_exactly(self):
-        z1 = SampleSeries(0.1, [0.0, 0.5, 1.0])
-        assert reconstruct_y(z1, (2.5,), 0.5, 0) == 2.5
+        for cubic in (0.0, -0.1):
+            problem = ProblemSpec(
+                terms=((1.0, 0.5),),
+                nonlinearity=Polynomial((1.0, 0.0, 0.0, cubic)),
+                initial_conditions=(2.5,))
+            traj = solve(problem, SolverConfig(h=0.1, t_end=1.0))
+            assert traj.y.values[0] == 2.5
 
     def test_nu_zero_is_polynomial_plus_series(self):
-        z1 = SampleSeries(0.5, [0.0, 1.0, 2.0])
-        # y_i = b0 + b1 t + b2 t^2/2 + z1_i at nu = 0
-        got = reconstruct_y(z1, (1.0, 2.0), 0.0, 2)
-        assert got == pytest.approx(1.0 + 2.0 * 1.0 + 2.0)
+        for cubic in (0.0, -0.1):
+            problem = ProblemSpec(
+                terms=((1.0, 2.0), (0.5, 0.5)),
+                nonlinearity=Polynomial((1.0, 0.0, 0.0, cubic)),
+                initial_conditions=(1.0, 2.0))
+            traj = solve(problem, SolverConfig(h=0.5, t_end=3.0))
+            # y_i = b0 + b1 t_i + z1_i at nu = 0
+            z1 = traj.z1.values
+            assert np.count_nonzero(z1) > 1
+            assert np.array_equal(traj.y.values,
+                                  1.0 + 2.0 * traj.times + z1)
 
     def test_half_order_closed_form(self):
+        # The reconstruction's fractional part is apply_operator at nu.
         h, n = 1e-3, 1001
         z1 = SampleSeries(h, h * np.arange(n))
-        got = reconstruct_y(z1, (0.0, 0.0), 0.5, n - 1)
+        got = apply_operator(z1, 0.5).values[n - 1]
         assert got == pytest.approx(HALF_DERIVATIVE_OF_T_AT_1, abs=2e-2)
 
     def test_derivative_rows_zero_case(self):
