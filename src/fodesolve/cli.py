@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -49,6 +50,14 @@ class _OutputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token as a value rather than a flag only when
+        # it looks like -5 or -.5; -inf, -nan and -1e-1 must reach the
+        # flags' own checks too, as --step=-inf does.
+        self._negative_number_matcher = re.compile(
+            r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
+
     # argparse exits with status 2 on bad flags; route everything through
     # one exception so usage problems map to exit code 1 instead.
     def error(self, message):

@@ -525,18 +525,6 @@ def _tail_norm(last, values: np.ndarray) -> float:
     return tail
 
 
-def _series_inverter(ratio: float, delta: float, h: float, terms: int,
-                     n: int):
-    """babenko_invert as a stateless node map (w, z1, i) -> z1_i that
-    never reads z1, for nodes visited in increasing order, with the
-    folded quadrature it applies, z1 = w + fold(w), and the last
-    retained power's quadrature, whose norm _tail_norm takes over the
-    visited w once the run is over."""
-    fold, last = _babenko_kernels(ratio, delta, h, terms, n)
-    node = _running(fold, n)
-    return (lambda w, z1, i: w.item(i) + node(w, i)), fold, last
-
-
 def _guard_pivot(pivot: float, scale: float, message: str) -> float:
     """The pivot of a direct inversion, or SingularInversionError with the
     given message when it vanishes against the scale of its parts."""
@@ -546,31 +534,25 @@ def _guard_pivot(pivot: float, scale: float, message: str) -> float:
 
 
 def _direct_inverter(h: float, w_links, n: int):
-    """Node map (w, z1, i) -> z1_i of the discrete relation
-    w = z1 + sum_j ratio_j I^(delta_j) z1 on an n-sample grid with step h,
-    for nodes visited in increasing order (see operators._running).
+    """The direct inversion of the discrete relation
+    w = z1 + sum_j ratio_j I^(delta_j) z1 on an n-sample grid with step
+    h: z1_i = (w_i - sum_j ratio_j link_j(z1, i)) / pivot.
 
     Each link is the operators' integral quadrature with the unknown
     current sample set to 0, so z1 is read at nodes 0..i-1 only; the
     current sample's weights make the pivot 1 + sum_j ratio_j pref_j
     centre_j.  Without links the pivot is 1 and z1_i = w_i exactly.
     A vanishing pivot raises SingularInversionError here, before any
-    node is inverted.  Returns the node map, the links as (ratio,
-    quadrature) pairs and the pivot.
+    node is inverted.  Returns the links as (ratio, quadrature) pairs
+    and the pivot, which the stepper's leaf map and
+    volterra_direct_invert read.
     """
     m = _table_length(n)
     quads = [(l.ratio, _kernel_quad(-l.order, h, m)) for l in w_links]
     parts = [r * q.pref * q.centre for r, q in quads]
     pivot = _guard_pivot(sum(parts, 1.0), sum(map(abs, parts), 1.0),
                          "inversion pivot vanished for this step and coupling")
-    links = [(r, _running(q, n)) for r, q in quads]
-
-    def invert(w, z1, i):
-        acc = 0.0
-        for r, node in links:
-            acc += r * node(z1, i, 0.0)
-        return (w.item(i) - acc) / pivot
-    return invert, quads, pivot
+    return quads, pivot
 
 
 def volterra_direct_invert(w: SampleSeries, w_links, i: int,
@@ -596,5 +578,8 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
         raise ValueError("z1 history must cover nodes 0..i-1")
     if z1_history.h != w.h:
         raise ValueError("series must share the same step")
-    invert, _, _ = _direct_inverter(w.h, w_links, len(w))
-    return invert(w.values, z1_history.values, i)
+    quads, pivot = _direct_inverter(w.h, w_links, len(w))
+    acc = 0.0
+    for r, q in quads:
+        acc += r * _running(q, len(w))(z1_history.values, i, 0.0)
+    return (w.values.item(i) - acc) / pivot

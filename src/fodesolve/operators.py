@@ -32,12 +32,14 @@ power) a geometric scale flattens each block first; a block that no
 scale flattens (the series fold's, where it dips and then grows) or
 that holds a weight past double range is summed directly instead.  The
 node form has two evaluators that agree bitwise on tables finite on the
-grid: a running one, node by node, for series whose next sample depends
-on the last output (the stepper's couplings and inverters and the
-single-node functions), and a whole-series one for a series known in
-full (apply_operator, the series inversion and its tail).  The running
-one is a bare closure: the derivatives' origin checks belong to the
-public functions.
+grid: a running one, node by node, for the single-node functions, and a
+whole-series one for a series known in full (apply_operator, the series
+inversion and its tail, the reconstruction of y).  The running one is a
+bare closure: the derivatives' origin checks belong to the public
+functions.  A series whose next sample depends on the last output (the
+stepper's, the cross-check solver's) is solved a leaf of nodes at a
+time instead: the far field from before the leaf, then the leaf itself
+through one matrix and _leaf_product.
 """
 
 from __future__ import annotations
@@ -271,13 +273,13 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # visited node first needs it, and accumulates it in increasing k: a
 # whole series costs O(n log^2 n), a single node its own O(log i)
 # blocks, and both give the same bits; _series fills its far field
-# through the same function, _close_blocks, and so does the oracle's
-# leaf-blocked forward substitution (oracle.gl_direct_solve).
+# through the same function, _close_blocks, and so do the two
+# leaf-blocked solves (stepper._leaf_solve, oracle.gl_direct_solve).
 # _close_blocks transforms the blocks it is given size by size, all of
 # one size in one FFT pair (a direct sum from cap on), the largest size
 # first.  _series gives it every block at once; the running evaluator
 # the blocks a visited node still lacks (one per leaf boundary in a
-# dense run), and the oracle one per leaf boundary.  A node's
+# dense run), and the leaf solves one per leaf boundary.  A node's
 # blocks are one of each size, and of two prefixes of its leaf start
 # the larger block has the smaller k, so largest size first is
 # increasing k for every node, and no bit depends on how the blocks
@@ -464,7 +466,7 @@ def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
     every node (see the comment above _LEAF).  Those of one size b must
     be consecutive odd multiples of b: every leaf start of a range, or
     the binary prefixes of one leaf start (one of each size).  The one
-    far-field path: both evaluators below, and the oracle's leaf solve,
+    far-field path: both evaluators below, and the two leaf solves,
     fill their far field here."""
     n = acc.size
     sizes = {}
@@ -483,7 +485,9 @@ def _running(quad: _Quadrature, n: int):
     """Evaluator (values, i, current=None) -> quad at node i of one
     n-sample series, for nodes visited in increasing order (a single
     node is one such visit).  A given current stands in for v_i, and
-    values[i] is then never read: values need only cover 0..i-1.
+    values[i] is then never read: values need only cover 0..i-1.  The
+    single-node functions (frac_*, decompose.volterra_direct_invert)
+    are its only callers; the solvers step by leaves.
 
     It holds the far field in an accumulator over the grid.  A visit
     closes node i's blocks (the binary prefixes of its leaf start) that
@@ -551,6 +555,32 @@ def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
     lags = far + near.ravel()[:n]
     out = pref * (centre * values + boundary[:n] * values[0] + lags)
     out[0] = 0.0
+    return out
+
+
+def _leaf_product(g: np.ndarray, x: np.ndarray, finite: bool) -> np.ndarray:
+    """(g * x).sum(axis=1): one leaf of a leaf-blocked solve, its outputs
+    from the leaf's matrix g and its inputs x, by an elementwise product
+    and a row sum (no BLAS call).  Both leaf solvers, the stepper's and
+    oracle.gl_direct_solve, take their leaves here.
+
+    A non-finite input counts as 0 in the sums, so an output it does not
+    reach never meets it as 0 * inf.  An output it reaches through a
+    nonzero entry of g gets instead the sum of those entries' terms in
+    the non-finite inputs: the signed inf a node-by-node run gives, or
+    nan.  Where g itself is not finite (finite False, which the caller
+    tests once per solve), a zero input adds 0."""
+    bad = ~np.isfinite(x)
+    xz = np.where(bad, 0.0, x)
+    prod = g * xz
+    if not finite:
+        prod[:, xz == 0.0] = 0.0
+    out = prod.sum(axis=1)
+    if bad.any():
+        gb = g[:, bad]
+        hit = gb != 0.0
+        rows = hit.any(axis=1)
+        out[rows] = np.where(hit, gb * x[bad], 0.0)[rows].sum(axis=1)
     return out
 
 

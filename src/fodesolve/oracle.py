@@ -32,6 +32,7 @@ from .operators import (
     _LEAF,
     SampleSeries,
     _close_blocks,
+    _leaf_product,
     _quadrature,
     _table_length,
     _weights,
@@ -147,9 +148,10 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     at a time (Hairer, Lubich & Schlichte 1985): the history from before
     the leaf comes from the node form's far field, and the leaf's own
     nodes from G (f - far), where G is the inverse of the leaf's
-    Toeplitz matrix (W_0 + c, W_1, ..., W_63).  That costs
-    O(N log^2 N) rather than one O(N) history sum per node.  The run
-    stops at the first non-finite node.
+    Toeplitz matrix (W_0 + c, W_1, ..., W_63), applied by
+    operators._leaf_product as the stepper applies its leaf map.  That
+    costs O(N log^2 N) rather than one O(N) history sum per node.  The
+    run stops at the first non-finite node.
     """
     if any(v != 0.0 for v in problem.initial_conditions):
         raise UnsupportedProblemError(
@@ -174,6 +176,7 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
         table += s * _weights("binomial", tm.order, table.size)
     quad = _quadrature(1.0, pivot, np.zeros(n), table)
     inverse = _leaf_inverse(pivot, table[:min(_LEAF, n)])
+    finite = bool(np.isfinite(inverse).all())
 
     y = np.zeros(n, dtype=np.float64)
     far = np.zeros(n)
@@ -188,12 +191,10 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
             # system one node shorter.
             if not s:
                 r[0] = 0.0
-            # A non-finite r_j makes y_j non-finite; the rows before it
-            # must not meet it as 0 * inf.
-            finite = np.isfinite(r)
-            y[s:e] = (inverse[:e - s, :e - s]
-                      * np.where(finite, r, 0.0)).sum(axis=1)
-            stop = ~(finite & np.isfinite(y[s:e]))
+            # A non-finite r_j makes y_j non-finite, and only the rows
+            # from j on.
+            y[s:e] = _leaf_product(inverse[:e - s, :e - s], r, finite)
+            stop = ~np.isfinite(y[s:e])
             if stop.any():
                 nan_node = s + int(stop.argmax())
                 break

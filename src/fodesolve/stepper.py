@@ -3,11 +3,11 @@
 One semi-implicit Euler pass advances the state vector u = (w, w', ...,
 w^(m1-1)), where w = z1 + sum_j ratio_j I^(delta_j) z1 combines the
 leading terms that fold together (w = z1 when none do).  Each node
-records w_i = u_0 in one w history and recovers z1_i from it by a node
-map (w, z1, i) -> z1_i: the series inverter when a Babenko inversion is
-asked for and a link folds, the direct inverter otherwise.  The update
-is sequential from the top: the highest component absorbs the
-right-hand side first and each lower component then integrates the
+records w_i = u_0 in one w history and recovers z1_i from it by an
+inverter linear in w and z1: the folded series inverse when a Babenko
+inversion is asked for and a link folds, the direct inverter otherwise.
+The update is sequential from the top: the highest component absorbs
+the right-hand side first and each lower component then integrates the
 component above it in its already updated form.  That is
 semi-implicit Euler for m1 >= 2 and, with one component, explicit
 Euler for m1 = 1.  The ordering costs nothing extra and keeps the cubic
@@ -17,17 +17,18 @@ blows up.
 Every fractional coupling is evaluated by causal quadrature over the
 nodes computed so far: the lags inside a node's aligned leaf of 64
 nodes directly, the older samples by block FFT (the operators' far
-field), so a whole solve costs O(N log^2 N).  A problem whose
-nonlinearity has degree at most 1 is linear throughout, and its
-recurrence over one leaf is one fixed linear map of the state at the
-leaf start, each coupling's far field, the forcing and the
-initial-condition polynomial (the blocked convolution of Hairer,
-Lubich & Schlichte 1985).  Such a problem steps a leaf at a time: the
-map is built once per solve, and each leaf costs one far block per
+field), so a whole solve costs O(N log^2 N).  Every problem steps a
+leaf at a time (the blocked convolution of Hairer, Lubich & Schlichte
+1985).  Without the nonlinearity's powers p >= 2, the recurrence over
+one leaf is one fixed linear map of the state at the leaf start, each
+coupling's far field, the forcing and the initial-condition polynomial;
+it is built once per solve, and each leaf costs one far block per
 coupling, one elementwise product with the map and one row sum.  A
-nonlinear problem steps node by node, one running-evaluator call per
-coupling and node, and its floor is that Python loop.  The update
-order and the right-hand side are written once for both routes.
+node's nonlinear value enters the recurrence where its forcing sample
+does and reaches only the later nodes, so a nonlinear problem steps
+through the same map: each leaf first sweeps y at its nodes to the
+forward-substitution value, then adds the nonlinear values to its
+forcing inputs.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .decompose import (
     build_system,
     integer_order,
     _babenko_bound,
+    _babenko_kernels,
     _direct_inverter,
-    _series_inverter,
     _tail_norm,
 )
 from .errors import BabenkoTailWarning
@@ -57,7 +58,7 @@ from .operators import (
     apply_operator,
     _close_blocks,
     _kernel_quad,
-    _running,
+    _leaf_product,
     _series,
     _table_length,
 )
@@ -219,8 +220,8 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     nu_quad = _kernel_quad(nu, h, m) if nu > 0.0 else None
 
     # The series route needs a folded link; every other problem, with or
-    # without links, takes the direct inverter.  Both are node maps
-    # (w, z1, i) -> z1_i over the one w history, linear in w and z1.
+    # without links, takes the direct inverter.  Both are linear in w and
+    # z1 over the one w history.
     bound = last = fold = pivot = None
     w_links = ()
     if system.w_links and isinstance(system.inversion, Babenko):
@@ -232,24 +233,18 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 f"series inversion's a-priori term factor is {bound:.3g}"
                 f" at t = {big_n * h:g}; the result will be unreliable",
                 BabenkoTailWarning, stacklevel=2)
-        invert, fold, last = _series_inverter(link.ratio, link.order, h,
-                                              bab.terms, n)
+        fold, last = _babenko_kernels(link.ratio, link.order, h, bab.terms,
+                                      n)
     else:
-        invert, w_links, pivot = _direct_inverter(h, system.w_links, n)
+        w_links, pivot = _direct_inverter(h, system.w_links, n)
 
+    coef = {p: c for c, p in monomials}
     with np.errstate(over="ignore", invalid="ignore"):
-        if _leaf_route(monomials):
-            coef = {p: c for c, p in monomials}
-            g, quads = _leaf_map(m1, system.a1, h, fold, w_links, pivot,
-                                 links, nu_quad, coef.get(1, 0.0))
-            w, z1, y, nan_node = _leaf_solve(
-                g, quads, m1, fold is not None, fvec - coef.get(0, 0.0),
-                ic_poly, nu_quad)
-        else:
-            w, z1, y, nan_node = _node_loop(
-                system, h, invert, [(c, _running(q, n)) for c, q in links],
-                None if nu_quad is None else _running(nu_quad, n),
-                monomials, fvec, ic_poly)
+        g, g_y, quads = _leaf_map(m1, system.a1, h, fold, w_links, pivot,
+                                  links, nu_quad, coef.get(1, 0.0))
+        w, z1, y, nan_node = _leaf_solve(
+            g, g_y, quads, m1, fold is not None, fvec - coef.get(0, 0.0),
+            ic_poly, nu_quad, [(c, p) for c, p in monomials if p > 1])
 
     if nan_node is not None:
         cut = nan_node
@@ -284,13 +279,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     )
 
 
-def _leaf_route(monomials) -> bool:
-    """Whether a problem steps through the leaf map: every monomial of
-    its nonlinearity has power 0 or 1, so that every node is linear in
-    what came before."""
-    return all(p <= 1 for _, p in monomials)
-
-
 def _step(u, h, a1, f, links, y, monomials):
     """One semi-implicit Euler step of the state
     u = (w, w', ..., w^(m1-1)) in place, driven by the right-hand side
@@ -300,61 +288,29 @@ def _step(u, h, a1, f, links, y, monomials):
     subtracted term by term in that order.  The update runs from the
     top: the highest component absorbs the right-hand side first, and
     each lower one then integrates the component above it in its
-    already updated form.  Both routes step through here: the node
-    loop on Python floats, the leaf map on coefficient rows."""
+    already updated form.  _leaf_map steps the coefficient rows of one
+    leaf through here, so the update order and the right-hand side are
+    written once."""
     for c, v in links:
         f = f - c * v
     for c, p in monomials:
-        try:
-            f = f - c * y ** p
-        except OverflowError:
-            # A float power raises where a numpy one gives the infinity,
-            # with which the run stops at the next node.
-            f = f - c * math.copysign(math.inf, y) ** p
+        f = f - c * y ** p
     u[-1] = u[-1] + h * (f / a1)
     for k in range(len(u) - 2, -1, -1):
         u[k] = u[k] + h * u[k + 1]
 
 
-def _node_loop(system, h, invert, links, nu_node, monomials, fvec, ic_poly):
-    """Step node by node, every coupling a running evaluator; the route
-    of a nonlinear problem.  Returns w, z1, y and the first node where
-    y or z1 came out non-finite (None for a clean run)."""
-    n = fvec.size
-    # The arrays are what the couplings read; the loop's own scalars are
-    # Python floats, which cost less per operation than numpy scalars.
-    # fvec and ic_poly are read through .item rather than copied into
-    # lists of n boxed floats.
-    w = np.zeros(n, dtype=np.float64)
-    z1 = np.zeros(n, dtype=np.float64)
-    y = np.zeros(n, dtype=np.float64)
-    u = [0.0] * system.m1
-    f_at = fvec.item
-    ic_at = ic_poly.item
-    a1 = system.a1
-    for i in range(n):
-        w[i] = u[0]
-        z1i = invert(w, z1, i)
-        z1[i] = z1i
-        yi = ic_at(i) + (z1i if nu_node is None else nu_node(z1, i))
-        y[i] = yi
-        if not (math.isfinite(yi) and math.isfinite(z1i)):
-            return w, z1, y, i
-        _step(u, h, a1, f_at(i), [(c, node(z1, i)) for c, node in links],
-              yi, monomials)
-    return w, z1, y, None
-
-
 def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
-    """The leaf map G of a linear problem with reaction c1*y, and the
-    quadratures whose far fields it reads: one aligned leaf of _LEAF
-    nodes as one matrix, so that (G * x).sum(axis=1) gives z1 at the
-    leaf's nodes, then w there on the series route (fold given; else
-    the direct inverter's links and pivot), then the state after the
-    leaf.  x holds the state at the leaf start, the far field of each
-    quadrature (the inverter's, the right-hand-side links', then nu's)
-    at the leaf's nodes, f - c0 there and the initial-condition
-    polynomial there.
+    """The leaf map G of a problem with reaction c1*y and no higher
+    power, y's rows G_y, and the quadratures whose far fields they
+    read: one aligned leaf of _LEAF nodes as one matrix, so that
+    (G * x).sum(axis=1) gives z1 at the leaf's nodes, then w there on
+    the series route (fold given; else the direct inverter's links and
+    pivot), then the state after the leaf, and (G_y * x).sum(axis=1)
+    gives y at the leaf's nodes.  x holds the state at the leaf start,
+    the far field of each quadrature (the inverter's, the
+    right-hand-side links', then nu's) at the leaf's nodes, f - c0 there
+    and the initial-condition polynomial there.
 
     Every piece of the node recurrence (the Euler update, the
     inverter, the right-hand-side links, the reconstruction of y) is
@@ -364,9 +320,11 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     the boundary weights read, are 0.  So G is built once, by running
     the node recurrence on coefficient rows (entry c of a row is the
     value's response to a unit input c), with elementwise products and
-    sums only.  Its near sums run from the farthest lag, not in
-    _history's order: G agrees with the node loop to rounding, not
-    bitwise."""
+    sums only.  y at a node is formed before the node's forcing enters,
+    so G_y's forcing block is strictly lower triangular, with exact
+    zeros above.  Its near sums run from the farthest lag, not in
+    operators._history's order: G agrees with a node-by-node run to
+    rounding, not bitwise."""
     quads = [fold] if fold is not None else [q for _, q in w_links]
     quads += [q for _, q in links] + ([] if nu_quad is None else [nu_quad])
     width = m1 + _LEAF * (len(quads) + 2)
@@ -399,6 +357,7 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     u = [unit(k) for k in range(m1)]
     w = np.zeros((_LEAF, width))
     z = np.zeros((_LEAF, width))
+    y = np.zeros((_LEAF, width))
     first_link = 1 if fold is not None else len(w_links)
     for r in range(_LEAF):
         w[r] = u[0]
@@ -409,32 +368,38 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
             for k, (ratio, _) in enumerate(w_links):
                 acc = acc + ratio * node(k, z, r)
             z[r] = (w[r] - acc) / pivot
-        y = unit(ic + r) + (z[r] if nu_quad is None
-                            else node(len(quads) - 1, z, r, z[r]))
+        y[r] = unit(ic + r) + (z[r] if nu_quad is None
+                               else node(len(quads) - 1, z, r, z[r]))
         _step(u, h, a1, unit(force + r),
               [(c, node(first_link + j, z, r, z[r]))
                for j, (c, _) in enumerate(links)],
-              y, [(c1, 1)] if c1 else ())
-    return np.vstack([z] + ([w] if fold is not None else []) + u), quads
+              y[r], [(c1, 1)] if c1 else ())
+    return np.vstack([z] + ([w] if fold is not None else []) + u), y, quads
 
 
-def _leaf_solve(g, quads, m1, on_w, force, ic_poly, nu_quad):
-    """Step a linear problem a leaf at a time through its leaf map g and
-    quadratures (see _leaf_map), force being f - c0 on the grid; on_w
+def _leaf_solve(g, g_y, quads, m1, on_w, force, ic_poly, nu_quad, powers):
+    """Step a problem a leaf at a time through its leaf map g, y's rows
+    g_y and the quadratures (see _leaf_map), force being f - c0 on the
+    grid and powers the nonlinearity's monomials (c, p) with p >= 2; on_w
     when the first quadrature, the series fold, reads w.  Returns w
     (zeros off the series route), z1, y and the first node where z1 or
     y is not finite (None for a clean run).
 
     Each leaf start closes each coupling's far block through
-    operators._close_blocks, as the running evaluator does, and the leaf
-    is one elementwise product with g and one row sum over inputs padded
-    to the full leaf width.  A non-finite input counts as 0 there, and
-    every output it reaches through a nonzero entry of g becomes nan: an
-    earlier output does not meet it as 0 * inf, so a prefix of the grid
-    gives the same bits.  Where g itself overflowed, a zero input adds
-    0.  Stepping stops after the first leaf whose z1 is not finite.
-    y is ic_poly + nu's whole-series pass over z1 (ic_poly + z1 at
-    nu = 0), bitwise what apply_operator gives."""
+    operators._close_blocks, as the running evaluator does, and the
+    leaf's outputs are one operators._leaf_product with g over inputs
+    padded to the full leaf width.  A node's nonlinear value
+    n_r = -sum c*y_r**p enters where its forcing sample does, and y at
+    a leaf node depends on n at the leaf's earlier nodes only.  So a
+    leaf with powers first takes base = g_y x, then sweeps
+    y = base + L n(y), L being g_y's strictly lower forcing block,
+    until n's bits stop changing, and adds n to its forcing inputs.
+    Sweep k fixes node k for good: the sweeps end after at most
+    _LEAF + 1 and give the forward-substitution value however many
+    they take, so a prefix of the grid gives the same bits.  A linear
+    problem skips the sweep.  Stepping stops after the first leaf whose
+    z1 is not finite.  y is ic_poly + nu's whole-series pass over z1
+    (ic_poly + z1 at nu = 0), bitwise what apply_operator gives."""
     n = force.size
     z1 = np.zeros(n)
     w = np.zeros(n)
@@ -443,7 +408,20 @@ def _leaf_solve(g, quads, m1, on_w, force, ic_poly, nu_quad):
     inputs = np.zeros((2, -(-n // _LEAF) * _LEAF))
     inputs[0, :n] = force
     inputs[1, :n] = ic_poly
+    forcing = slice(-2 * _LEAF, -_LEAF)
     g_finite = bool(np.isfinite(g).all())
+    y_finite = bool(np.isfinite(g_y).all())
+    lower = g_y[:, forcing].copy()
+
+    def nonlinear(y):
+        # From +0.0: a zero value is +0.0 whatever sign y's zero has, so
+        # the later nodes' signed zeros in a row sum cannot flip its
+        # bits and keep the sweeps from ending.
+        out = np.zeros(_LEAF)
+        for c, p in powers:
+            out = out - c * y ** p
+        return out
+
     state = np.zeros(m1)
     end = n
     for s in range(0, n, _LEAF):
@@ -455,14 +433,16 @@ def _leaf_solve(g, quads, m1, on_w, force, ic_poly, nu_quad):
                 _close_blocks(q, reads[k], far[k], (s,))
             x[m1 + k * _LEAF:m1 + k * _LEAF + e - s] = far[k][s:e]
         x[-2 * _LEAF:] = inputs[:, s:s + _LEAF].ravel()
-        bad = ~np.isfinite(x)
-        x[bad] = 0.0
-        prod = g * x
-        if not g_finite:
-            prod[:, x == 0.0] = 0.0
-        out = prod.sum(axis=1)
-        if bad.any():
-            out[(g[:, bad] != 0.0).any(axis=1)] = np.nan
+        if powers:
+            base = _leaf_product(g_y, x, y_finite)
+            nl = nonlinear(base)
+            while True:
+                nxt = nonlinear(base + _leaf_product(lower, nl, y_finite))
+                if nxt.tobytes() == nl.tobytes():
+                    break
+                nl = nxt
+            x[forcing] += nl
+        out = _leaf_product(g, x, g_finite)
         z1[s:e] = out[:e - s]
         if on_w:
             w[s:e] = out[_LEAF:_LEAF + e - s]

@@ -168,6 +168,22 @@ class TestUsageErrors:
                          "--t-end", "1"]) == 1, step
             assert "usage error: --step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,check", [
+        ("--step", "--step must be positive and finite"),
+        ("--t-end", "--t-end must be positive and finite")])
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e-1", "-5e-1"])
+    def test_negative_value_reaches_the_check_in_both_spellings(
+            self, plate_file, flag, check, value, capsys):
+        # argparse took a spaced -inf or -1e-1 for a flag ("expected one
+        # argument"); both spellings must name the bad value's flag.
+        args = {"--step": "0.01", "--t-end": "1"}
+        for spelled in ([flag, value], [f"{flag}={value}"]):
+            argv = ["solve", "--problem", plate_file]
+            for other, good in args.items():
+                argv += spelled if other == flag else [other, good]
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == f"usage error: {check}\n"
+
     def test_missing_required_flag(self):
         assert main(["solve", "--step", "0.01", "--t-end", "1"]) == 1
 
@@ -394,6 +410,26 @@ class TestApply:
 
     def test_order_beyond_cap_is_usage_error(self, ramp_csv):
         assert main(["apply", "--in", ramp_csv, "--order", "20"]) == 1
+
+    @pytest.mark.parametrize("value,err", [
+        ("-inf", "operator order must be finite, got -inf"),
+        ("-nan", "operator order must be finite, got nan"),
+        ("-1e-1", None), ("-5e-1", None)],
+        ids=["-inf", "-nan", "-1e-1", "-5e-1"])
+    def test_negative_order_in_both_spellings(self, ramp_csv, tmp_path,
+                                              value, err, capsys):
+        # A spaced -1e-1 is the order-0.1 integral, as --order=-1e-1 is;
+        # argparse used to take it for a flag.
+        outs = []
+        for i, spelled in enumerate((["--order", value],
+                                     [f"--order={value}"])):
+            out = tmp_path / f"out{i}.csv"
+            assert main(["apply", "--in", ramp_csv, *spelled,
+                         "--out", str(out)]) == (0 if err is None else 1)
+            assert capsys.readouterr().err == (
+                "" if err is None else f"usage error: {err}\n")
+            outs.append(out.read_bytes() if err is None else out.exists())
+        assert outs[0] == outs[1]
 
     def test_output_round_trips_byte_for_byte(self, ramp_csv, tmp_path):
         first = str(tmp_path / "first.csv")

@@ -19,8 +19,6 @@ from fodesolve.decompose import (
     babenko_invert,
     build_system,
     _babenko_kernels,
-    _direct_inverter,
-    _series_inverter,
     integer_order,
     volterra_direct_invert,
 )
@@ -40,6 +38,7 @@ from fodesolve.operators import (
     _table_length,
     _weights,
 )
+from node_loop import direct_inverter, series_inverter
 
 # Gamma(3)/Gamma(3.5), frozen: the half-integral of t^2 is this times
 # t^2.5.
@@ -379,13 +378,14 @@ class TestVolterraDirect:
             assert got == want
 
     def test_single_node_equals_the_running_inverter(self):
-        # The stepper's running node map accumulates every far block
-        # once; a single-node call sums its own blocks in the same order.
+        # The reference loop's running node map accumulates every far
+        # block once; a single-node call sums its own blocks in the same
+        # order.
         h, n = 0.002, 1001
         t = h * np.arange(n)
         links = (WLink(0.5, 0.5), WLink(0.25, 0.3))
         w = _w_from(SampleSeries(h, t ** 2 * np.exp(-t)), links)
-        invert, _, _ = _direct_inverter(h, links, n)
+        invert = direct_inverter(h, links, n)
         z1 = np.zeros(n)
         for i in range(n):
             z1[i] = invert(w.values, z1, i)
@@ -563,15 +563,15 @@ class TestBabenkoInvert:
     @pytest.mark.parametrize("bad", [None, 0, 3000])
     def test_whole_series_equals_the_node_loop(self, bad):
         # babenko_invert evaluates the fold and its last term over the
-        # whole series; solve's series-route node map gives the same
-        # bytes node by node, and its tail norm equals a running max of
-        # the last term over the nodes, which passes over nan.
+        # whole series; the reference loop's series node map gives the
+        # same bytes node by node, and its tail norm equals a running
+        # max of the last term over the nodes, which passes over nan.
         h, n = 0.01, 6001
         t = h * np.arange(n)
         v = np.cos(t) + 0.1 * t
         if bad is not None:
             v[bad] = np.nan
-        invert, _, last = _series_inverter(0.5, 0.5, h, 30, n)
+        invert, last = series_inverter(0.5, 0.5, h, 30, n)
         last_node = _running(last, n)
         z1 = np.zeros(n)
         tail = 0.0

@@ -3,20 +3,22 @@
 Every causal history sum in the package goes through two reductions,
 neither of which depends on BLAS threading: operators._history, one `@`
 over the near lags, called only by the running evaluator's node closure
-(operators._running's product_node), and operators._far_block, one
-pocketfft rfft/irfft pair per block size in each operators._close_blocks
-call (one block per call in a running evaluator; a block no scale
-flattens is summed there by elementwise multiply-adds).  The
-whole-series evaluator operators._series sums the same near lags by
-elementwise multiply-adds, which are no reduction and use no threads.
-Two leaf solves take each 64-node leaf's history from the far field and
-the leaf itself from one matrix, applied by an elementwise product and
-a row sum, no BLAS call either: the oracle's (oracle.gl_direct_solve,
-the inverse of the leaf's Toeplitz matrix) and the stepper's for a
-linear problem (stepper._leaf_map, the node recurrence over the leaf).
-All of them take their far blocks through the one far-field path,
-operators._close_blocks.  The subprocess tests check the promise end to
-end through the CLI; the source scans keep a thread-dependent
+(operators._running's product_node, which only the single-node
+functions use), and operators._far_block, one pocketfft rfft/irfft pair
+per block size in each operators._close_blocks call (one block per call
+in a running evaluator; a block no scale flattens is summed there by
+elementwise multiply-adds).  The whole-series evaluator
+operators._series sums the same near lags by elementwise multiply-adds,
+which are no reduction and use no threads.  Both solvers step 64-node
+leaves: each leaf's history comes from the far field and the leaf
+itself from one matrix, applied by operators._leaf_product, an
+elementwise product and a row sum, no BLAS call either.  The oracle's
+matrix (oracle.gl_direct_solve) is the inverse of the leaf's Toeplitz
+matrix; the stepper's (stepper._leaf_map) is the node recurrence over
+the leaf, and a nonlinear problem's sweeps inside a leaf take the same
+product.  All of them take their far blocks through the one far-field
+path, operators._close_blocks.  The subprocess tests check the promise
+end to end through the CLI; the source scans keep a thread-dependent
 reduction, a hand-written history sum or a second far-field path from
 coming back in some other function.
 """

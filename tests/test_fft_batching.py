@@ -1,9 +1,10 @@
 """How many transforms the far field makes, counted at numpy.fft.
 
 A series known in full transforms all far blocks of one size together,
-one rfft/irfft pair per block size; the running evaluator closes one
-block per leaf boundary as the run reaches it, one pair each.  Both
-counts are taken warm, with every block spectrum already cached.
+one rfft/irfft pair per block size; the stepper's leaf route closes one
+block per coupling and leaf boundary as the run reaches it, one pair
+each.  Both counts are taken warm, with every block spectrum already
+cached.
 """
 
 import numpy as np
@@ -36,12 +37,15 @@ def test_whole_series_makes_one_pair_per_block_size(fft_calls):
     assert fft_calls == {"rfft": 8, "irfft": 8}
 
 
-def test_running_evaluator_makes_one_pair_per_leaf_boundary(plate,
-                                                            fft_calls):
+@pytest.mark.parametrize("problem", ["plate", "plate_cubic"])
+def test_leaf_route_makes_one_pair_per_leaf_boundary(problem, request,
+                                                     fft_calls):
     # 15 001 nodes: 234 leaf boundaries, each closing one block of the
-    # direct inverter's one link.
+    # direct inverter's one link.  The cubic plate's sweeps stay inside
+    # the leaf and transform nothing.
+    problem = request.getfixturevalue(problem)
     config = SolverConfig(0.002, 30.0)
-    solve(plate, config)
+    solve(problem, config)
     fft_calls.update(rfft=0, irfft=0)
-    assert len(solve(plate, config).y.values) == 15001
+    assert len(solve(problem, config).y.values) == 15001
     assert fft_calls == {"rfft": 234, "irfft": 234}

@@ -23,6 +23,7 @@ from fodesolve.stepper import (
     solve,
 )
 from fodesolve.operators import SampleSeries, apply_operator
+from node_loop import node_loop_solve
 
 HALF_DERIVATIVE_OF_T_AT_1 = 1.1283791670955126
 
@@ -65,7 +66,7 @@ class TestSolverConfig:
 class TestReconstruction:
     # solve reconstructs y at every node as the initial-condition
     # polynomial plus D^nu z1.  With no cubic term a problem takes the
-    # leaf map, with one the node loop.
+    # leaf map alone, with one the leaf map after each leaf's sweep.
     def test_node_zero_is_b0_exactly(self):
         for cubic in (0.0, -0.1):
             problem = ProblemSpec(
@@ -395,7 +396,7 @@ class TestNanPolicy:
     def test_cubic_overflow_at_a_finite_node_stops_at_the_next(self):
         # Dependent class: two leading terms fold, the direct inverter
         # runs.  The last node kept is finite, but its cube is past double
-        # range: the stepper's float power raises there, where a numpy
+        # range: a float power raises there, where the stepper's numpy
         # power gives inf.  The run must still go on to the next node,
         # which comes out non-finite, and stop there.
         p = ProblemSpec(terms=((1.0, 1.5), (0.5, 1.2)),
@@ -481,14 +482,6 @@ class TestForcingWindows:
             solve(p, SolverConfig(h=0.1, t_end=2.0))
 
 
-def _node_loop_solve(monkeypatch, problem, config):
-    """solve through the node loop, the only route of a nonlinear problem,
-    whatever the problem's nonlinearity."""
-    with monkeypatch.context() as m:
-        m.setattr(stepper, "_leaf_route", lambda monomials: False)
-        return solve(problem, config)
-
-
 def _rel_sup(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
@@ -528,48 +521,55 @@ LINEAR = {
 
 
 class TestLeafRoute:
-    @pytest.mark.parametrize("name", [*LINEAR, "plate_series"])
-    def test_leaf_map_matches_the_node_loop(self, monkeypatch, plate, name):
-        # A linear problem steps through one leaf map per leaf, the node
-        # loop through the running couplings: the same recurrence, summed
-        # in another order.  Bound: 1e-11 relative sup of y and of z1,
-        # far above the rounding either route carries over these
-        # 2 001-4 001 nodes (1e-15 to 9e-13 measured) and far below the
-        # change a wrong far block, lag or update order would make.
-        if name == "plate_series":
-            problem = plate
+    @pytest.mark.parametrize("name", [*LINEAR, "plate_series", "cubic",
+                                      "cubic_series"])
+    def test_leaf_map_matches_the_node_loop(self, plate, plate_cubic, name):
+        # Every problem steps through one leaf map per leaf, a nonlinear
+        # one after a sweep inside the leaf; the reference loop steps
+        # node by node through the running couplings: the same
+        # recurrence, summed in another order.  Bound: 1e-11 relative
+        # sup of y and of z1, far above the rounding either route
+        # carries over these 2 001-4 001 nodes (1e-15 to 9e-13
+        # measured) and far below the change a wrong far block, lag,
+        # update order or sweep would make.
+        if name.endswith("series"):
+            problem = plate_cubic if name == "cubic_series" else plate
             config = SolverConfig(h=0.00125, t_end=5.0,
                                   inversion=Babenko(terms=30))
+        elif name == "cubic":
+            problem, config = plate_cubic, SolverConfig(h=0.01, t_end=30.0)
         else:
             problem, config = LINEAR[name]
         leaf = solve(problem, config)
-        loop = _node_loop_solve(monkeypatch, problem, config)
+        loop = node_loop_solve(problem, config)
         assert len(leaf.y) == len(loop.y) == config.num_steps + 1
-        assert _rel_sup(leaf.y.values, loop.y.values) <= 1e-11
-        assert _rel_sup(leaf.z1.values, loop.z1.values) <= 1e-11
-        if name == "plate_series":
-            tails = (leaf.diagnostics.babenko_tail,
-                     loop.diagnostics.babenko_tail)
+        assert _rel_sup(leaf.y.values, loop.y) <= 1e-11
+        assert _rel_sup(leaf.z1.values, loop.z1) <= 1e-11
+        if name.endswith("series"):
+            tails = (leaf.diagnostics.babenko_tail, loop.babenko_tail)
             assert tails[0] == pytest.approx(tails[1], rel=1e-11)
 
     @pytest.mark.parametrize("t_short", [0.2, 2.5])
-    def test_prefix_causal_over_a_partial_last_leaf(self, t_short):
+    def test_prefix_causal_over_a_partial_last_leaf(self, plate_cubic,
+                                                    t_short):
         # 41 and 501 nodes: the short grid's only or last leaf is cut
         # short, and its padded inputs must not reach a node on the grid.
-        problem, _ = LINEAR["m1_3"]
-        short = solve(problem, SolverConfig(h=0.005, t_end=t_short))
-        whole = solve(problem, SolverConfig(h=0.005, t_end=5.0))
-        n = len(short.y)
-        assert n % 64 and n < len(whole.y)
-        assert np.array_equal(short.y.values, whole.y.values[:n])
-        assert np.array_equal(short.z1.values, whole.z1.values[:n])
+        # The cubic plate's sweeps end at their fixed point whatever
+        # the padded nodes do.
+        for problem in (LINEAR["m1_3"][0], plate_cubic):
+            short = solve(problem, SolverConfig(h=0.005, t_end=t_short))
+            whole = solve(problem, SolverConfig(h=0.005, t_end=5.0))
+            n = len(short.y)
+            assert n % 64 and n < len(whole.y)
+            assert np.array_equal(short.y.values, whole.y.values[:n])
+            assert np.array_equal(short.z1.values, whole.z1.values[:n])
 
     def test_linear_solve_sums_no_history_node_by_node(self, monkeypatch,
                                                        plate, plate_cubic):
-        # The leaf route takes each leaf's history from the far field and
-        # its leaf from the leaf map; only the node loop calls _history,
-        # once per node after the first and per coupling (the plate has
-        # one, the direct inverter's link).
+        # Every problem takes each leaf's history from the far field and
+        # its leaf from the leaf map, a nonlinear one after its sweep:
+        # no solve calls _history, which only the running evaluator
+        # sums.
         from fodesolve import operators
         calls = []
 
@@ -580,12 +580,10 @@ class TestLeafRoute:
         monkeypatch.setattr(operators, "_history", counted)
         config = SolverConfig(h=0.01, t_end=5.0)
         solve(plate, config)
-        assert len(calls) == 0
         solve(plate_cubic, config)
-        assert len(calls) == config.num_steps
+        assert len(calls) == 0
 
-    def test_an_overflowed_leaf_map_entry_meets_zero_inputs_as_zero(
-            self, monkeypatch):
+    def test_an_overflowed_leaf_map_entry_meets_zero_inputs_as_zero(self):
         # y' + 0.2 D^0.5 y = 1 + 1e5 y at h = 1 grows 1e5-fold a node: the
         # leaf map's response to the start state overflows within the
         # first leaf, where that state is 0.  The run must stop where the
@@ -597,12 +595,11 @@ class TestLeafRoute:
         config = SolverConfig(h=1.0, t_end=200.0)
         with pytest.warns(RuntimeWarning, match="run stopped at node 64"):
             leaf = solve(p, config)
-        with pytest.warns(RuntimeWarning, match="run stopped at node 64"):
-            loop = _node_loop_solve(monkeypatch, p, config)
-        assert _rel_sup(leaf.y.values, loop.y.values) <= 1e-11
+        loop = node_loop_solve(p, config)
+        assert loop.nan_node == 64
+        assert _rel_sup(leaf.y.values, loop.y) <= 1e-11
 
-    def test_a_non_finite_forcing_sample_stops_the_run_after_it(
-            self, monkeypatch):
+    def test_a_non_finite_forcing_sample_stops_the_run_after_it(self):
         # The forcing overflows at node 180, inside the leaf of nodes
         # 128..191; it enters z1 through the state at node 181, where
         # both routes stop.  The leaf's earlier nodes must not meet the
@@ -617,9 +614,9 @@ class TestLeafRoute:
         with np.errstate(over="ignore"):
             with pytest.warns(RuntimeWarning, match="stopped at node 181"):
                 leaf = solve(p, config)
-            with pytest.warns(RuntimeWarning, match="stopped at node 181"):
-                loop = _node_loop_solve(monkeypatch, p, config)
-        assert _rel_sup(leaf.y.values, loop.y.values) <= 1e-11
+            loop = node_loop_solve(p, config)
+        assert loop.nan_node == 181
+        assert _rel_sup(leaf.y.values, loop.y) <= 1e-11
 
     def test_a_runaway_is_kept_up_to_its_own_overflow(self):
         # D^1.5 y - 50 y = 1 passes double range after node 630.  The
