@@ -53,10 +53,12 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads a token as a value rather than a flag only when
-        # it looks like -5 or -.5; -inf, -nan and -1e-1 must reach the
-        # flags' own checks too, as --step=-inf does.
+        # it looks like -5 or -.5; -inf, -nan, -1e-1 and a list such as
+        # -0.1,0.05 must reach the flags' own checks too, as --step=-inf
+        # and --steps=-0.1,0.05 do.
+        number = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)"
         self._negative_number_matcher = re.compile(
-            r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
+            rf"-{number}(,([-+]?{number})?)*$", re.I)
 
     # argparse exits with status 2 on bad flags; route everything through
     # one exception so usage problems map to exit code 1 instead.
@@ -203,17 +205,50 @@ def _cmd_convergence(args) -> int:
     return 0
 
 
+def _is_header(line: str) -> bool:
+    """True when line's first field is not a number, which makes a
+    CSV's first non-blank line a header."""
+    try:
+        float(line.strip().split(",")[0])
+    except ValueError:
+        return True
+    return False
+
+
 def _read_csv_pairs(path: str):
+    """The first two columns of a CSV file, after any header, as float
+    arrays of at least two finite samples each.
+
+    np.loadtxt parses the lines.  When it raises, or finds fewer than
+    two rows, the row loop (_read_csv_rows) reads the file again, so a
+    rejected input gets the loop's message.  Whitespace-only lines,
+    empty fields, '_' in a number and non-ASCII digits take that
+    route; empty lines do not."""
+    rows = None
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+        # A blank first line counts as a header here; a real header
+        # after it then fails loadtxt and the loop reads the file.
+        body = lines[1:] if _is_header(lines[0]) else lines
+        # loadtxt warns on an input with no rows; the loop reports it.
+        if any(body):
+            rows = np.loadtxt(body, delimiter=",", usecols=(0, 1),
+                              comments=None, ndmin=2)
+    except ValueError:
+        pass  # a decode or parse error: the loop raises its own message
+    if rows is None or len(rows) < 2:
+        return _read_csv_rows(path)
+    return _finite(rows[:, 0].copy(), rows[:, 1].copy())
+
+
+def _read_csv_rows(path: str):
+    """_read_csv_pairs line by line in Python, with its messages."""
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
     if not raw:
         raise ValueError("input CSV is empty")
-    start = 0
-    first = raw[0].split(",")
-    try:
-        float(first[0])
-    except ValueError:
-        start = 1
+    start = 1 if _is_header(raw[0]) else 0
     t, v = [], []
     for ln in raw[start:]:
         parts = ln.split(",")
@@ -223,7 +258,11 @@ def _read_csv_pairs(path: str):
         v.append(float(parts[1]))
     if len(t) < 2:
         raise ValueError("need at least two samples")
-    t, v = np.asarray(t), np.asarray(v)
+    return _finite(np.asarray(t), np.asarray(v))
+
+
+def _finite(t, v):
+    """t and v, once every sample is checked finite."""
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
         raise ValueError("input samples must be finite")
     return t, v
@@ -288,7 +327,3 @@ def main(argv=None) -> int:
     except (SingularInversionError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

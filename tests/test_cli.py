@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,11 +8,14 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import csv_loop
+from fodesolve import cli
 from fodesolve.cli import _csv_chunks, _write, main
 from fodesolve.problemfile import format_problem
 
@@ -183,6 +188,18 @@ class TestUsageErrors:
                 argv += spelled if other == flag else [other, good]
             assert main(argv) == 1, argv
             assert capsys.readouterr().err == f"usage error: {check}\n"
+
+    @pytest.mark.parametrize("steps", ["-0.1,0.05", "-1e-1,-5e-2",
+                                       "-inf,0.05", "-nan,0.05"])
+    def test_negative_step_list_reaches_the_check_in_both_spellings(
+            self, plate_file, steps, capsys):
+        # argparse took a spaced list starting with a minus for a flag.
+        for spelled in (["--steps", steps], [f"--steps={steps}"]):
+            argv = ["convergence", "--problem", plate_file, *spelled,
+                    "--t-end", "1"]
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == (
+                "usage error: --steps must be positive and finite\n")
 
     def test_missing_required_flag(self):
         assert main(["solve", "--step", "0.01", "--t-end", "1"]) == 1
@@ -444,6 +461,110 @@ class TestApply:
         assert main(["apply", "--in", ramp_csv, "--order", "-0.5",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("cannot write output:")
+
+
+# The generators of TestReader, fixed before its first run.  A number
+# is a finite double from st.floats, m * 10**e with m in [1, 10) and e in
+# [-320, 300], or -0.0, written with repr, %.17g or %.25g.  A cell is a
+# number or one of the tokens nan, inf, -inf, 1_0, #, an empty field,
+# " 1.5 " and "2.5<tab>".  A row is 1 to 4 cells (short rows, extra
+# columns, ragged lengths).  A text is an optional header from _HEADER,
+# then its rows with empty or whitespace-only lines between them, every
+# line ended by \n or \r\n, the last one not always.  It comes in three
+# shapes: "clean" rows of 2 to 4 numbers, "grid" rows whose t column is
+# i*h from 0 (so apply can succeed), and "noisy" rows of any cells.
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(1, 10, exclude_max=True), st.integers(-320, 300)),
+    st.just(-0.0))
+_FORMAT = st.sampled_from([repr, "%.17g".__mod__, "%.25g".__mod__])
+_VALUE = st.builds(lambda x, fmt: fmt(x), _NUMBER, _FORMAT)
+_CELL = st.one_of(_VALUE, st.sampled_from(
+    ["nan", "inf", "-inf", "1_0", "#", "", " 1.5 ", "2.5\t"]))
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+_HEADER = st.sampled_from(["t,value", "t", "time,value,extra", "# t,value",
+                           "t,", "nan,1"])
+
+
+@st.composite
+def csv_texts(draw):
+    shape = draw(st.sampled_from(["clean", "grid", "noisy"]))
+    if shape == "grid":
+        fmt = draw(_FORMAT)
+        h = draw(st.sampled_from([1e-3, 0.1, 0.25, 1.0, 1e-300]))
+        rows = [f"{fmt(i * h)},{draw(_VALUE)}"
+                for i in range(draw(st.integers(0, 12)))]
+    else:
+        cells = (st.lists(_VALUE, min_size=2, max_size=4) if shape == "clean"
+                 else st.lists(_CELL, min_size=1, max_size=4))
+        rows = draw(st.lists(cells.map(",".join), max_size=12))
+    header = draw(st.none() | _HEADER)
+    lines = [] if header is None else [header]
+    # Half the texts have only empty lines between rows, which loadtxt
+    # skips; a whitespace-only line sends a text to the row loop.
+    blank = _BLANK if draw(st.booleans()) else st.just("")
+    for row in rows:
+        lines += draw(st.lists(blank, max_size=1)) + [row]
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(ln + end for ln, end in zip(lines, ends))
+
+
+def _read(reader, path):
+    """The reader's arrays as (dtype, shape, contiguity, bytes) each, or
+    its exception's type and message."""
+    try:
+        t, v = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
+            for a in (t, v)]
+
+
+def _apply(path, out):
+    """apply's exit code, stderr, warnings and output bytes."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as seen, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(["apply", "--in", path, "--order", "-0.5", "--out", out])
+    body = None
+    if os.path.exists(out):
+        body = Path(out).read_bytes()
+        os.remove(out)
+    return (rc, err.getvalue(), [(w.category, str(w.message)) for w in seen],
+            body)
+
+
+class TestReader:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_same_outcome_as_the_row_loop(self, text):
+        # Arrays equal bit for bit (the sign of zero included), or the
+        # same exception type and message; then the same apply run.
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "o.csv")
+            with open(src, "w", newline="") as fh:
+                fh.write(text)
+            assert (_read(cli._read_csv_pairs, src)
+                    == _read(csv_loop.read_csv_pairs, src))
+            got = _apply(src, out)
+            with mock.patch.object(cli, "_read_csv_pairs",
+                                   csv_loop.read_csv_pairs):
+                assert got == _apply(src, out)
+
+    def test_plain_csv_takes_loadtxt(self, tmp_path):
+        # A header, CRLF line ends, empty lines and an extra column stay
+        # on the loadtxt path; only a failed parse reads the file again.
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"t,value\r\n\r\n0,-0.0,x\r\n0.5,1e-320\r\n\n1,2")
+        with mock.patch.object(cli, "_read_csv_rows",
+                               side_effect=AssertionError("row loop ran")):
+            t, v = cli._read_csv_pairs(str(src))
+        assert t.tolist() == [0.0, 0.5, 1.0]
+        assert v.tobytes() == np.array([-0.0, 1e-320, 2.0]).tobytes()
 
 
 # Values the per-cell formatting must reproduce exactly: nan, both

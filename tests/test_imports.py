@@ -1,5 +1,6 @@
-"""The package namespace resolves its names on first use, and each
-command-line subcommand loads only the modules it runs.
+"""The package namespace resolves its names on first use, each
+command-line subcommand loads only the modules it runs, and only the
+command line's process entry sets the BLAS thread count.
 
 Each import check runs in a fresh interpreter, so modules that other
 tests imported do not leak in.
@@ -8,6 +9,7 @@ tests imported do not leak in.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,20 +22,28 @@ ROOT = Path(__file__).resolve().parents[1]
 PLATE = str(ROOT / "problems" / "bagley_torvik.fode")
 
 
-def _loaded(code):
-    """The fodesolve modules loaded after running code in a fresh
-    interpreter on the source tree."""
+def _fresh(code, *args, threads=None):
+    """The last stdout line of code run in a fresh interpreter on the
+    source tree, with OPENBLAS_NUM_THREADS set to threads, or unset."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    run = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+def _loaded(code):
+    """The fodesolve modules loaded after running code in a fresh
+    interpreter on the source tree."""
     code += ("\nimport json, sys\n"
              "print(json.dumps(sorted(m for m in sys.modules"
              " if m.startswith('fodesolve'))))\n")
-    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    return {m.removeprefix("fodesolve.")
-            for m in json.loads(run.stdout.splitlines()[-1])}
+    return {m.removeprefix("fodesolve.") for m in json.loads(_fresh(code))}
 
 
 def _cli_loaded(argv):
@@ -111,3 +121,61 @@ class TestNamespace:
 
         assert fodesolve.problemfile.ParseError is fodesolve.ParseError
         assert fodesolve.errors.ParseError is fodesolve.ParseError
+
+
+# Runs the command line through one entry, as `python -m fodesolve` or
+# as the console script's wrapper does, then reports the exit code,
+# OPENBLAS_NUM_THREADS, whether numpy loaded and the thread count.
+_ENTRY = """
+import importlib, json, os, runpy, sys
+route, sys.argv = sys.argv[1], ["fodesolve", *sys.argv[2:]]
+try:
+    if route == "-m":
+        runpy.run_module("fodesolve", run_name="__main__", alter_sys=True)
+    else:
+        module, _, name = route.partition(":")
+        sys.exit(getattr(importlib.import_module(module), name)())
+except SystemExit as exc:
+    code = exc.code
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        threads = next(int(ln.split()[1]) for ln in fh
+                       if ln.startswith("Threads:"))
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "numpy" in sys.modules, threads]))
+"""
+
+SCRIPT = re.search(r'^fodesolve = "(.+)"$',
+                   (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+
+
+class TestProcessEntry:
+    """The command line's process entry starts OpenBLAS on one thread
+    unless the caller set a count; importing the package changes no
+    environment variable."""
+
+    @pytest.fixture(params=["-m", SCRIPT])
+    def entry(self, request, signal_csv, tmp_path):
+        argv = ["apply", "--in", signal_csv, "--order", "-0.5",
+                "--out", str(tmp_path / "out.csv")]
+        return lambda threads=None: json.loads(
+            _fresh(_ENTRY, request.param, *argv, threads=threads))
+
+    def test_one_blas_thread_by_default(self, entry):
+        code, blas, numpy_loaded, threads = entry()
+        assert (code, blas, numpy_loaded) == (0, "1", True)
+        if threads is None:
+            pytest.skip("no /proc/self/status to count threads")
+        assert threads == 1
+
+    def test_caller_setting_kept(self, entry):
+        code, blas, numpy_loaded, _ = entry(threads="2")
+        assert (code, blas, numpy_loaded) == (0, "2", True)
+
+    @pytest.mark.parametrize("module", ["fodesolve", "fodesolve.cli",
+                                        "fodesolve.__main__"])
+    def test_import_leaves_the_environment_alone(self, module):
+        code = (f"import os, {module}\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert _fresh(code) == "None"
