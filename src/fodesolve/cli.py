@@ -284,8 +284,20 @@ def _cmd_apply(args) -> int:
     gaps = np.diff(t)
     if np.max(np.abs(gaps - h)) > 1e-9 * h:
         raise ValueError("time column must be uniformly spaced")
-    out = apply_operator(SampleSeries(float(h), v), order)
-    _write(args.out, _csv_chunks("t,value", [t, out.values]))
+    # Samples near double range can overflow the sums; the first
+    # non-finite node is reported below, not as numpy warnings.  Node 0
+    # is 0, or the nan that marks a singular origin, which is kept.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = apply_operator(SampleSeries(float(h), v), order).values
+    bad = ~np.isfinite(out[1:])
+    stop = 1 + int(bad.argmax()) if bad.any() else out.size
+    _write(args.out, _csv_chunks("t,value", [t[:stop], out[:stop]]))
+    if stop < out.size:
+        sys.stderr.write(
+            f"numerical failure at node {stop} (t = {t[stop]:g});"
+            " wrote the nodes before it\n"
+        )
+        return 3
     return 0
 
 

@@ -463,8 +463,7 @@ def _babenko_kernels(ratio: float, delta: float, h: float, terms: int,
             c = 0.0
         if not _LEAST_COEFFICIENT <= abs(c) < math.inf:
             c = math.copysign(0.0, power)  # the weights come from log_c
-        b = _scaled_weights(c, log_c, "integral_boundary", order, m)
-        wts = _scaled_weights(c, log_c, "integral", order, m)
+        b, wts = _scaled_weights(c, log_c, order, m)
         centre += c
         with np.errstate(over="ignore", invalid="ignore"):
             boundary += b

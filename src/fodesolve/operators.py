@@ -141,18 +141,8 @@ def _weights(kind: str, order: float, n: int) -> np.ndarray:
     skip the cache through the uncached builder, _weights.__wrapped__.
     """
     j = np.arange(n, dtype=np.float64)
-    if kind == "integral":
-        # Interior weights (j+1)^a - (j-1)^a for j >= 1; slot 0 is unused
-        # and kept zero.  The subtraction loses at most ~j*eps relative
-        # accuracy, far below quadrature error at any grid this package
-        # targets.
-        x1, x0 = _integral_ends(kind, j)
-        w = x1 ** order - x0 ** order
-        w[0] = 0.0
-    elif kind == "integral_boundary":
-        # First-sample weight i^a - (i-1)^a at node i, the ends of
-        # _integral_ends differenced from one power table; slot 0 is zero.
-        w = np.diff(j ** order, prepend=0.0)
+    if kind in _INTEGRAL_KINDS:
+        w = _integral_tables(order, n)[_INTEGRAL_KINDS.index(kind)].copy()
     elif kind == "derivative01":
         w = (j + 1.0) ** (1.0 - order) - j ** (1.0 - order)
     elif kind == "derivative01_lag":
@@ -176,30 +166,46 @@ def _weights(kind: str, order: float, n: int) -> np.ndarray:
     return w
 
 
-def _integral_ends(kind: str, j: np.ndarray) -> tuple:
-    """The ends x1, x0 of the integral kinds' entries x1^a - x0^a at
-    the slots j: x1 = j + 1 for "integral", j for "integral_boundary",
-    and x0 = j - 1 clipped at 0 for both."""
-    return (j + 1.0 if kind == "integral" else j), np.maximum(j - 1.0, 0.0)
+# The rows of _integral_tables.
+_INTEGRAL_KINDS = ("integral_boundary", "integral")
 
 
-def _scaled_weights(c: float, log_c: float, kind: str, order: float,
+def _integral_tables(order: float, n: int) -> np.ndarray:
+    """The weights x1^a - x0^a of the two integral kinds of one positive
+    order for an n-sample series, as the rows of one array, both
+    differenced from the one power table j^a, j = 0..n.  Row 0,
+    "integral_boundary", has x1 = j: the first sample's weight at node
+    j.  Row 1, "integral", has x1 = j + 1: the weight of lag j.  Both
+    have x0 = j - 1 clipped at 0, and slot 0 is zero in both.  The
+    subtraction loses at most ~j*eps relative accuracy, far below
+    quadrature error at any grid this package targets."""
+    power = np.arange(n + 1, dtype=np.float64) ** order
+    out = np.zeros((2, n))
+    np.subtract(power[1:n], power[:n - 1], out=out[0, 1:])
+    np.subtract(power[2:], power[:n - 1], out=out[1, 1:])
+    return out
+
+
+def _scaled_weights(c: float, log_c: float, order: float,
                     m: int) -> np.ndarray:
-    """c times the m weights x1^a - x0^a of an integral kind, built
-    outside the cache, where |c| = exp(log_c) and c is either a nonzero
-    float or a signed zero standing in for a smaller one.  The products
-    may lie in double range where the table, or c, does not.  An entry
-    that a nonzero c does not give as a finite product is taken as
+    """c times the m weights x1^a - x0^a of both integral kinds, the
+    rows of _integral_tables, built outside the cache, where
+    |c| = exp(log_c) and c is either a nonzero float or a signed zero
+    standing in for a smaller one.  The products may lie in double
+    range where the tables, or c, do not.  An entry that a nonzero c
+    does not give as a finite product is taken as
     (c x1^(a/2)) x1^(a/2) (1 - (x0/x1)^a), two factors in double range
     wherever the product is; every entry of a zero c as
     sign(c) exp(log|c| + a log x1) (1 - (x0/x1)^a), which loses about
     |log|c|| eps.  The other entries keep their bits."""
     with np.errstate(all="ignore"):
-        out = c * _weights.__wrapped__(kind, order, m)
-        # Slot 0 is zero in both kinds.
-        redo = np.flatnonzero(~np.isfinite(out)) if c else np.arange(1, m)
-        if redo.size:
-            x1, x0 = _integral_ends(kind, redo)
+        out = c * _integral_tables(order, m)
+        redo = ~np.isfinite(out)
+        if not c:
+            redo[:, 1:] = True  # slot 0 is zero in both rows
+        if redo.any():
+            row, j = np.nonzero(redo)
+            x1, x0 = j + row, np.maximum(j - 1.0, 0.0)
             if c:
                 half = x1 ** (0.5 * order)
                 power = (c * half) * half
@@ -208,7 +214,7 @@ def _scaled_weights(c: float, log_c: float, kind: str, order: float,
                          * np.exp(log_c + order * np.log(x1)))
             # (x0/x1)^a in logs of 1 - (x1 - x0)/x1: its error does not
             # grow with the order.
-            out[redo] = power * -np.expm1(order * np.log1p((x0 - x1) / x1))
+            out[row, j] = power * -np.expm1(order * np.log1p((x0 - x1) / x1))
     return out
 
 

@@ -324,11 +324,26 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     so G_y's forcing block is strictly lower triangular, with exact
     zeros above.  Its near sums run from the farthest lag, not in
     operators._history's order: G agrees with a node-by-node run to
-    rounding, not bitwise."""
+    rounding, not bitwise.
+
+    The rows run on one column per state component and one per block
+    of inputs (each quadrature's far field, f - c0, the polynomial),
+    the block's input at the leaf's first node.  By the shift
+    invariance, the response at node r to a block's input at node c
+    is its column's at node r - c, and the state after the leaf its
+    column's after node _LEAF - 1 - c, so each block is spread from
+    its column.  Every operation acts on each column alone, and numpy
+    sums the rows of two or more columns one row at a time, so the
+    entries keep the bits that rows over every input give them.
+    Before its input enters, such a row's entry is an exact zero
+    (+0.0, but 0.0 / pivot on z1's rows of the direct route), and its
+    terms in later near sums are zeros that meet an added 0.0 or 1.0
+    before anything else, so their signs never show."""
     quads = [fold] if fold is not None else [q for _, q in w_links]
     quads += [q for _, q in links] + ([] if nu_quad is None else [nu_quad])
-    width = m1 + _LEAF * (len(quads) + 2)
-    force, ic = width - 2 * _LEAF, width - _LEAF
+    blocks = len(quads) + 2
+    cols = m1 + blocks
+    force, ic = cols - 2, cols - 1
     lags = []
     for q in quads:
         # Lags past a table shorter than the leaf reach only nodes past
@@ -336,11 +351,12 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
         lag = np.zeros(_LEAF)
         lag[:q.lag.size] = q.lag[:_LEAF]
         lags.append(lag)
+    eye = np.eye(cols)
+    zero = np.zeros(cols)
 
-    def unit(col):
-        e = np.zeros(width)
-        e[col] = 1.0
-        return e
+    def unit(col, r):
+        # A block's input at leaf node r: its column's only at node 0.
+        return eye[col] if r == 0 else zero
 
     def node(k, rows, r, current=None):
         # Quad k at leaf node r over the rows of the leaf's nodes before
@@ -348,16 +364,16 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
         # evaluator forms it; the direct inverter's links have no
         # current.
         q = quads[k]
-        v = unit(m1 + k * _LEAF + r) + (lags[k][r:0:-1, None]
-                                         * rows[:r]).sum(axis=0)
+        v = unit(m1 + k, r) + (lags[k][r:0:-1, None] * rows[:r]).sum(axis=0)
         if current is not None:
             v = q.centre * current + v
         return q.pref * v
 
-    u = [unit(k) for k in range(m1)]
-    w = np.zeros((_LEAF, width))
-    z = np.zeros((_LEAF, width))
-    y = np.zeros((_LEAF, width))
+    u = [eye[k] for k in range(m1)]
+    w = np.zeros((_LEAF, cols))
+    z = np.zeros((_LEAF, cols))
+    y = np.zeros((_LEAF, cols))
+    after = np.zeros((_LEAF, m1, cols))  # the state after leaf node r
     first_link = 1 if fold is not None else len(w_links)
     for r in range(_LEAF):
         w[r] = u[0]
@@ -368,13 +384,38 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
             for k, (ratio, _) in enumerate(w_links):
                 acc = acc + ratio * node(k, z, r)
             z[r] = (w[r] - acc) / pivot
-        y[r] = unit(ic + r) + (z[r] if nu_quad is None
-                               else node(len(quads) - 1, z, r, z[r]))
-        _step(u, h, a1, unit(force + r),
+        y[r] = unit(ic, r) + (z[r] if nu_quad is None
+                              else node(len(quads) - 1, z, r, z[r]))
+        _step(u, h, a1, unit(force, r),
               [(c, node(first_link + j, z, r, z[r]))
                for j, (c, _) in enumerate(links)],
               y[r], [(c1, 1)] if c1 else ())
-    return np.vstack([z] + ([w] if fold is not None else []) + u), y, quads
+        for k in range(m1):
+            after[r, k] = u[k]
+
+    def spread(rows, before):
+        # Entry (r, c) of a block: its column at node r - c, or before
+        # the input, for c > r.
+        padded = np.full((blocks, 2 * _LEAF - 1), before)
+        padded[:, _LEAF - 1:] = rows[:, m1:].T
+        window = np.lib.stride_tricks.sliding_window_view(
+            padded[:, ::-1], _LEAF, axis=1)[:, ::-1]
+        # window[k, r, c] = padded[k, _LEAF - 1 + r - c]
+        out = np.empty((_LEAF, m1 + blocks * _LEAF))
+        out[:, :m1] = rows[:, :m1]
+        out[:, m1:].reshape(_LEAF, blocks, _LEAF)[...] = (
+            window.transpose(1, 0, 2))
+        return out
+
+    # The state after the leaf from input node c: after node
+    # _LEAF - 1 - c.
+    state = np.empty((m1, m1 + blocks * _LEAF))
+    state[:, :m1] = after[-1, :, :m1]
+    state[:, m1:] = after[::-1, :, m1:].transpose(1, 2, 0).reshape(m1, -1)
+    rows = [spread(z, 0.0 if fold is not None else 0.0 / pivot)]
+    if fold is not None:
+        rows.append(spread(w, 0.0))
+    return np.vstack(rows + [state]), spread(y, 0.0), quads
 
 
 def _leaf_solve(g, g_y, quads, m1, on_w, force, ic_poly, nu_quad, powers):

@@ -425,6 +425,44 @@ class TestApply:
                        f" range\n")
         assert not out.exists()
 
+    @pytest.fixture
+    def near_range_csv(self, tmp_path):
+        # Samples near double range: at orders -0.5 and 1.5 the output
+        # is finite at nodes 0 and 1 and overflows from node 2 on.
+        path = tmp_path / "near_range.csv"
+        path.write_text("t,value\n0,0\n1,1.7e308\n2,-1.7e308\n3,1.7e308\n")
+        return str(path)
+
+    @pytest.mark.parametrize("order", ["-0.5", "1.5"])
+    def test_overflow_writes_the_nodes_before_it(self, near_range_csv,
+                                                 order, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["apply", "--in", near_range_csv, "--order", order,
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure at node 2 (t = 2); wrote the nodes before"
+            " it\n")
+        header, body = read_csv(out)
+        assert header == ["t", "value"]
+        assert body.shape == (2, 2) and np.all(np.isfinite(body))
+        assert list(body[:, 0]) == [0.0, 1.0]
+
+    def test_overflow_leaks_no_numpy_warning(self, near_range_csv,
+                                             tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                          env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "fodesolve", "apply", "--in", near_range_csv, "--order",
+             "-0.5", "--out", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 3
+        assert run.stderr.startswith("numerical failure at node 2")
+
     def test_order_beyond_cap_is_usage_error(self, ramp_csv):
         assert main(["apply", "--in", ramp_csv, "--order", "20"]) == 1
 

@@ -31,6 +31,7 @@ from fodesolve.operators import (
     DEFAULT_ORDER_CAP,
     SampleSeries,
     apply_operator,
+    _integral_pref,
     _kernel_quad,
     _running,
     _series,
@@ -661,6 +662,33 @@ class TestBabenkoInvert:
         w = SampleSeries(1.0, np.cos(0.1 * np.arange(5000)))
         with pytest.raises(OverflowError, match="series inversion weights"):
             babenko_invert(w, 1.0, 0.99, terms=172)
+
+    def test_fold_is_the_ordered_sum_of_the_scaled_powers(self):
+        # The plate's fold (K = 30, h = 0.00125, 4 001 samples), where no
+        # entry needs the logs: boundary and lag are the sums over
+        # k = 1..K, in that order from 0.0, of c_k times the power
+        # tables x1^(k delta) - x0^(k delta), each with its own two
+        # powers, and the last power is the k = K term.
+        ratio, delta, h, terms, n = 0.5, 0.5, 0.00125, 30, 4001
+        fold, last = _babenko_kernels(ratio, delta, h, terms, n)
+        j = np.arange(_table_length(n), dtype=np.float64)
+        x0 = np.maximum(j - 1.0, 0.0)
+        boundary, lag = np.zeros(j.size), np.zeros(j.size)
+        centre = 0.0
+        for k in range(1, terms + 1):
+            a = k * delta
+            c = (-ratio) ** k * _integral_pref(h, a)
+            b = c * (j ** a - x0 ** a)
+            w = c * ((j + 1.0) ** a - x0 ** a)
+            w[0] = 0.0
+            centre += c
+            boundary += b
+            lag += w
+        assert (fold.centre, last.centre) == (centre, c)
+        assert fold.boundary.tobytes() == boundary.tobytes()
+        assert fold.lag.tobytes() == lag.tobytes()
+        assert last.boundary.tobytes() == b.tobytes()
+        assert last.lag.tobytes() == w.tobytes()
 
     def test_fold_leaves_shared_weight_cache_alone(self):
         # The K order-k*delta tables serve only the fold; caching them

@@ -18,6 +18,7 @@ from fodesolve.operators import (
     _LEAF,
     _block_scale,
     _history,
+    _integral_tables,
     _kernel_quad,
     _node_kernel,
     _running,
@@ -154,6 +155,26 @@ class TestWeightTables:
         a = weight_table("integral", 0.5, 4)
         assert weight_table("integral", 0.5, 4.0) is a
         assert weight_table("integral", 0.5, np.int64(4)) is a
+
+    @pytest.mark.parametrize("order", [0.5, 1.0, 0.123, 2.75, 170.28])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+    def test_integral_kinds_share_one_power_table(self, order, n):
+        # Each entry of both integral kinds is the difference of its own
+        # two powers x1^a - x0^a: x1 = j for the boundary weights and
+        # j + 1 for the lags, x0 = j - 1 clipped at 0, slot 0 zero.
+        # Taken from one table of j^a, they keep those bits, entries
+        # past double range included (order 170.28 from j = 65 on).
+        j = np.arange(n, dtype=np.float64)
+        x0 = np.maximum(j - 1.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = _integral_tables(order, n)
+            kinds = [_weights(kind, order, n)
+                     for kind in ("integral_boundary", "integral")]
+            powers = [j ** order - x0 ** order,
+                      (j + 1.0) ** order - x0 ** order]
+        for row, kind, expect in zip(tables, kinds, powers):
+            expect[0] = 0.0
+            assert row.tobytes() == kind.tobytes() == expect.tobytes()
 
 
 NODE_CALLS = [(frac_integral, 0.5), (frac_derivative01, 0.5),

@@ -23,6 +23,7 @@ from fodesolve.stepper import (
     solve,
 )
 from fodesolve.operators import SampleSeries, apply_operator
+from leaf_map_rows import full_width_leaf_map
 from node_loop import node_loop_solve
 
 HALF_DERIVATIVE_OF_T_AT_1 = 1.1283791670955126
@@ -548,6 +549,54 @@ class TestLeafRoute:
         if name.endswith("series"):
             tails = (leaf.diagnostics.babenko_tail, loop.babenko_tail)
             assert tails[0] == pytest.approx(tails[1], rel=1e-11)
+
+    @pytest.mark.parametrize("name", [*LINEAR, "plate", "plate_series",
+                                      "negative_pivot", "overflowed"])
+    def test_leaf_map_keeps_the_full_width_bits(self, monkeypatch, plate,
+                                                name):
+        # Each block of inputs is spread from one column; the reference
+        # runs the recurrence on a column per input.  Every entry must
+        # keep its bits, the zeros before a block's input included (the
+        # direct route's z1 rows hold 0.0 / pivot there, -0.0 for the
+        # negative pivot), and so must G's finiteness (the overflowed
+        # map's response to the start state passes double range).
+        if name in LINEAR:
+            problem, config = LINEAR[name]
+        elif name == "negative_pivot":
+            # pivot 1 - 40 * 0.1 / (2 Gamma(1.5)) = -1.26 at h = 0.01
+            problem = ProblemSpec(terms=((1.0, 2.0), (-40.0, 1.5)),
+                                  forcing=_const(1.0),
+                                  initial_conditions=(0.0, 0.0))
+            config = SolverConfig(h=0.01, t_end=1.0)
+        elif name == "overflowed":
+            problem = ProblemSpec(terms=((1.0, 1.0), (0.2, 0.5)),
+                                  nonlinearity=Polynomial((0.0, -1e5)),
+                                  forcing=_const(1.0),
+                                  initial_conditions=(0.0,))
+            config = SolverConfig(h=1.0, t_end=70.0)
+        else:
+            problem = plate
+            config = SolverConfig(
+                h=0.01, t_end=5.0,
+                inversion=Babenko(30) if name == "plate_series" else None)
+        built = []
+
+        def both(*args):
+            maps = stepper_leaf_map(*args), full_width_leaf_map(*args)
+            built.append(maps)
+            return maps[0]
+        stepper_leaf_map = stepper._leaf_map
+        monkeypatch.setattr(stepper, "_leaf_map", both)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            solve(problem, config)
+        (spread, full), = built
+        for a, b in zip(spread[:2], full[:2]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        finite = np.isfinite(full[0]).all()
+        assert finite == (name != "overflowed")
+        if name == "negative_pivot":
+            assert np.signbit(full[0][0, -1]) and full[0][0, -1] == 0.0
 
     @pytest.mark.parametrize("t_short", [0.2, 2.5])
     def test_prefix_causal_over_a_partial_last_leaf(self, plate_cubic,
