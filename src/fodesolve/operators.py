@@ -26,7 +26,9 @@ block FFT, so a whole series costs O(n log^2 n) rather than O(n^2).  A
 whole series transforms all its blocks of one size together, one FFT
 pair per size, the largest size first: a node's blocks all differ in
 size, and a larger one starts earlier, so every node still adds its
-blocks in the order the running evaluator adds them.
+blocks in the order the running evaluator adds them.  Quadratures that
+read the same series close their blocks as one group: one rfft of the
+samples, each member's own lag spectrum, one irfft for all of them.
 Where the weights grow (integral orders above 1, the series fold's last
 power) a geometric scale flattens each block first; a block that no
 scale flattens (the series fold's, where it dips and then grows) or
@@ -38,8 +40,10 @@ inversion and its tail, the reconstruction of y).  The running one is a
 bare closure: the derivatives' origin checks belong to the public
 functions.  A series whose next sample depends on the last output (the
 stepper's, the cross-check solver's) is solved a leaf of nodes at a
-time instead: the far field from before the leaf, then the leaf itself
-through one matrix and _leaf_product.
+time instead: the far field from before the leaf, one group per series
+the couplings read, then the leaf itself through one matrix and
+_leaf_product; the whole-series evaluator then takes a coupling's far
+field from the run rather than summing it again.
 """
 
 from __future__ import annotations
@@ -283,14 +287,18 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # leaf-blocked solves (stepper._leaf_solve, oracle.gl_direct_solve).
 # _close_blocks transforms the blocks it is given size by size, all of
 # one size in one FFT pair (a direct sum from cap on), the largest size
-# first.  _series gives it every block at once; the running evaluator
-# the blocks a visited node still lacks (one per leaf boundary in a
-# dense run), and the leaf solves one per leaf boundary.  A node's
-# blocks are one of each size, and of two prefixes of its leaf start
-# the larger block has the smaller k, so largest size first is
-# increasing k for every node, and no bit depends on how the blocks
-# were grouped.  The FFT is numpy's pocketfft, which uses no BLAS
-# threads.
+# first, for a group of quadratures that read the same samples: the
+# group cuts the blocks once and shares one rfft and one irfft, each
+# member with its own spectrum and accumulator (a scaled member takes
+# its own pair).  _series gives it every block at once; the running
+# evaluator the blocks a visited node still lacks (one per leaf
+# boundary in a dense run), and the leaf solves one per leaf boundary,
+# for every coupling on one series together.  A node's blocks are one
+# of each size, and of two prefixes of its leaf start the larger block
+# has the smaller k, so largest size first is increasing k for every
+# node, and no bit depends on how the blocks, or the quadratures, were
+# grouped.  The FFT is numpy's pocketfft, which uses no BLAS threads
+# and transforms each row of a stack alone.
 _LEAF = 64
 
 
@@ -418,73 +426,101 @@ def _block_scale(block: np.ndarray, b: int):
     return scale
 
 
-def _far_block(quad: _Quadrature, values: np.ndarray, k: int, count: int,
-               n: int) -> np.ndarray:
-    """Far-field sums sum_{m=s-b..s-1} lag[i-m]*v_m of the count blocks of
+def _far_block(group, values: np.ndarray, k: int, count: int,
+               n: int) -> list:
+    """Far-field sums sum_{m=s-b..s-1} lag[i-m]*v_m, for each quadrature
+    of the group, all of which read values, of the count blocks of
     b = k & -k samples that the nodes s = k, k + 2b, ..., k + 2b(count-1)
-    close, one row per block, for the nodes i = s..s+b-1; entries for
-    nodes at or past n are not meaningful.  All blocks go through one
-    FFT pair, scaled as _block_scale says when the plan holds a scale
-    for b, or are summed directly, in _history's order, from b = cap
-    on.  Sample 0 belongs to the boundary term and counts as 0 here."""
+    close: one (count, b) array per member, in the group's order, one
+    row per block, for the nodes i = s..s+b-1; entries for nodes at or
+    past n are not meaningful.
+
+    The blocks are cut once.  Sample 0 belongs to the boundary term and
+    counts as 0 here: the cut zeroes it once, and a member with
+    b >= cap, which sums the blocks directly in _history's order, skips
+    it.  A member whose plan holds a scale for b takes its own FFT pair,
+    scaled as _block_scale says; the others share one rfft of the
+    blocks, multiply it by their own lag spectra and go through one
+    irfft together.  Each transform acts on each row alone, so every
+    member gets the bits a group of its own gives it.  Every FFT is a
+    circular convolution of size 2b: the outputs b..2b-1 take lags
+    1..2b-1 only, so none of them wraps."""
     b = k & -k
     # The blocks' samples, one row each: every other b of one span.
     x = np.empty((count, 2 * b))
     x.reshape(-1)[:(2 * count - 1) * b] = values[k - b:k + 2 * b * (count - 1)]
     x = x[:, :b]
-    if quad.cap and b >= quad.cap:
-        # Lag rising is sample falling.  Lags past the grid reach only
-        # the nodes past it, and may be inf: they count as 0 here.
-        lag = quad.lag[:2 * b]
-        if n < 2 * b:
-            lag = lag.copy()
-            lag[n:] = 0.0
-        out = np.zeros((count, b))
-        for m in range(b - 1, -1, -1):
-            r = 1 if m == 0 and k == b else 0
-            out[r:] += lag[b - m:2 * b - m] * x[r:, m, None]
-        return out
-    scale = quad.scales.get(b)
-    spectrum = quad.spectra.get(b)
-    if spectrum is None:
-        # Lag 0 never reaches the outputs kept below; zeroed, it adds no
-        # rounding either.
-        lag = quad.lag[:2 * b].copy()
-        lag[0] = 0.0
-        if scale is not None:
-            lag *= scale
-        spectrum = quad.spectra[b] = np.fft.rfft(lag)
     if k == b:
         x[0, 0] = 0.0
-    if scale is not None:
-        x = x * scale[:b]
-    # A circular convolution of size 2b: the outputs b..2b-1 take lags
-    # 1..2b-1 only, so none of them wraps.
-    out = np.fft.irfft(np.fft.rfft(x, 2 * b) * spectrum, 2 * b)[:, b:]
-    return out if scale is None else out / scale[b:]
+    outs, shared, spectra = [], [], []
+    for quad in group:
+        if quad.cap and b >= quad.cap:
+            # Lag rising is sample falling.  Lags past the grid reach
+            # only the nodes past it, and may be inf: they count as 0
+            # here.  Sample 0's lags may be inf too: it is skipped, not
+            # multiplied by its zero.
+            lag = quad.lag[:2 * b]
+            if n < 2 * b:
+                lag = lag.copy()
+                lag[n:] = 0.0
+            out = np.zeros((count, b))
+            for m in range(b - 1, -1, -1):
+                r = 1 if m == 0 and k == b else 0
+                out[r:] += lag[b - m:2 * b - m] * x[r:, m, None]
+            outs.append(out)
+            continue
+        scale = quad.scales.get(b)
+        spectrum = quad.spectra.get(b)
+        if spectrum is None:
+            # Lag 0 never reaches the outputs kept below; zeroed, it adds
+            # no rounding either.
+            lag = quad.lag[:2 * b].copy()
+            lag[0] = 0.0
+            if scale is not None:
+                lag *= scale
+            spectrum = quad.spectra[b] = np.fft.rfft(lag)
+        if scale is None:
+            shared.append(len(outs))
+            spectra.append(spectrum)
+            outs.append(None)
+        else:
+            out = np.fft.irfft(np.fft.rfft(x * scale[:b], 2 * b) * spectrum,
+                               2 * b)[:, b:]
+            outs.append(out / scale[b:])
+    if shared:
+        samples = np.fft.rfft(x, 2 * b)
+        prod = np.empty((len(shared), count, b + 1), dtype=complex)
+        for rows, spectrum in zip(prod, spectra):
+            np.multiply(samples, spectrum, out=rows)
+        out = np.fft.irfft(prod, 2 * b)[..., b:]
+        for j, rows in zip(shared, out):
+            outs[j] = rows
+    return outs
 
 
-def _close_blocks(quad: _Quadrature, values: np.ndarray, acc: np.ndarray,
-                  closing) -> None:
-    """Add to the far-field accumulator acc the blocks that the leaf
+def _close_blocks(group, values: np.ndarray, accs, closing) -> None:
+    """Add to each far-field accumulator of accs, one per quadrature of
+    the group, all of which read values, the blocks that the leaf
     starts closing close, each size's blocks by one _far_block call,
     from the largest size to the smallest, which is increasing k for
     every node (see the comment above _LEAF).  Those of one size b must
     be consecutive odd multiples of b: every leaf start of a range, or
     the binary prefixes of one leaf start (one of each size).  The one
     far-field path: both evaluators below, and the two leaf solves,
-    fill their far field here."""
-    n = acc.size
+    fill their far field here, the leaf solves once per leaf start for
+    every coupling that reads the same series."""
+    n = accs[0].size
     sizes = {}
     for k in closing:
         sizes.setdefault(k & -k, []).append(k)
     for b in sorted(sizes, reverse=True):
-        ks = sizes[b]
-        k = min(ks)
-        out = _far_block(quad, values, k, len(ks), n)
-        for row in out:
-            acc[k:k + b] += row[:n - k]
-            k += 2 * b
+        k = min(sizes[b])
+        blocks = _far_block(group, values, k, len(sizes[b]), n)
+        for acc, out in zip(accs, blocks):
+            s = k
+            for row in out:
+                acc[s:s + b] += row[:n - s]
+                s += 2 * b
 
 
 def _running(quad: _Quadrature, n: int):
@@ -522,7 +558,7 @@ def _running(quad: _Quadrature, n: int):
             while k > done:
                 closing.append(k)
                 k &= k - 1
-            _close_blocks(quad, values, acc, closing)
+            _close_blocks((quad,), values, (acc,), closing)
             done = start
         hi = near if near < i else i - 1
         lags = acc[i] + _history(lag, values, i, 1,
@@ -532,25 +568,29 @@ def _running(quad: _Quadrature, n: int):
     return product_node
 
 
-def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
+def _series(quad: _Quadrature, values: np.ndarray,
+            far: np.ndarray | None = None) -> np.ndarray:
     """quad at every node of the whole series values, bitwise what the
     running evaluator gives node by node: the same float operations in
     the same order, batched over the nodes.
 
     The far field closes every leaf start's block in one _close_blocks
-    call, one FFT pair per block size.  The near field is at
-    most min(_LEAF - 1, support) multiply-adds over the leaves, in
-    increasing lag from 0.0, which is the order of _history; a table
-    without far field is one leaf as long as the series.  Sample 0, the
-    boundary term's, enters as +0.0, which leaves a near sum (never -0.0)
-    as it is while the lag is finite.  A non-finite lag anywhere on the
-    grid raises OverflowError."""
+    call, one FFT pair per block size; a leaf solve that has already
+    accumulated it over the same values at every leaf start passes it
+    as far (for a table with far field), and it is not summed again.
+    The near field is at most min(_LEAF - 1, support) multiply-adds
+    over the leaves, in increasing lag from 0.0, which is the order of
+    _history; a table without far field is one leaf as long as the
+    series.  Sample 0, the boundary term's, enters as +0.0, which leaves
+    a near sum (never -0.0) as it is while the lag is finite.  A
+    non-finite lag anywhere on the grid raises OverflowError."""
     pref, centre, boundary, lag, support, period, _, _, _ = quad
     n = values.size
     if not np.isfinite(lag[1:min(n, support + 1)]).all():
         raise OverflowError("weights exceed double range on this grid")
-    far = np.zeros(n)
-    _close_blocks(quad, values, far, range(period, n, period))
+    if far is None:
+        far = np.zeros(n)
+        _close_blocks((quad,), values, (far,), range(period, n, period))
     # Near lags j at node r*p + c: the samples c-j of the same leaf.
     p = min(period, n)
     v = np.zeros((-(-n // p), p))
@@ -564,10 +604,12 @@ def _series(quad: _Quadrature, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leaf_product(g: np.ndarray, x: np.ndarray, finite: bool) -> np.ndarray:
+def _leaf_product(g: np.ndarray, x: np.ndarray, finite: bool,
+                  buf: np.ndarray) -> np.ndarray:
     """(g * x).sum(axis=1): one leaf of a leaf-blocked solve, its outputs
     from the leaf's matrix g and its inputs x, by an elementwise product
-    and a row sum (no BLAS call).  Both leaf solvers, the stepper's and
+    into buf, a g-shaped array the caller keeps for the whole solve, and
+    a row sum (no BLAS call).  Both leaf solvers, the stepper's and
     oracle.gl_direct_solve, take their leaves here.
 
     A non-finite input counts as 0 in the sums, so an output it does not
@@ -575,14 +617,17 @@ def _leaf_product(g: np.ndarray, x: np.ndarray, finite: bool) -> np.ndarray:
     nonzero entry of g gets instead the sum of those entries' terms in
     the non-finite inputs: the signed inf a node-by-node run gives, or
     nan.  Where g itself is not finite (finite False, which the caller
-    tests once per solve), a zero input adds 0."""
-    bad = ~np.isfinite(x)
-    xz = np.where(bad, 0.0, x)
-    prod = g * xz
+    tests once per solve), a zero input adds 0.  Inputs all finite, the
+    usual case, skip that bookkeeping."""
+    ok = np.isfinite(x)
+    clean = ok.all()
+    xz = x if clean else np.where(ok, x, 0.0)
+    prod = np.multiply(g, xz, out=buf)
     if not finite:
         prod[:, xz == 0.0] = 0.0
     out = prod.sum(axis=1)
-    if bad.any():
+    if not clean:
+        bad = ~ok
         gb = g[:, bad]
         hit = gb != 0.0
         rows = hit.any(axis=1)

@@ -177,6 +177,7 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     quad = _quadrature(1.0, pivot, np.zeros(n), table)
     inverse = _leaf_inverse(pivot, table[:min(_LEAF, n)])
     finite = bool(np.isfinite(inverse).all())
+    buf = np.empty_like(inverse)
 
     y = np.zeros(n, dtype=np.float64)
     far = np.zeros(n)
@@ -184,7 +185,7 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, _LEAF):
             if s:
-                _close_blocks(quad, y, far, (s,))
+                _close_blocks((quad,), y, (far,), (s,))
             e = min(s + _LEAF, n)
             r = fvec[s:e] - far[s:e]
             # y_0 = 0: the rest of the first leaf is the same Toeplitz
@@ -193,7 +194,8 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
                 r[0] = 0.0
             # A non-finite r_j makes y_j non-finite, and only the rows
             # from j on.
-            y[s:e] = _leaf_product(inverse[:e - s, :e - s], r, finite)
+            y[s:e] = _leaf_product(inverse[:e - s, :e - s], r, finite,
+                                   buf[:e - s, :e - s])
             stop = ~np.isfinite(y[s:e])
             if stop.any():
                 nan_node = s + int(stop.argmax())

@@ -23,12 +23,12 @@ leaf at a time (the blocked convolution of Hairer, Lubich & Schlichte
 one leaf is one fixed linear map of the state at the leaf start, each
 coupling's far field, the forcing and the initial-condition polynomial;
 it is built once per solve, and each leaf costs one far block per
-coupling, one elementwise product with the map and one row sum.  A
-node's nonlinear value enters the recurrence where its forcing sample
-does and reaches only the later nodes, so a nonlinear problem steps
-through the same map: each leaf first sweeps y at its nodes to the
-forward-substitution value, then adds the nonlinear values to its
-forcing inputs.
+coupling (those on one series share its transforms), one elementwise
+product with the map and one row sum.  A node's nonlinear value enters
+the recurrence where its forcing sample does and reaches only the
+later nodes, so a nonlinear problem steps through the same map: each
+leaf first sweeps y at its nodes to the forward-substitution value,
+then adds the nonlinear values to its forcing inputs.
 """
 
 from __future__ import annotations
@@ -426,12 +426,15 @@ def _leaf_solve(g, g_y, quads, m1, on_w, force, ic_poly, nu_quad, powers):
     (zeros off the series route), z1, y and the first node where z1 or
     y is not finite (None for a clean run).
 
-    Each leaf start closes each coupling's far block through
-    operators._close_blocks, as the running evaluator does, and the
-    leaf's outputs are one operators._leaf_product with g over inputs
-    padded to the full leaf width.  A node's nonlinear value
-    n_r = -sum c*y_r**p enters where its forcing sample does, and y at
-    a leaf node depends on n at the leaf's earlier nodes only.  So a
+    Each leaf start closes the couplings' far blocks through
+    operators._close_blocks, as the running evaluator does, one call
+    per series they read (w for the series fold, z1 for every other
+    coupling), so the couplings on one series share each block's
+    transforms.  The leaf's outputs are one operators._leaf_product
+    with g over inputs padded to the full leaf width, into buffers
+    kept for the solve.  A node's nonlinear value n_r = -sum c*y_r**p
+    enters where its forcing sample does, and y at a leaf node depends
+    on n at the leaf's earlier nodes only.  So a
     leaf with powers first takes base = g_y x, then sweeps
     y = base + L n(y), L being g_y's strictly lower forcing block,
     until n's bits stop changing, and adds n to its forcing inputs.
@@ -440,19 +443,33 @@ def _leaf_solve(g, g_y, quads, m1, on_w, force, ic_poly, nu_quad, powers):
     they take, so a prefix of the grid gives the same bits.  A linear
     problem skips the sweep.  Stepping stops after the first leaf whose
     z1 is not finite.  y is ic_poly + nu's whole-series pass over z1
-    (ic_poly + z1 at nu = 0), bitwise what apply_operator gives."""
+    (ic_poly + z1 at nu = 0), bitwise what apply_operator gives: the run
+    has closed nu's blocks at every leaf start before the end, as that
+    pass would, so the pass takes its far field from the run.  nu lies
+    in (0, 1), so its table has no zero lag and takes a far field
+    whenever the run has more than one leaf; in a run of one leaf that
+    far field is all zeros, as the pass's own would be."""
     n = force.size
     z1 = np.zeros(n)
     w = np.zeros(n)
-    far = [np.zeros(n) for _ in quads]
-    reads = [w if on_w else z1] + [z1] * (len(quads) - 1)
-    inputs = np.zeros((2, -(-n // _LEAF) * _LEAF))
-    inputs[0, :n] = force
-    inputs[1, :n] = ic_poly
+    # A leaf's inputs past the state, in g's column order: each
+    # quadrature's far field, f - c0 and the polynomial, one row each,
+    # padded with zeros to whole leaves.
+    feed = np.zeros((len(quads) + 2, -(-n // _LEAF) * _LEAF))
+    feed[-2, :n] = force
+    feed[-1, :n] = ic_poly
+    far = [row[:n] for row in feed[:-2]]
+    # The couplings that read one series close their blocks together.
+    groups = [(w, quads[:1], far[:1]), (z1, quads[1:], far[1:])] if on_w \
+        else [(z1, quads, far)]
+    groups = [group for group in groups if group[1]]
     forcing = slice(-2 * _LEAF, -_LEAF)
     g_finite = bool(np.isfinite(g).all())
     y_finite = bool(np.isfinite(g_y).all())
     lower = g_y[:, forcing].copy()
+    buf = np.empty_like(g)
+    buf_y, buf_lower = ((np.empty_like(g_y), np.empty_like(lower)) if powers
+                        else (None, None))
 
     def nonlinear(y):
         # From +0.0: a zero value is +0.0 whatever sign y's zero has, so
@@ -463,35 +480,34 @@ def _leaf_solve(g, g_y, quads, m1, on_w, force, ic_poly, nu_quad, powers):
             out = out - c * y ** p
         return out
 
-    state = np.zeros(m1)
+    x = np.zeros(g.shape[1])
+    inputs = x[m1:].reshape(-1, _LEAF)
     end = n
     for s in range(0, n, _LEAF):
         e = min(s + _LEAF, n)
-        x = np.zeros(g.shape[1])
-        x[:m1] = state
-        for k, q in enumerate(quads):
-            if s:
-                _close_blocks(q, reads[k], far[k], (s,))
-            x[m1 + k * _LEAF:m1 + k * _LEAF + e - s] = far[k][s:e]
-        x[-2 * _LEAF:] = inputs[:, s:s + _LEAF].ravel()
+        if s:
+            for values, group, accs in groups:
+                _close_blocks(group, values, accs, (s,))
+        inputs[...] = feed[:, s:s + _LEAF]
         if powers:
-            base = _leaf_product(g_y, x, y_finite)
+            base = _leaf_product(g_y, x, y_finite, buf_y)
             nl = nonlinear(base)
             while True:
-                nxt = nonlinear(base + _leaf_product(lower, nl, y_finite))
+                nxt = nonlinear(base + _leaf_product(lower, nl, y_finite,
+                                                     buf_lower))
                 if nxt.tobytes() == nl.tobytes():
                     break
                 nl = nxt
             x[forcing] += nl
-        out = _leaf_product(g, x, g_finite)
+        out = _leaf_product(g, x, g_finite, buf)
         z1[s:e] = out[:e - s]
         if on_w:
             w[s:e] = out[_LEAF:_LEAF + e - s]
-        state = out[-m1:]
+        x[:m1] = out[-m1:]
         if not np.isfinite(z1[s:e]).all():
             end = e
             break
     y = ic_poly[:end] + (z1[:end] if nu_quad is None
-                         else _series(nu_quad, z1[:end]))
+                         else _series(nu_quad, z1[:end], far[-1][:end]))
     stop = ~(np.isfinite(z1[:end]) & np.isfinite(y))
     return w, z1, y, int(stop.argmax()) if stop.any() else None

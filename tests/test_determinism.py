@@ -5,9 +5,11 @@ neither of which depends on BLAS threading: operators._history, one `@`
 over the near lags, called only by the running evaluator's node closure
 (operators._running's product_node, which only the single-node
 functions use), and operators._far_block, one pocketfft rfft/irfft pair
-per block size in each operators._close_blocks call (one block per call
-in a running evaluator; a block no scale flattens is summed there by
-elementwise multiply-adds).  The whole-series evaluator
+per block size in each operators._close_blocks call, shared by the
+quadratures of a group that read one series (one block per call in a
+running evaluator, and one per leaf start for every coupling on the
+same series in a leaf solve; a block no scale flattens is summed there
+by elementwise multiply-adds).  The whole-series evaluator
 operators._series sums the same near lags by elementwise multiply-adds,
 which are no reduction and use no threads.  Both solvers step 64-node
 leaves: each leaf's history comes from the far field and the leaf
@@ -86,6 +88,18 @@ def test_convergence_gl_bytes_independent_of_blas_threads(tmp_path):
          str(ROOT / "problems/bagley_torvik.fode"),
          "--steps", "0.008,0.004,0.002", "--t-end", "20", "--oracle", "gl"],
         tmp_path)
+
+
+def test_two_couplings_on_one_series_independent_of_blas_threads(tmp_path):
+    # Orders 1.5 and 0.7: a right-hand-side link and nu's reconstruction
+    # share each leaf's far block transforms, and y takes nu's far field
+    # from the run; N = 15 000 with the derivative row.
+    problem = tmp_path / "indep.fode"
+    problem.write_text("term 1 1.5\nterm 0.5 0.7\nnonlinear 1 0.5\n"
+                       "forcing 0 inf 1 0.1\ninit 0 0\ninit 1 0\n")
+    _assert_same_bytes_on_1_and_2_threads(
+        ["solve", "--problem", str(problem), "--step", "0.002",
+         "--t-end", "30", "--derivatives"], tmp_path)
 
 
 def _walk(path, match):

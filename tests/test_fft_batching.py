@@ -2,14 +2,22 @@
 
 A series known in full transforms all far blocks of one size together,
 one rfft/irfft pair per block size; the stepper's leaf route closes one
-block per coupling and leaf boundary as the run reaches it, one pair
-each.  Both counts are taken warm, with every block spectrum already
-cached.
+block per leaf boundary as the run reaches it, one rfft and one irfft
+for all the couplings that read the same series.  The counts are taken
+warm, with every block spectrum already cached.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from fodesolve import (
+    ForcingSegment,
+    PiecewiseForcing,
+    Polynomial,
+    ProblemSpec,
+)
 from fodesolve.operators import SampleSeries, apply_operator
 from fodesolve.stepper import SolverConfig, solve
 
@@ -49,3 +57,33 @@ def test_leaf_route_makes_one_pair_per_leaf_boundary(problem, request,
     fft_calls.update(rfft=0, irfft=0)
     assert len(solve(problem, config).y.values) == 15001
     assert fft_calls == {"rfft": 234, "irfft": 234}
+
+
+def test_couplings_on_one_series_share_each_leaf_transform(fft_calls,
+                                                           monkeypatch):
+    # Orders 1.5 and 0.7, the independent class: a right-hand-side link
+    # of order 1.2 and the reconstruction y = D^0.5 z1, both on z1.
+    # 10 001 nodes: 156 leaf starts, each closing one block for both
+    # couplings with one rfft and one irfft.  y comes from the far field
+    # the run accumulated for nu: no whole-series far pass, which would
+    # go through the module's _close_blocks.
+    from fodesolve import operators
+    problem = ProblemSpec(
+        terms=((1.0, 1.5), (0.5, 0.7)),
+        nonlinearity=Polynomial((0.0, 0.5)),
+        forcing=PiecewiseForcing((ForcingSegment(0.0, math.inf,
+                                                 (1.0, 0.1)),)),
+        initial_conditions=(0.0, 0.0))
+    config = SolverConfig(0.002, 20.0)
+    solve(problem, config)
+    passes = []
+    real = operators._close_blocks
+
+    def counted(*args):
+        passes.append(args)
+        return real(*args)
+    monkeypatch.setattr(operators, "_close_blocks", counted)
+    fft_calls.update(rfft=0, irfft=0)
+    assert len(solve(problem, config).y.values) == 10001
+    assert fft_calls == {"rfft": 156, "irfft": 156}
+    assert passes == []

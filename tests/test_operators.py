@@ -17,6 +17,7 @@ from fodesolve.operators import (
     weight_table,
     _LEAF,
     _block_scale,
+    _close_blocks,
     _history,
     _integral_tables,
     _kernel_quad,
@@ -599,6 +600,45 @@ class TestSeriesEvaluator:
             v = self.samples(n, n + 1)
             self.assert_same_bytes(fold, v)
             self.assert_same_bytes(last, v)
+
+
+class TestFarFieldGroup:
+    """Quadratures that read one series close their far blocks together,
+    sharing the cut, the zeroed sample 0, one rfft and one irfft; each
+    member still gets the bits a group of its own gives it."""
+
+    # The 30-term plate fold at h = 0.01 on [0, 30]: its 2048-block,
+    # closed at k == b = 2048 with n < 2b, is summed directly.
+    N = 3001
+
+    def group(self):
+        m = _table_length(self.N)
+        fold, _ = _babenko_kernels(0.5, 0.5, 0.01, 30, self.N)
+        d01, binomial, integral = (_kernel_quad(mu, 0.01, m)
+                                   for mu in (0.5, 1.2, -1.5))
+        assert fold.cap == 2048 and not fold.scales
+        assert d01.cap == binomial.cap == integral.cap == 0
+        assert not d01.scales and not binomial.scales
+        assert list(integral.scales) == _blocks(self.N)
+        return d01, binomial, integral, fold
+
+    @pytest.mark.parametrize("closing", [
+        (64,), (1984,), (2048,), range(_LEAF, N, _LEAF),
+        (2944, 2816, 2560, 2048)],  # 2944 = 2048 + 512 + 256 + 128
+        ids=["k=b=64", "one leaf start", "k=b=2048", "whole range",
+             "binary prefixes"])
+    def test_each_member_keeps_its_own_bits(self, closing):
+        rng = np.random.default_rng(24)
+        v = rng.standard_normal(self.N) * 10.0 ** rng.integers(-3, 4, self.N)
+        v[0] = 1.7  # the boundary term's: 0 in every far block
+        group = self.group()
+        accs = [np.zeros(self.N) for _ in group]
+        _close_blocks(group, v, accs, closing)
+        for quad, acc in zip(group, accs):
+            own = np.zeros(self.N)
+            _close_blocks((quad,), v, (own,), closing)
+            assert own.any()
+            assert acc.tobytes() == own.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
