@@ -336,6 +336,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return 2
+    except MemoryError as exc:
+        # A grid too large to allocate, such as a step of 1e-17 on [0, 1].
+        sys.stderr.write(f"invalid input: grid too large: {exc}\n")
+        return 2
     except (SingularInversionError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

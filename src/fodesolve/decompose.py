@@ -43,8 +43,8 @@ from .operators import (
     _check_node,
     _integral_pref,
     _kernel_quad,
+    _node,
     _quadrature,
-    _running,
     _scaled_weights,
     _series,
     _table_length,
@@ -580,5 +580,5 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
     quads, pivot = _direct_inverter(w.h, w_links, len(w))
     acc = 0.0
     for r, q in quads:
-        acc += r * _running(q, len(w))(z1_history.values, i, 0.0)
+        acc += r * _node(q, z1_history.values, i, 0.0)
     return (w.values.item(i) - acc) / pivot

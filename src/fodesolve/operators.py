@@ -26,7 +26,7 @@ block FFT, so a whole series costs O(n log^2 n) rather than O(n^2).  A
 whole series transforms all its blocks of one size together, one FFT
 pair per size, the largest size first: a node's blocks all differ in
 size, and a larger one starts earlier, so every node still adds its
-blocks in the order the running evaluator adds them.  Quadratures that
+blocks in increasing k, as a single node adds them.  Quadratures that
 read the same series close their blocks as one group: one rfft of the
 samples, each member's own lag spectrum, one irfft for all of them.
 Where the weights grow (integral orders above 1, the series fold's last
@@ -34,10 +34,10 @@ power) a geometric scale flattens each block first; a block that no
 scale flattens (the series fold's, where it dips and then grows) or
 that holds a weight past double range is summed directly instead.  The
 node form has two evaluators that agree bitwise on tables finite on the
-grid: a running one, node by node, for the single-node functions, and a
+grid: a stateless single-node one for the single-node functions, and a
 whole-series one for a series known in full (apply_operator, the series
-inversion and its tail, the reconstruction of y).  The running one is a
-bare closure: the derivatives' origin checks belong to the public
+inversion and its tail, the reconstruction of y).  The single-node one
+makes no origin check: the derivatives' checks belong to the public
 functions.  A series whose next sample depends on the last output (the
 stepper's, the cross-check solver's) is solved a leaf of nodes at a
 time instead: the far field from before the leaf, one group per series
@@ -259,17 +259,18 @@ def _check_node(z: SampleSeries, i: int) -> int:
 #   out_i = pref * (centre*v_i + boundary[i]*v_0
 #                   + sum_{j=1..i-1} lag[j]*v_{i-j}),     out_0 = 0,
 #
-# evaluated node by node by the closure _running returns and over a
-# whole series by _series, which performs the same float operations in
-# the same order for every node.  A whole-series application and a
-# node-by-node one therefore agree bitwise on tables finite on the grid
-# (_series rejects a non-finite lag on the grid, where the running
-# evaluator returns inf or nan), and the output at node i depends only
-# on samples 0..i (causality holds exactly, not just to rounding).
+# evaluated at one node by _node and over a whole series by _series,
+# which perform the same float operations in the same order for every
+# node.  A whole-series application and a single-node one therefore
+# agree bitwise on tables finite on the grid (_series rejects a
+# non-finite lag on the grid, where _node returns inf or nan), and the
+# output at node i depends only on samples 0..i (causality holds
+# exactly, not just to rounding).
 #
 # The lag sum is split in two (Hairer, Lubich & Schlichte 1985).  The
 # near field, the lags inside node i's aligned leaf of _LEAF samples, is
-# one _history.  The far field covers the samples before that leaf with
+# summed directly: from 0.0, lag rising, each product rounded before it
+# is added.  The far field covers the samples before that leaf with
 # aligned dyadic blocks: each node k that is a multiple of _LEAF closes
 # the block of the b = k & -k samples before it, and one FFT of size 2b
 # convolves that block with lag[0:2b] for the nodes k..k+b-1, both
@@ -279,25 +280,24 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # start, O(log i) of them.
 # Every piece has bounds fixed by the node index alone and content
 # independent of the container length, so prefixes stay bitwise equal.
-# The running evaluator (_running) sums each block once, when a
-# visited node first needs it, and accumulates it in increasing k: a
-# whole series costs O(n log^2 n), a single node its own O(log i)
-# blocks, and both give the same bits; _series fills its far field
-# through the same function, _close_blocks, and so do the two
-# leaf-blocked solves (stepper._leaf_solve, oracle.gl_direct_solve).
+# _series sums every block once and _node a single node's own O(log i)
+# blocks, both adding a node's blocks in increasing k: a whole series
+# costs O(n log^2 n), a single node O(i log i), and both give the same
+# bits.  Both fill their far field through one function, _close_blocks,
+# and so do the two leaf-blocked solves (stepper._leaf_solve,
+# oracle.gl_direct_solve).
 # _close_blocks transforms the blocks it is given size by size, all of
 # one size in one FFT pair (a direct sum from cap on), the largest size
 # first, for a group of quadratures that read the same samples: the
 # group cuts the blocks once and shares one rfft and one irfft, each
 # member with its own spectrum and accumulator (a scaled member takes
-# its own pair).  _series gives it every block at once; the running
-# evaluator the blocks a visited node still lacks (one per leaf
-# boundary in a dense run), and the leaf solves one per leaf boundary,
-# for every coupling on one series together.  A node's blocks are one
-# of each size, and of two prefixes of its leaf start the larger block
-# has the smaller k, so largest size first is increasing k for every
-# node, and no bit depends on how the blocks, or the quadratures, were
-# grouped.  The FFT is numpy's pocketfft, which uses no BLAS threads
+# its own pair).  _series gives it every block at once, _node the
+# binary prefixes of one leaf start, and the leaf solves one per leaf
+# boundary, for every coupling on one series together.  A node's blocks
+# are one of each size, and of two prefixes of its leaf start the larger
+# block has the smaller k, so largest size first is increasing k for
+# every node, and no bit depends on how the blocks, or the quadratures,
+# were grouped.  The FFT is numpy's pocketfft, which uses no BLAS threads
 # and transforms each row of a stack alone.
 _LEAF = 64
 
@@ -308,27 +308,6 @@ def _table_length(n: int) -> int:
     table is built element by element, so a longer one only extends a
     shorter one."""
     return max(n, 1 << (n - 1).bit_length())
-
-
-def _history(weights: np.ndarray, values: np.ndarray, i: int,
-             lo: int, hi: int) -> float:
-    """Causal product-quadrature sum over the lags lo..hi at node i,
-    sum_j weights[j] * values[i - j]; 0 for an empty lag range.  Needs
-    0 <= lo <= i and hi <= i.  Every direct history sum in the package
-    is this one.
-
-    The sum runs left to right from 0.0, in increasing lag j, each term
-    rounded before it is added: _series reproduces it bitwise by
-    multiply-adds in that order (tests/test_operators.py checks it)."""
-    # The operand layout is fixed here and nowhere else: weights forward,
-    # values reversed (negative stride).  With one negative-stride operand
-    # `@` stays in numpy's own single-threaded loop (numpy 2.4, OpenBLAS
-    # 0.3.31), so the sum is bitwise the same for any BLAS thread count.
-    # np.dot, or `@` on two forward-contiguous operands, calls the BLAS
-    # ddot, which splits long sums across threads and so changes the last
-    # bits with the thread count.  einsum is invariant too but slower.
-    stop = i - hi - 1 if hi < i else None
-    return weights[lo:hi + 1] @ values[i - lo:stop:-1]
 
 
 class _Quadrature(NamedTuple):
@@ -437,11 +416,11 @@ def _far_block(group, values: np.ndarray, k: int, count: int,
 
     The blocks are cut once.  Sample 0 belongs to the boundary term and
     counts as 0 here: the cut zeroes it once, and a member with
-    b >= cap, which sums the blocks directly in _history's order, skips
-    it.  A member whose plan holds a scale for b takes its own FFT pair,
-    scaled as _block_scale says; the others share one rfft of the
-    blocks, multiply it by their own lag spectra and go through one
-    irfft together.  Each transform acts on each row alone, so every
+    b >= cap, which sums the blocks directly, from 0.0 in increasing
+    lag, skips it.  A member whose plan holds a scale for b takes its
+    own FFT pair, scaled as _block_scale says; the others share one rfft
+    of the blocks, multiply it by their own lag spectra and go through
+    one irfft together.  Each transform acts on each row alone, so every
     member gets the bits a group of its own gives it.  Every FFT is a
     circular convolution of size 2b: the outputs b..2b-1 take lags
     1..2b-1 only, so none of them wraps."""
@@ -506,9 +485,9 @@ def _close_blocks(group, values: np.ndarray, accs, closing) -> None:
     every node (see the comment above _LEAF).  Those of one size b must
     be consecutive odd multiples of b: every leaf start of a range, or
     the binary prefixes of one leaf start (one of each size).  The one
-    far-field path: both evaluators below, and the two leaf solves,
-    fill their far field here, the leaf solves once per leaf start for
-    every coupling that reads the same series."""
+    far-field path: both evaluators below (_node, _series), and the two
+    leaf solves, fill their far field here, the leaf solves once per
+    leaf start for every coupling that reads the same series."""
     n = accs[0].size
     sizes = {}
     for k in closing:
@@ -523,56 +502,49 @@ def _close_blocks(group, values: np.ndarray, accs, closing) -> None:
                 s += 2 * b
 
 
-def _running(quad: _Quadrature, n: int):
-    """Evaluator (values, i, current=None) -> quad at node i of one
-    n-sample series, for nodes visited in increasing order (a single
-    node is one such visit).  A given current stands in for v_i, and
-    values[i] is then never read: values need only cover 0..i-1.  The
-    single-node functions (frac_*, decompose.volterra_direct_invert)
-    are its only callers; the solvers step by leaves.
+def _node(quad: _Quadrature, values: np.ndarray, i: int,
+          current: float | None = None) -> float:
+    """quad at node i of the series values, bitwise _series(quad,
+    values)[i], reading samples 0..i only.  A given current stands in
+    for v_i, and values[i] is then never read: values need only cover
+    0..i-1.  The single-node functions (frac_*,
+    decompose.volterra_direct_invert) are its only callers; the solvers
+    step by leaves.
 
-    It holds the far field in an accumulator over the grid.  A visit
-    closes node i's blocks (the binary prefixes of its leaf start) that
-    start after the last leaf start visited: a block that starts at or
-    before it and holds node i also held that visit's node, so it is
-    already in.  Each block is thus summed at most once, only when a
-    visited node needs it, and every node's blocks are added in
-    increasing k.  A table without far field is one leaf, starting at
-    0, so it closes no block.
+    It closes node i's blocks, the binary prefixes of its leaf start,
+    in one _close_blocks call, which adds them in increasing k as the
+    whole series does, and sums the near lags as _series does: from
+    0.0, lag rising, each product rounded before it is added.  A table
+    without far field is one leaf, starting at 0, so it closes no block.
 
     It makes no finiteness check: a non-finite lag gives inf or nan
     where _series raises OverflowError, so the two agree bitwise on
     tables finite on the grid."""
     pref, centre, boundary, lag, support, period, _, _, _ = quad
-    acc = np.zeros(n)
-    done = 0  # the last leaf start visited
-
-    def product_node(values, i, current=None):
-        nonlocal done
-        if i == 0:
-            return 0.0
-        near = i % period
-        start = i - near
-        if start > done:
-            closing, k = [], start
-            while k > done:
-                closing.append(k)
-                k &= k - 1
-            _close_blocks((quad,), values, (acc,), closing)
-            done = start
-        hi = near if near < i else i - 1
-        lags = acc[i] + _history(lag, values, i, 1,
-                                 hi if hi < support else support)
-        v_i = values[i] if current is None else current
-        return float(pref * (centre * v_i + boundary[i] * values[0] + lags))
-    return product_node
+    if i == 0:
+        return 0.0
+    start = i - i % period
+    far = np.zeros(i + 1)
+    closing, k = [], start
+    while k:
+        closing.append(k)
+        k &= k - 1
+    _close_blocks((quad,), values, (far,), closing)
+    hi = i - start if start else i - 1
+    m = hi if hi < support else support
+    near = 0.0
+    for w, v in zip(lag[1:m + 1].tolist(), values[i - m:i].tolist()[::-1]):
+        near += w * v
+    v_i = values[i] if current is None else current
+    return float(pref * (centre * v_i + boundary[i] * values[0]
+                         + (far[i] + near)))
 
 
 def _series(quad: _Quadrature, values: np.ndarray,
             far: np.ndarray | None = None) -> np.ndarray:
-    """quad at every node of the whole series values, bitwise what the
-    running evaluator gives node by node: the same float operations in
-    the same order, batched over the nodes.
+    """quad at every node of the whole series values, bitwise what _node
+    gives at each node: the same float operations in the same order,
+    batched over the nodes.
 
     The far field closes every leaf start's block in one _close_blocks
     call, one FFT pair per block size; a leaf solve that has already
@@ -580,8 +552,8 @@ def _series(quad: _Quadrature, values: np.ndarray,
     as far (for a table with far field), and it is not summed again.
     The near field is at most min(_LEAF - 1, support) multiply-adds
     over the leaves, in increasing lag from 0.0, which is the order of
-    _history; a table without far field is one leaf as long as the
-    series.  Sample 0, the boundary term's, enters as +0.0, which leaves
+    _node's near sum; a table without far field is one leaf as long as
+    the series.  Sample 0, the boundary term's, enters as +0.0, which leaves
     a near sum (never -0.0) as it is while the lag is finite.  A
     non-finite lag anywhere on the grid raises OverflowError."""
     pref, centre, boundary, lag, support, period, _, _, _ = quad
@@ -674,13 +646,6 @@ def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
     return _quadrature(pref, centre, boundary, lag)
 
 
-def _node_kernel(mu: float, h: float, n: int):
-    """Running evaluator (values, i) -> operator of signed order mu != 0
-    at node i of an n-sample series with step h (see _running).  It
-    makes no origin check: the derivatives' callers do."""
-    return _running(_kernel_quad(mu, h, _table_length(n)), n)
-
-
 def _check_zero_origin(values: np.ndarray) -> None:
     if values[0] != 0.0:
         raise NonzeroOriginError(
@@ -708,7 +673,8 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
         raise ValueError("integral order must be positive")
     _signed_order(-alpha)
     i = _check_node(z, i)
-    return _node_kernel(-alpha, z.h, len(z))(z.values, i)
+    quad = _kernel_quad(-alpha, z.h, _table_length(len(z)))
+    return _node(quad, z.values, i)
 
 
 def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
@@ -734,7 +700,8 @@ def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
     if i == 0 and z.values[0] != 0.0:
         raise SingularOriginError(
             "derivative at t = 0 of a series with nonzero first sample")
-    return _node_kernel(alpha, z.h, len(z))(z.values, i)
+    quad = _kernel_quad(alpha, z.h, _table_length(len(z)))
+    return _node(quad, z.values, i)
 
 
 def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
@@ -760,7 +727,8 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     _signed_order(alpha)
     i = _check_node(z, i)
     _check_zero_origin(z.values)
-    return _node_kernel(alpha, z.h, len(z))(z.values, i)
+    quad = _kernel_quad(alpha, z.h, _table_length(len(z)))
+    return _node(quad, z.values, i)
 
 
 def apply_operator(z: SampleSeries, mu) -> SampleSeries:

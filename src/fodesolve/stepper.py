@@ -322,9 +322,9 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     value's response to a unit input c), with elementwise products and
     sums only.  y at a node is formed before the node's forcing enters,
     so G_y's forcing block is strictly lower triangular, with exact
-    zeros above.  Its near sums run from the farthest lag, not in
-    operators._history's order: G agrees with a node-by-node run to
-    rounding, not bitwise.
+    zeros above.  Its near sums run from the farthest lag, not lag
+    rising as operators._node and _series sum them: G agrees with a
+    node-by-node run to rounding, not bitwise.
 
     The rows run on one column per state component and one per block
     of inputs (each quadrature's far field, f - c0, the polynomial),
@@ -360,9 +360,8 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
 
     def node(k, rows, r, current=None):
         # Quad k at leaf node r over the rows of the leaf's nodes before
-        # it, pref * (centre*current + far + near) as the running
-        # evaluator forms it; the direct inverter's links have no
-        # current.
+        # it, pref * (centre*current + far + near) as operators._node
+        # forms it; the direct inverter's links have no current.
         q = quads[k]
         v = unit(m1 + k, r) + (lags[k][r:0:-1, None] * rows[:r]).sum(axis=0)
         if current is not None:
@@ -427,7 +426,7 @@ def _leaf_solve(g, g_y, quads, m1, on_w, force, ic_poly, nu_quad, powers):
     y is not finite (None for a clean run).
 
     Each leaf start closes the couplings' far blocks through
-    operators._close_blocks, as the running evaluator does, one call
+    operators._close_blocks, as operators._node and _series do, one call
     per series they read (w for the series fold, z1 for every other
     coupling), so the couplings on one series share each block's
     transforms.  The leaf's outputs are one operators._leaf_product

@@ -257,6 +257,23 @@ class TestInputErrors:
         assert "link ratio must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "--step", "1e-17"],
+        ["convergence", "--steps", "1e-16,5e-17"]])
+    def test_grid_too_large_to_allocate(self, args, tmp_path, capsys):
+        # 1e17 nodes ask numpy for 711 PiB, past any address space, so
+        # the allocation fails before any memory is touched: exit 2 with
+        # numpy's message on one line, no traceback.
+        problem = Path(__file__).resolve().parents[1] / BENCHMARK
+        out = tmp_path / "huge.csv"
+        assert main([args[0], "--problem", str(problem), *args[1:],
+                     "--t-end", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: grid too large: Unable to"
+                              " allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_output(self, plate_file, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["solve", "--problem", plate_file, "--step", "0.1",

@@ -33,13 +33,12 @@ from fodesolve.operators import (
     apply_operator,
     _integral_pref,
     _kernel_quad,
-    _running,
     _series,
     _signed_order,
     _table_length,
     _weights,
 )
-from node_loop import direct_inverter, series_inverter
+from node_loop import _running, direct_inverter, series_inverter
 
 # Gamma(3)/Gamma(3.5), frozen: the half-integral of t^2 is this times
 # t^2.5.

@@ -1,19 +1,19 @@
 """Results are reproducible bit for bit whatever the BLAS thread count.
 
-Every causal history sum in the package goes through two reductions,
-neither of which depends on BLAS threading: operators._history, one `@`
-over the near lags, called only by the running evaluator's node closure
-(operators._running's product_node, which only the single-node
-functions use), and operators._far_block, one pocketfft rfft/irfft pair
-per block size in each operators._close_blocks call, shared by the
-quadratures of a group that read one series (one block per call in a
-running evaluator, and one per leaf start for every coupling on the
-same series in a leaf solve; a block no scale flattens is summed there
-by elementwise multiply-adds).  The whole-series evaluator
-operators._series sums the same near lags by elementwise multiply-adds,
-which are no reduction and use no threads.  Both solvers step 64-node
-leaves: each leaf's history comes from the far field and the leaf
-itself from one matrix, applied by operators._leaf_product, an
+Every causal history sum in the package is elementwise multiply-adds
+over the near lags plus operators._far_block, one pocketfft rfft/irfft
+pair per block size in each operators._close_blocks call, shared by the
+quadratures of a group that read one series (the binary prefixes of
+one leaf start for a single node, and one per leaf start for every
+coupling on the same series in a leaf solve; a block no scale flattens
+is summed there by elementwise multiply-adds).  Neither depends on BLAS
+threading: the package has no `@`, matmul, einsum or tensordot at all.
+The single-node evaluator operators._node, which only the four
+single-node functions call, sums its near lags one float at a time;
+the whole-series evaluator operators._series sums the same lags in the
+same order by elementwise multiply-adds over the nodes.  Both solvers
+step 64-node leaves: each leaf's history comes from the far field and
+the leaf itself from one matrix, applied by operators._leaf_product, an
 elementwise product and a row sum, no BLAS call either.  The oracle's
 matrix (oracle.gl_direct_solve) is the inverse of the leaf's Toeplitz
 matrix; the stepper's (stepper._leaf_map) is the node recurrence over
@@ -21,8 +21,8 @@ the leaf, and a nonlinear problem's sweeps inside a leaf take the same
 product.  All of them take their far blocks through the one far-field
 path, operators._close_blocks.  The subprocess tests check the promise
 end to end through the CLI; the source scans keep a thread-dependent
-reduction, a hand-written history sum or a second far-field path from
-coming back in some other function.
+reduction, a node-by-node history evaluator or a second far-field path
+from coming back in some other function.
 """
 
 import ast
@@ -138,13 +138,17 @@ def _fft(node):
     return None
 
 
-def _history_call(node):
-    # Each call of _history, by bare name or as an attribute.
-    if isinstance(node, ast.Call):
-        f = node.func
-        if getattr(f, "id", getattr(f, "attr", None)) == "_history":
-            return "_history"
-    return None
+def _named(names):
+    # Each definition, import, name or attribute spelled as one of names.
+    def match(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        else:
+            name = getattr(node, "id", getattr(node, "attr", None))
+        return name if name in names else None
+    return match
 
 
 def _call_of(name):
@@ -165,10 +169,13 @@ def test_no_thread_dependent_reduction():
 
 
 def test_history_primitive_is_the_only_reduction():
+    # No function owns an `@` or a reduction call: the near lags are
+    # summed by elementwise multiply-adds, one float at a time at a
+    # single node.
     owners = {(path.name, func)
               for path in sorted(PACKAGE.glob("*.py"))
               for func, _ in _walk(path, _reduction)}
-    assert owners == {("operators.py", "_history")}
+    assert owners == set()
 
 
 def test_far_field_is_the_only_fft():
@@ -188,22 +195,27 @@ def test_one_far_field_path():
 
 
 def test_history_is_summed_only_by_the_node_form():
-    # Every product quadrature goes through the running evaluator's node
-    # closure, operators._running's product_node; the oracle's leaf
-    # solve sums no history directly.
+    # The single-node evaluator serves the four single-node functions
+    # only; the solvers and the whole-series passes never step a history
+    # node by node.
     callers = {(path.name, func)
                for path in sorted(PACKAGE.glob("*.py"))
-               for func, _ in _walk(path, _history_call)}
-    assert callers == {("operators.py", "product_node")}
+               for func, _ in _walk(path, _call_of("_node"))}
+    assert callers == {("operators.py", "frac_integral"),
+                       ("operators.py", "frac_derivative01"),
+                       ("operators.py", "frac_derivative_general"),
+                       ("decompose.py", "volterra_direct_invert")}
 
 
 def test_the_node_closure_sums_its_history_once():
-    # product_node sums its near lags in one _history; every sample
-    # before its leaf, a block no scale flattens included, comes from the
-    # far field.
-    calls = [func for func, _ in _walk(PACKAGE / "operators.py",
-                                       _history_call)]
-    assert calls.count("product_node") == 1
+    # The running node closure and its `@` history sum live in the
+    # tests' reference loop (tests/node_loop.py) only: nothing in the
+    # package defines, imports or names them.
+    left = [(path.name, hit)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for hit in _walk(path, _named({"_running", "_history",
+                                           "_node_kernel"}))]
+    assert left == []
 
 
 def test_one_direct_inverter_owns_the_pivot():

@@ -18,16 +18,15 @@ from fodesolve.operators import (
     _LEAF,
     _block_scale,
     _close_blocks,
-    _history,
     _integral_tables,
     _kernel_quad,
-    _node_kernel,
-    _running,
+    _node,
     _series,
     _signed_order,
     _table_length,
     _weights,
 )
+from node_loop import _history, _running
 
 # Closed-form values Gamma(p+1)/Gamma(p+1 -+ alpha), frozen from 40-digit
 # arithmetic.
@@ -412,6 +411,21 @@ class TestFarField:
         for i in self.NODES:
             assert node(z, abs(mu), i) == whole[i]
 
+    @pytest.mark.parametrize("alpha,node", [(0.5, frac_integral),
+                                            (0.35, frac_derivative01),
+                                            (1.6, frac_derivative_general)])
+    def test_single_node_reads_nothing_past_node_i(self, alpha, node):
+        # With nan from node i + 1 on, a call at node i must give the
+        # bits of the clean call: its far blocks and near lags end at i.
+        z = self.signal()
+        for i in (1, 63, 64, 65, 128, 999):
+            padded = z.values.copy()
+            padded[i + 1:] = np.nan
+            got = node(SampleSeries(z.h, padded), alpha, i)
+            want = node(z, alpha, i)
+            assert math.isfinite(want)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), i
+
     def test_sparse_visits_and_a_cold_cache_give_the_series_bits(self):
         # A running evaluator transforms only the blocks its visited nodes
         # need, and any caller may fill the cached block spectra first:
@@ -421,7 +435,8 @@ class TestFarField:
         backwards = (999, 128, 65)
         singles = [frac_integral(z, 0.5, i) for i in backwards]
         visits = (65, 70, 128, 200, 640, 641, 999)
-        node = _node_kernel(-0.5, z.h, self.N)
+        node = _running(_kernel_quad(-0.5, z.h, _table_length(self.N)),
+                        self.N)
         sparse = [node(z.values, i) for i in visits]
         whole = apply_operator(z, -0.5).values
         assert singles == [whole[i] for i in backwards]
@@ -542,6 +557,8 @@ def test_history_is_a_left_to_right_sum():
 
 class TestSeriesEvaluator:
     """The whole-series evaluator against the running one, node by node,
+    and against the single-node one, _node, at the nodes that end or
+    start a leaf and the leaf starts that close a block of 1024 or more,
     byte for byte (signed zeros count), on every plan shape."""
 
     # At 4 097 and 5 000 samples several far blocks share each size, and
@@ -560,9 +577,16 @@ class TestSeriesEvaluator:
         return v
 
     def assert_same_bytes(self, quad, v):
-        node = _running(quad, v.size)
-        loop = np.array([node(v, i) for i in range(v.size)])
-        assert _series(quad, v).tobytes() == loop.tobytes()
+        n = v.size
+        node = _running(quad, n)
+        loop = np.array([node(v, i) for i in range(n)])
+        whole = _series(quad, v)
+        assert whole.tobytes() == loop.tobytes()
+        nodes = {1, 2, 63, 64, 65, 127, 128, 129, *range(1024, n, 1024),
+                 n - 1}
+        for i in sorted(i for i in nodes if i < n):
+            single = np.float64(_node(quad, v, i))
+            assert single.tobytes() == whole[i].tobytes(), i
 
     @pytest.mark.parametrize("mu,shape", [(-0.5, "decaying"),
                                           (0.35, "decaying"),

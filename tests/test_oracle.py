@@ -12,7 +12,7 @@ from fodesolve.decompose import (
     ProblemSpec,
 )
 from fodesolve.errors import UnsupportedProblemError
-from fodesolve.operators import _history, _weights
+from fodesolve.operators import _weights
 from fodesolve.oracle import (
     convergence_study,
     gl_direct_solve,
@@ -20,6 +20,7 @@ from fodesolve.oracle import (
     power_rule,
 )
 from fodesolve.stepper import SolverConfig, solve
+from node_loop import _history
 
 # Frozen 40-digit closed-form anchors Gamma(p+1)/Gamma(p+1 -+ alpha).
 ANCHORS = [

@@ -617,16 +617,17 @@ class TestLeafRoute:
                                                        plate, plate_cubic):
         # Every problem takes each leaf's history from the far field and
         # its leaf from the leaf map, a nonlinear one after its sweep:
-        # no solve calls _history, which only the running evaluator
-        # sums.
-        from fodesolve import operators
+        # no solve calls the single-node evaluator, operators._node, by
+        # way of the frac_* functions or of the direct inverter.
+        from fodesolve import decompose, operators
         calls = []
 
         def counted(*args):
             calls.append(1)
-            return history(*args)
-        history = operators._history
-        monkeypatch.setattr(operators, "_history", counted)
+            return node(*args)
+        node = operators._node
+        for module in (operators, decompose):
+            monkeypatch.setattr(module, "_node", counted)
         config = SolverConfig(h=0.01, t_end=5.0)
         solve(plate, config)
         solve(plate_cubic, config)
