@@ -28,7 +28,8 @@ pair per size, the largest size first: a node's blocks all differ in
 size, and a larger one starts earlier, so every node still adds its
 blocks in increasing k, as a single node adds them.  Quadratures that
 read the same series close their blocks as one group: one rfft of the
-samples, each member's own lag spectrum, one irfft for all of them.
+samples, one broadcast multiply by the members' stacked lag spectra,
+one irfft for all of them.
 Where the weights grow (integral orders above 1, the series fold's last
 power) a geometric scale flattens each block first; a block that no
 scale flattens (the series fold's, where it dips and then grows) or
@@ -288,12 +289,15 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # oracle.gl_direct_solve).
 # _close_blocks transforms the blocks it is given size by size, all of
 # one size in one FFT pair (a direct sum from cap on), the largest size
-# first, for a group of quadratures that read the same samples: the
-# group cuts the blocks once and shares one rfft and one irfft, each
-# member with its own spectrum and accumulator (a scaled member takes
+# first, for a group of quadratures that read the same samples
+# (_Group): the group cuts the blocks once and shares one rfft, one
+# broadcast multiply by its members' lag spectra, stacked once per group
+# and size, and one irfft, and adds each size's outputs into one
+# accumulator row per member with one slice add (a scaled member takes
 # its own pair).  _series gives it every block at once, _node the
 # binary prefixes of one leaf start, and the leaf solves one per leaf
-# boundary, for every coupling on one series together.  A node's blocks
+# boundary, for every coupling on one series together, with a group
+# built once per solve.  A node's blocks
 # are one of each size, and of two prefixes of its leaf start the larger
 # block has the smaller k, so largest size first is increasing k for
 # every node, and no bit depends on how the blocks, or the quadratures,
@@ -405,34 +409,92 @@ def _block_scale(block: np.ndarray, b: int):
     return scale
 
 
-def _far_block(group, values: np.ndarray, k: int, count: int,
-               n: int) -> list:
+class _Group(NamedTuple):
+    """Quadratures that read one series and close their far blocks
+    together (see the comment above _LEAF), built once per solve or per
+    whole-series pass:
+
+    quads    the members, in the order of the accumulator's rows;
+    stacked  by block size b, the members that share the group's one
+             transform pair at that size (None for all of them) and
+             their lag spectra stacked one row each, filled on use.
+    """
+
+    quads: tuple
+    stacked: dict
+
+
+def _group(quads) -> _Group:
+    return _Group(tuple(quads), {})
+
+
+def _stacked(group: _Group, b: int):
+    """The members of the group that share its transform pair for
+    blocks of b samples, and their cached lag spectra stacked one row
+    each.  A member that sums these blocks directly (b >= cap) or scales
+    them takes its own route instead.  A single member's row is its
+    cache's spectrum, not a copy."""
+    shared = [j for j, q in enumerate(group.quads)
+              if not (q.cap and b >= q.cap) and b not in q.scales]
+    spectra = [group.quads[j].spectra[b] for j in shared]
+    rows = (spectra[0][None] if len(spectra) == 1
+            else np.array(spectra).reshape(len(shared), b + 1))
+    return (None if len(shared) == len(group.quads) else shared), rows
+
+
+def _far_block(group: _Group, values: np.ndarray, k: int, count: int,
+               n: int) -> np.ndarray:
     """Far-field sums sum_{m=s-b..s-1} lag[i-m]*v_m, for each quadrature
     of the group, all of which read values, of the count blocks of
     b = k & -k samples that the nodes s = k, k + 2b, ..., k + 2b(count-1)
-    close: one (count, b) array per member, in the group's order, one
-    row per block, for the nodes i = s..s+b-1; entries for nodes at or
-    past n are not meaningful.
+    close: a (members, count, b) array, one row per member in the
+    group's order and block, for the nodes i = s..s+b-1; entries for
+    nodes at or past n are not meaningful.
 
     The blocks are cut once.  Sample 0 belongs to the boundary term and
     counts as 0 here: the cut zeroes it once, and a member with
     b >= cap, which sums the blocks directly, from 0.0 in increasing
     lag, skips it.  A member whose plan holds a scale for b takes its
-    own FFT pair, scaled as _block_scale says; the others share one rfft
-    of the blocks, multiply it by their own lag spectra and go through
-    one irfft together.  Each transform acts on each row alone, so every
-    member gets the bits a group of its own gives it.  Every FFT is a
-    circular convolution of size 2b: the outputs b..2b-1 take lags
-    1..2b-1 only, so none of them wraps."""
+    own FFT pair, scaled as _block_scale says.  The others share one
+    rfft of the blocks, one broadcast multiply by their lag spectra,
+    stacked once per group and size (_stacked), and one irfft.  Each
+    transform acts on each row alone, so every member gets the bits a
+    group of its own gives it.  Every FFT is a circular convolution of
+    size 2b: the outputs b..2b-1 take lags 1..2b-1 only, so none of them
+    wraps."""
     b = k & -k
-    # The blocks' samples, one row each: every other b of one span.
-    x = np.empty((count, 2 * b))
-    x.reshape(-1)[:(2 * count - 1) * b] = values[k - b:k + 2 * b * (count - 1)]
-    x = x[:, :b]
-    if k == b:
-        x[0, 0] = 0.0
-    outs, shared, spectra = [], [], []
-    for quad in group:
+    if count == 1 and k != b:
+        x = values[None, k - b:k]
+    else:
+        # The blocks' samples, one row each: every other b of one span.
+        x = np.empty((count, 2 * b))
+        x.reshape(-1)[:(2 * count - 1) * b] = (
+            values[k - b:k + 2 * b * (count - 1)])
+        x = x[:, :b]
+        if k == b:
+            x[0, 0] = 0.0
+    plan = group.stacked.get(b)
+    if plan is None:
+        for quad in group.quads:
+            if b not in quad.spectra and not (quad.cap and b >= quad.cap):
+                # Lag 0 never reaches the outputs kept below; zeroed, it
+                # adds no rounding either.
+                lag = quad.lag[:2 * b].copy()
+                lag[0] = 0.0
+                if b in quad.scales:
+                    lag *= quad.scales[b]
+                quad.spectra[b] = np.fft.rfft(lag)
+        plan = group.stacked[b] = _stacked(group, b)
+    shared, spectra = plan
+    if len(spectra):
+        out = np.fft.irfft(np.fft.rfft(x, 2 * b) * spectra[:, None],
+                           2 * b)[..., b:]
+        if shared is None:
+            return out
+    outs = np.empty((len(group.quads), count, b))
+    if shared:
+        outs[shared] = out
+    for j, quad in enumerate(group.quads):
         if quad.cap and b >= quad.cap:
             # Lag rising is sample falling.  Lags past the grid reach
             # only the nodes past it, and may be inf: they count as 0
@@ -442,64 +504,51 @@ def _far_block(group, values: np.ndarray, k: int, count: int,
             if n < 2 * b:
                 lag = lag.copy()
                 lag[n:] = 0.0
-            out = np.zeros((count, b))
+            out = outs[j]
+            out[...] = 0.0
             for m in range(b - 1, -1, -1):
                 r = 1 if m == 0 and k == b else 0
                 out[r:] += lag[b - m:2 * b - m] * x[r:, m, None]
-            outs.append(out)
-            continue
-        scale = quad.scales.get(b)
-        spectrum = quad.spectra.get(b)
-        if spectrum is None:
-            # Lag 0 never reaches the outputs kept below; zeroed, it adds
-            # no rounding either.
-            lag = quad.lag[:2 * b].copy()
-            lag[0] = 0.0
-            if scale is not None:
-                lag *= scale
-            spectrum = quad.spectra[b] = np.fft.rfft(lag)
-        if scale is None:
-            shared.append(len(outs))
-            spectra.append(spectrum)
-            outs.append(None)
-        else:
-            out = np.fft.irfft(np.fft.rfft(x * scale[:b], 2 * b) * spectrum,
-                               2 * b)[:, b:]
-            outs.append(out / scale[b:])
-    if shared:
-        samples = np.fft.rfft(x, 2 * b)
-        prod = np.empty((len(shared), count, b + 1), dtype=complex)
-        for rows, spectrum in zip(prod, spectra):
-            np.multiply(samples, spectrum, out=rows)
-        out = np.fft.irfft(prod, 2 * b)[..., b:]
-        for j, rows in zip(shared, out):
-            outs[j] = rows
+        elif b in quad.scales:
+            scale = quad.scales[b]
+            out = np.fft.irfft(np.fft.rfft(x * scale[:b], 2 * b)
+                               * quad.spectra[b], 2 * b)[:, b:]
+            outs[j] = out / scale[b:]
     return outs
 
 
-def _close_blocks(group, values: np.ndarray, accs, closing) -> None:
-    """Add to each far-field accumulator of accs, one per quadrature of
-    the group, all of which read values, the blocks that the leaf
-    starts closing close, each size's blocks by one _far_block call,
-    from the largest size to the smallest, which is increasing k for
-    every node (see the comment above _LEAF).  Those of one size b must
-    be consecutive odd multiples of b: every leaf start of a range, or
-    the binary prefixes of one leaf start (one of each size).  The one
-    far-field path: both evaluators below (_node, _series), and the two
-    leaf solves, fill their far field here, the leaf solves once per
-    leaf start for every coupling that reads the same series."""
-    n = accs[0].size
-    sizes = {}
-    for k in closing:
-        sizes.setdefault(k & -k, []).append(k)
-    for b in sorted(sizes, reverse=True):
-        k = min(sizes[b])
-        blocks = _far_block(group, values, k, len(sizes[b]), n)
-        for acc, out in zip(accs, blocks):
-            s = k
-            for row in out:
-                acc[s:s + b] += row[:n - s]
-                s += 2 * b
+def _close_blocks(group: _Group, values: np.ndarray, acc: np.ndarray,
+                  closing) -> None:
+    """Add to acc, a (members, n) accumulator with one row per
+    quadrature of the group, all of which read values, the far blocks
+    that the leaf starts closing close, each size's blocks by one
+    _far_block call and one slice add, from the largest size to the
+    smallest, which is increasing k for every node (see the comment
+    above _LEAF).  Those of one size b must be consecutive odd multiples
+    of b: every leaf start of a range, the binary prefixes of one leaf
+    start (one of each size), or a single leaf start, which takes no
+    sorting.  The one far-field path: both evaluators below (_node,
+    _series), and the two leaf solves, fill their far field here, the
+    leaf solves once per leaf start for every coupling that reads the
+    same series."""
+    n = acc.shape[1]
+    if len(closing) == 1:
+        runs = ((closing[0], 1),)
+    else:
+        sizes = {}
+        for k in closing:
+            sizes.setdefault(k & -k, []).append(k)
+        runs = [(min(sizes[b]), len(sizes[b]))
+                for b in sorted(sizes, reverse=True)]
+    for k, count in runs:
+        b = k & -k
+        out = _far_block(group, values, k, count, n)
+        # Every block but the last ends before the last one starts.
+        last = k + 2 * b * (count - 1)
+        if count > 1:
+            acc[:, k:last].reshape(len(acc), count - 1, 2 * b)[..., :b] += (
+                out[:, :-1])
+        acc[:, last:last + b] += out[:, -1, :n - last]
 
 
 def _node(quad: _Quadrature, values: np.ndarray, i: int,
@@ -524,12 +573,12 @@ def _node(quad: _Quadrature, values: np.ndarray, i: int,
     if i == 0:
         return 0.0
     start = i - i % period
-    far = np.zeros(i + 1)
+    far = np.zeros((1, i + 1))
     closing, k = [], start
     while k:
         closing.append(k)
         k &= k - 1
-    _close_blocks((quad,), values, (far,), closing)
+    _close_blocks(_group((quad,)), values, far, closing)
     hi = i - start if start else i - 1
     m = hi if hi < support else support
     near = 0.0
@@ -537,7 +586,7 @@ def _node(quad: _Quadrature, values: np.ndarray, i: int,
         near += w * v
     v_i = values[i] if current is None else current
     return float(pref * (centre * v_i + boundary[i] * values[0]
-                         + (far[i] + near)))
+                         + (far[0, i] + near)))
 
 
 def _series(quad: _Quadrature, values: np.ndarray,
@@ -561,8 +610,10 @@ def _series(quad: _Quadrature, values: np.ndarray,
     if not np.isfinite(lag[1:min(n, support + 1)]).all():
         raise OverflowError("weights exceed double range on this grid")
     if far is None:
-        far = np.zeros(n)
-        _close_blocks((quad,), values, (far,), range(period, n, period))
+        acc = np.zeros((1, n))
+        _close_blocks(_group((quad,)), values, acc,
+                      range(period, n, period))
+        far = acc[0]
     # Near lags j at node r*p + c: the samples c-j of the same leaf.
     p = min(period, n)
     v = np.zeros((-(-n // p), p))
@@ -591,13 +642,17 @@ def _leaf_product(g: np.ndarray, x: np.ndarray, finite: bool,
     nan.  Where g itself is not finite (finite False, which the caller
     tests once per solve), a zero input adds 0.  Inputs all finite, the
     usual case, skip that bookkeeping."""
-    ok = np.isfinite(x)
-    clean = ok.all()
+    # A finite sum means every input is finite; only a sum that is not
+    # tests them one by one.
+    clean = math.isfinite(np.add.reduce(x))
+    if not clean:
+        ok = np.isfinite(x)
+        clean = ok.all()
     xz = x if clean else np.where(ok, x, 0.0)
     prod = np.multiply(g, xz, out=buf)
     if not finite:
         prod[:, xz == 0.0] = 0.0
-    out = prod.sum(axis=1)
+    out = np.add.reduce(prod, axis=1)
     if not clean:
         bad = ~ok
         gb = g[:, bad]

@@ -32,6 +32,7 @@ from .operators import (
     _LEAF,
     SampleSeries,
     _close_blocks,
+    _group,
     _leaf_product,
     _quadrature,
     _table_length,
@@ -174,18 +175,19 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     table = np.zeros(_table_length(n))
     for s, tm in zip(scales, problem.terms):
         table += s * _weights("binomial", tm.order, table.size)
-    quad = _quadrature(1.0, pivot, np.zeros(n), table)
+    group = _group((_quadrature(1.0, pivot, np.zeros(n), table),))
     inverse = _leaf_inverse(pivot, table[:min(_LEAF, n)])
     finite = bool(np.isfinite(inverse).all())
     buf = np.empty_like(inverse)
 
     y = np.zeros(n, dtype=np.float64)
-    far = np.zeros(n)
+    acc = np.zeros((1, n))
+    far = acc[0]
     nan_node = None
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, _LEAF):
             if s:
-                _close_blocks((quad,), y, (far,), (s,))
+                _close_blocks(group, y, acc, (s,))
             e = min(s + _LEAF, n)
             r = fvec[s:e] - far[s:e]
             # y_0 = 0: the rest of the first leaf is the same Toeplitz
@@ -196,10 +198,12 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
             # from j on.
             y[s:e] = _leaf_product(inverse[:e - s, :e - s], r, finite,
                                    buf[:e - s, :e - s])
-            stop = ~np.isfinite(y[s:e])
-            if stop.any():
-                nan_node = s + int(stop.argmax())
-                break
+            # A finite sum means every node of the leaf is finite.
+            if not math.isfinite(np.add.reduce(y[s:e])):
+                stop = ~np.isfinite(y[s:e])
+                if stop.any():
+                    nan_node = s + int(stop.argmax())
+                    break
     if nan_node is not None:
         y = y[:nan_node]
     return Trajectory(

@@ -20,20 +20,26 @@ nodes directly, the older samples by block FFT (the operators' far
 field), so a whole solve costs O(N log^2 N).  Every problem steps a
 leaf at a time (the blocked convolution of Hairer, Lubich & Schlichte
 1985).  Without the nonlinearity's powers p >= 2, the recurrence over
-one leaf is one fixed linear map of the state at the leaf start, each
-coupling's far field, the forcing and the initial-condition polynomial;
-it is built once per solve, and each leaf costs one far block per
-coupling (those on one series share its transforms), one elementwise
-product with the map and one row sum.  A node's nonlinear value enters
-the recurrence where its forcing sample does and reaches only the
-later nodes, so a nonlinear problem steps through the same map: each
-leaf first sweeps y at its nodes to the forward-substitution value,
-then adds the nonlinear values to its forcing inputs.
+one leaf is one fixed linear map of the state at the leaf start and of
+two inputs at each of its nodes: the inverter's, where the inverter's
+far fields enter, and the right-hand side's, where the forcing, the
+right-hand-side links' far fields and, through the linear reaction,
+the initial-condition polynomial and nu's far field enter.  The map is
+built once per solve, with a weight table that forms the inputs from
+one far-field row per coupling, the forcing and the polynomial; each
+leaf costs one far block per series its couplings read (one shared
+transform pair), the weighted inputs, one elementwise product with the
+map and one row sum.  A node's nonlinear value enters the recurrence
+where its forcing sample does and reaches only the later nodes, so a
+nonlinear problem steps through the same map: each leaf first sweeps y
+at its nodes to the forward-substitution value, then adds the
+nonlinear values to its right-hand-side inputs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -57,6 +63,7 @@ from .operators import (
     SampleSeries,
     apply_operator,
     _close_blocks,
+    _group,
     _kernel_quad,
     _leaf_product,
     _series,
@@ -73,6 +80,10 @@ __all__ = [
 
 
 def _num_steps(h: float, t_end: float) -> int:
+    """N = floor(t_end/h), the last node never past t_end.  A grid with
+    fewer than two steps, or one whose float64 array of N + 1 nodes
+    exceeds physical memory where the platform reports it, raises
+    ValueError before anything is allocated."""
     n = math.floor(t_end / h + 1e-9)
     while n * h > t_end * (1.0 + 1e-12):
         n -= 1
@@ -80,7 +91,23 @@ def _num_steps(h: float, t_end: float) -> int:
         raise ValueError(
             f"step {h:g} leaves fewer than two steps before t = {t_end:g}"
         )
+    need, have = 8 * (n + 1), _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"grid too large: {n + 1} nodes need {need} bytes per array,"
+            f" more than the {have} bytes of physical memory")
     return n
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not
+    report them."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        size = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
 
 
 @dataclass(frozen=True)
@@ -190,8 +217,11 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
 
     Initial conditions enter through the polynomial part of the
     reconstruction, which makes every fractional term act on the
-    solution minus that polynomial (for the leading term this is the
-    regularised derivative commonly used for initial value problems).
+    solution minus that polynomial.  For the leading term this is the
+    regularised (Caputo) derivative commonly used for initial value
+    problems; a lower term of order alpha_j with ceil(alpha_j) < m1
+    acts on it too, where Caputo would subtract only the Taylor terms
+    below ceil(alpha_j).
     The nonlinearity, by contrast, sees the full reconstructed
     solution, so a plain linear reaction term belongs there.
 
@@ -240,10 +270,12 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
 
     coef = {p: c for c, p in monomials}
     with np.errstate(over="ignore", invalid="ignore"):
-        g, g_y, quads = _leaf_map(m1, system.a1, h, fold, w_links, pivot,
-                                  links, nu_quad, coef.get(1, 0.0))
+        g, g_y, quads, weights = _leaf_map(m1, system.a1, h, fold, w_links,
+                                           pivot, links, nu_quad,
+                                           coef.get(1, 0.0))
         w, z1, y, nan_node = _leaf_solve(
-            g, g_y, quads, m1, fold is not None, fvec - coef.get(0, 0.0),
+            g, g_y, quads, weights, m1, fold is not None,
+            fvec - coef.get(0, 0.0),
             ic_poly, nu_quad, [(c, p) for c, p in monomials if p > 1])
 
     if nan_node is not None:
@@ -279,22 +311,14 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     )
 
 
-def _step(u, h, a1, f, links, y, monomials):
+def _step(u, h, a1, f):
     """One semi-implicit Euler step of the state
     u = (w, w', ..., w^(m1-1)) in place, driven by the right-hand side
-
-        (f - sum_links c*v - sum_monomials c*y**p) / a1,
-
-    subtracted term by term in that order.  The update runs from the
-    top: the highest component absorbs the right-hand side first, and
-    each lower one then integrates the component above it in its
-    already updated form.  _leaf_map steps the coefficient rows of one
-    leaf through here, so the update order and the right-hand side are
-    written once."""
-    for c, v in links:
-        f = f - c * v
-    for c, p in monomials:
-        f = f - c * y ** p
+    f / a1.  The update runs from the top: the highest component absorbs
+    the right-hand side first, and each lower one then integrates the
+    component above it in its already updated form.  _leaf_map steps
+    the coefficient rows of one leaf through here, so the update order
+    is written once."""
     u[-1] = u[-1] + h * (f / a1)
     for k in range(len(u) - 2, -1, -1):
         u[k] = u[k] + h * u[k + 1]
@@ -302,15 +326,27 @@ def _step(u, h, a1, f, links, y, monomials):
 
 def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     """The leaf map G of a problem with reaction c1*y and no higher
-    power, y's rows G_y, and the quadratures whose far fields they
-    read: one aligned leaf of _LEAF nodes as one matrix, so that
+    power, y's rows G_y, the quadratures whose far fields the leaves
+    read and the weight table that forms the map's inputs from them:
+    one aligned leaf of _LEAF nodes as one matrix, so that
     (G * x).sum(axis=1) gives z1 at the leaf's nodes, then w there on
     the series route (fold given; else the direct inverter's links and
-    pivot), then the state after the leaf, and (G_y * x).sum(axis=1)
-    gives y at the leaf's nodes.  x holds the state at the leaf start,
-    the far field of each quadrature (the inverter's, the
-    right-hand-side links', then nu's) at the leaf's nodes, f - c0 there
-    and the initial-condition polynomial there.
+    pivot), then the state after the leaf, and (G_y * x).sum(axis=1) + o
+    gives y at the leaf's nodes.
+
+    x holds the state at the leaf start and, at the leaf's nodes, the
+    two places where everything from outside the leaf enters the
+    recurrence, each linearly: the inverter's input, added to w before
+    the division by the pivot (to z1 on the series route), where the
+    inverter's far fields enter; and the right-hand side's input, added
+    to f, where f - c0, the right-hand-side links' far fields and,
+    through the reaction c1*y, y's own input o enter.  o is y's part
+    from outside the leaf: the initial-condition polynomial plus nu's
+    far field.  Without inverter links the first input is dropped, so
+    x has m1 + _LEAF * (1 + [inverter links]) entries.  The weight
+    table forms the inputs and o at one node from the quadratures' far
+    fields (their order and factors are _couplings'), f - c0 and the
+    polynomial there.
 
     Every piece of the node recurrence (the Euler update, the
     inverter, the right-hand-side links, the reconstruction of y) is
@@ -320,77 +356,77 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     the boundary weights read, are 0.  So G is built once, by running
     the node recurrence on coefficient rows (entry c of a row is the
     value's response to a unit input c), with elementwise products and
-    sums only.  y at a node is formed before the node's forcing enters,
-    so G_y's forcing block is strictly lower triangular, with exact
-    zeros above.  Its near sums run from the farthest lag, not lag
-    rising as operators._node and _series sum them: G agrees with a
-    node-by-node run to rounding, not bitwise.
+    sums only.  The couplings that enter one input are summed as one,
+    each times its factor (_near_table): one lag table and one centre
+    weight per input, so each node takes one near sum per input, and
+    y's rows, which the recurrence does not read, follow from z1's
+    after it.  y at a node
+    is formed before the node's right-hand side enters, so G_y's
+    right-hand-side block is strictly lower triangular, with exact
+    zeros above.  The near sums run from 0.0 and the farthest lag, not
+    lag rising as operators._node and _series sum them, and the summed
+    couplings round once: G agrees with a node-by-node run to rounding,
+    not bitwise.
 
-    The rows run on one column per state component and one per block
-    of inputs (each quadrature's far field, f - c0, the polynomial),
-    the block's input at the leaf's first node.  By the shift
-    invariance, the response at node r to a block's input at node c
-    is its column's at node r - c, and the state after the leaf its
-    column's after node _LEAF - 1 - c, so each block is spread from
-    its column.  Every operation acts on each column alone, and numpy
-    sums the rows of two or more columns one row at a time, so the
-    entries keep the bits that rows over every input give them.
-    Before its input enters, such a row's entry is an exact zero
-    (+0.0, but 0.0 / pivot on z1's rows of the direct route), and its
-    terms in later near sums are zeros that meet an added 0.0 or 1.0
-    before anything else, so their signs never show."""
-    quads = [fold] if fold is not None else [q for _, q in w_links]
-    quads += [q for _, q in links] + ([] if nu_quad is None else [nu_quad])
-    blocks = len(quads) + 2
+    The rows run on one column per state component and one per input,
+    the input at the leaf's first node.  By the shift invariance, the
+    response at node r to an input at node c is its column's at node
+    r - c, and the state after the leaf its column's after node
+    _LEAF - 1 - c, so each input's block is spread from its column.
+    Every operation acts on each column alone, each near sum starts
+    from 0.0 and numpy sums the rows of two or more columns one row at a
+    time, so the entries keep the bits that rows over every input give
+    them (tests/leaf_map_rows.py).  Before its input enters, such a
+    row's entry is an exact zero: +0.0, but 0.0 / pivot on z1's rows of
+    the direct route, and y's there too at nu = 0."""
+    couplings = _couplings(fold, w_links, links, nu_quad, c1)
+    inverter = _near_table(couplings, 0)
+    rhs = _near_table(couplings, 1, -c1 if nu_quad is None else 0.0)
+    blocks = 1 + (inverter is not None)
     cols = m1 + blocks
-    force, ic = cols - 2, cols - 1
-    lags = []
-    for q in quads:
-        # Lags past a table shorter than the leaf reach only nodes past
-        # the grid.
-        lag = np.zeros(_LEAF)
-        lag[:q.lag.size] = q.lag[:_LEAF]
-        lags.append(lag)
     eye = np.eye(cols)
     zero = np.zeros(cols)
 
     def unit(col, r):
-        # A block's input at leaf node r: its column's only at node 0.
+        # An input at leaf node r: its column's only at node 0.
         return eye[col] if r == 0 else zero
 
-    def node(k, rows, r, current=None):
-        # Quad k at leaf node r over the rows of the leaf's nodes before
-        # it, pref * (centre*current + far + near) as operators._node
-        # forms it; the direct inverter's links have no current.
-        q = quads[k]
-        v = unit(m1 + k, r) + (lags[k][r:0:-1, None] * rows[:r]).sum(axis=0)
-        if current is not None:
-            v = q.centre * current + v
-        return q.pref * v
+    def near(lag, rows, r):
+        # sum_{j<r} lag[r-j] * rows[j] from 0.0, the farthest lag first.
+        return np.add.reduce(lag[r:0:-1, None] * rows[:r], axis=0,
+                             initial=0.0)
 
-    u = [eye[k] for k in range(m1)]
+    u = eye[:m1].copy()
     w = np.zeros((_LEAF, cols))
     z = np.zeros((_LEAF, cols))
-    y = np.zeros((_LEAF, cols))
     after = np.zeros((_LEAF, m1, cols))  # the state after leaf node r
-    first_link = 1 if fold is not None else len(w_links)
     for r in range(_LEAF):
         w[r] = u[0]
         if fold is not None:
-            z[r] = w[r] + node(0, w, r, w[r])
+            lag, centre = inverter
+            z[r] = w[r] + (centre * w[r] + near(lag, w, r)) + unit(m1, r)
+        elif inverter is not None:
+            z[r] = (w[r] + unit(m1, r) + near(inverter[0], z, r)) / pivot
         else:
-            acc = 0.0
-            for k, (ratio, _) in enumerate(w_links):
-                acc = acc + ratio * node(k, z, r)
-            z[r] = (w[r] - acc) / pivot
-        y[r] = unit(ic, r) + (z[r] if nu_quad is None
-                              else node(len(quads) - 1, z, r, z[r]))
-        _step(u, h, a1, unit(force, r),
-              [(c, node(first_link + j, z, r, z[r]))
-               for j, (c, _) in enumerate(links)],
-              y[r], [(c1, 1)] if c1 else ())
-        for k in range(m1):
-            after[r, k] = u[k]
+            z[r] = w[r] / pivot
+        f = unit(cols - 1, r)
+        if rhs is not None:
+            lag, centre = rhs
+            f = f + (centre * z[r] if lag is None
+                     else centre * z[r] + near(lag, z, r))
+        _step(u, h, a1, f)
+        after[r] = u
+    if nu_quad is None:
+        y = z
+    else:
+        # nu's near sum at every node r at once, in near()'s order; the
+        # rows j >= r meet it as exact zeros, which leave a sum from 0.0
+        # as it is.
+        lag = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))[..., None]
+        lag_nu, _ = _near_table([(nu_quad, 1, 1.0)], 1)
+        terms = np.where(lag > 0, lag_nu[lag % _LEAF] * z, 0.0)
+        y = nu_quad.pref * (nu_quad.centre * z
+                            + np.add.reduce(terms, axis=1, initial=0.0))
 
     def spread(rows, before):
         # Entry (r, c) of a block: its column at node r - c, or before
@@ -411,61 +447,118 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     state = np.empty((m1, m1 + blocks * _LEAF))
     state[:, :m1] = after[-1, :, :m1]
     state[:, m1:] = after[::-1, :, m1:].transpose(1, 2, 0).reshape(m1, -1)
-    rows = [spread(z, 0.0 if fold is not None else 0.0 / pivot)]
+    before = 0.0 if fold is not None else 0.0 / pivot
+    rows = [spread(z, before)]
     if fold is not None:
         rows.append(spread(w, 0.0))
-    return np.vstack(rows + [state]), spread(y, 0.0), quads
+    g_y = spread(y, before if nu_quad is None else 0.0)
+    # The weight table: a row per input, a column per feed row.
+    table = [[f if place == 0 else 0.0 for _, place, f in couplings]
+             + [0.0, 0.0]] if inverter is not None else []
+    table.append([f if place == 1 else 0.0 for _, place, f in couplings]
+                 + [1.0, -c1])
+    own = [0.0] * len(couplings) + [0.0, 1.0]
+    if nu_quad is not None:
+        own[len(couplings) - 1] = nu_quad.pref
+    table.append(own)
+    return (np.vstack(rows + [state]), g_y, [q for q, _, _ in couplings],
+            np.array(table))
 
 
-def _leaf_solve(g, g_y, quads, m1, on_w, force, ic_poly, nu_quad, powers):
+def _couplings(fold, w_links, links, nu_quad, c1):
+    """The quadratures whose far fields a leaf reads, in the order of
+    _leaf_solve's feed rows, each with the input it enters (0 the
+    inverter's, 1 the right-hand side's) and the factor it enters it
+    with: pref for the series fold, -ratio * pref for a link of the
+    direct inverter, -c * pref for a right-hand-side link and, through
+    the reaction c1*y, -c1 * pref for nu, last."""
+    if fold is not None:
+        out = [(fold, 0, fold.pref)]
+    else:
+        out = [(q, 0, -ratio * q.pref) for ratio, q in w_links]
+    out += [(q, 1, -c * q.pref) for c, q in links]
+    if nu_quad is not None:
+        out.append((nu_quad, 1, -c1 * nu_quad.pref))
+    return out
+
+
+def _near_table(couplings, place, centre=0.0):
+    """The near lags 0.._LEAF-1 and the centre weight of the couplings
+    that enter one input, each times its factor, summed onto centre:
+    (lag, centre), lag None when no coupling enters, and None when
+    centre is 0 too.  Lags past a table shorter than the leaf reach
+    only nodes past the grid and count as 0."""
+    parts = [(q, f) for q, p, f in couplings if p == place]
+    if not parts:
+        return (None, centre) if centre else None
+    lag = np.zeros(_LEAF)
+    for q, f in parts:
+        k = min(q.lag.size, _LEAF)
+        lag[:k] += f * q.lag[:k]
+        centre += f * q.centre
+    return lag, centre
+
+
+def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
+                powers):
     """Step a problem a leaf at a time through its leaf map g, y's rows
-    g_y and the quadratures (see _leaf_map), force being f - c0 on the
-    grid and powers the nonlinearity's monomials (c, p) with p >= 2; on_w
-    when the first quadrature, the series fold, reads w.  Returns w
-    (zeros off the series route), z1, y and the first node where z1 or
-    y is not finite (None for a clean run).
+    g_y, the quadratures and the input weights (see _leaf_map), force
+    being f - c0 on the grid and powers the nonlinearity's monomials
+    (c, p) with p >= 2; on_w when the first quadrature, the series fold,
+    reads w.  Returns w (zeros off the series route), z1, y and the
+    first node where z1 or y is not finite (None for a clean run).
 
-    Each leaf start closes the couplings' far blocks through
+    The run keeps one far-field row per quadrature, in the feed with
+    f - c0 and the initial-condition polynomial.  Each leaf start closes
+    the quadratures' far blocks into their rows through
     operators._close_blocks, as operators._node and _series do, one call
-    per series they read (w for the series fold, z1 for every other
-    coupling), so the couplings on one series share each block's
-    transforms.  The leaf's outputs are one operators._leaf_product
-    with g over inputs padded to the full leaf width, into buffers
-    kept for the solve.  A node's nonlinear value n_r = -sum c*y_r**p
-    enters where its forcing sample does, and y at a leaf node depends
-    on n at the leaf's earlier nodes only.  So a
-    leaf with powers first takes base = g_y x, then sweeps
-    y = base + L n(y), L being g_y's strictly lower forcing block,
-    until n's bits stop changing, and adds n to its forcing inputs.
-    Sweep k fixes node k for good: the sweeps end after at most
-    _LEAF + 1 and give the forward-substitution value however many
-    they take, so a prefix of the grid gives the same bits.  A linear
-    problem skips the sweep.  Stepping stops after the first leaf whose
-    z1 is not finite.  y is ic_poly + nu's whole-series pass over z1
-    (ic_poly + z1 at nu = 0), bitwise what apply_operator gives: the run
-    has closed nu's blocks at every leaf start before the end, as that
-    pass would, so the pass takes its far field from the run.  nu lies
-    in (0, 1), so its table has no zero lag and takes a far field
-    whenever the run has more than one leaf; in a run of one leaf that
-    far field is all zeros, as the pass's own would be."""
+    per group of quadratures that read one series (w for the series
+    fold, z1 for every other), so the members of a group share each
+    block's transforms.  The leaf's inputs are the weight table times
+    the feed at the leaf's nodes, a product and a sum over the feed's
+    rows; its outputs are one operators._leaf_product with g, into
+    buffers kept for the solve.  A node's nonlinear value
+    n_r = -sum c*y_r**p enters where the right-hand side's input does,
+    and y at a leaf node depends on n at the leaf's earlier nodes only.
+    So a leaf with powers first takes base = g_y x + o, o being y's own
+    input, then sweeps y = base + L n(y), L being g_y's strictly lower
+    right-hand-side block, until n's bits stop changing, and adds n to
+    the right-hand side's inputs.  Sweep k fixes node k for good: the
+    sweeps end after at most _LEAF + 1 and give the forward-substitution
+    value however many they take, so a prefix of the grid gives the
+    same bits.  A linear problem skips the sweep.  Stepping stops after
+    the first leaf whose z1 is not finite.  y is ic_poly + nu's
+    whole-series pass over z1 (ic_poly + z1 at nu = 0), bitwise what
+    apply_operator gives: the run has closed nu's blocks at every leaf
+    start before the end, as that pass would, so the pass takes its far
+    field from nu's row.  nu lies in (0, 1), so its table has no zero
+    lag and takes a far field whenever the run has more than one leaf;
+    in a run of one leaf that far field is all zeros, as the pass's own
+    would be."""
     n = force.size
     z1 = np.zeros(n)
     w = np.zeros(n)
-    # A leaf's inputs past the state, in g's column order: each
-    # quadrature's far field, f - c0 and the polynomial, one row each,
+    q = len(quads)
+    # One far-field row per quadrature, f - c0 and the polynomial,
     # padded with zeros to whole leaves.
-    feed = np.zeros((len(quads) + 2, -(-n // _LEAF) * _LEAF))
-    feed[-2, :n] = force
-    feed[-1, :n] = ic_poly
-    far = [row[:n] for row in feed[:-2]]
-    # The couplings that read one series close their blocks together.
-    groups = [(w, quads[:1], far[:1]), (z1, quads[1:], far[1:])] if on_w \
-        else [(z1, quads, far)]
-    groups = [group for group in groups if group[1]]
-    forcing = slice(-2 * _LEAF, -_LEAF)
+    feed = np.zeros((q + 2, -(-n // _LEAF) * _LEAF))
+    feed[q, :n] = force
+    feed[q + 1, :n] = ic_poly
+    # The quadratures that read one series close their blocks together:
+    # a group and its rows of the feed, up to n.
+    cut = 1 if on_w else 0
+    groups = [(values, _group(quads[lo:hi]), feed[lo:hi, :n])
+              for values, lo, hi in ((w, 0, cut), (z1, cut, q)) if lo < hi]
+    width = g.shape[1]
+    # The leaf's inputs at x[m1:width], y's own after them.
+    x = np.zeros(m1 + weights.shape[0] * _LEAF)
+    inputs = x[m1:].reshape(-1, _LEAF)
+    terms = np.empty((len(weights), q + 2, _LEAF))
+    table = weights[:, :, None]
+    rhs = slice(width - _LEAF, width)
     g_finite = bool(np.isfinite(g).all())
     y_finite = bool(np.isfinite(g_y).all())
-    lower = g_y[:, forcing].copy()
+    lower = g_y[:, rhs].copy()
     buf = np.empty_like(g)
     buf_y, buf_lower = ((np.empty_like(g_y), np.empty_like(lower)) if powers
                         else (None, None))
@@ -479,17 +572,22 @@ def _leaf_solve(g, g_y, quads, m1, on_w, force, ic_poly, nu_quad, powers):
             out = out - c * y ** p
         return out
 
-    x = np.zeros(g.shape[1])
-    inputs = x[m1:].reshape(-1, _LEAF)
     end = n
     for s in range(0, n, _LEAF):
         e = min(s + _LEAF, n)
         if s:
-            for values, group, accs in groups:
-                _close_blocks(group, values, accs, (s,))
-        inputs[...] = feed[:, s:s + _LEAF]
+            for values, group, acc in groups:
+                _close_blocks(group, values, acc, (s,))
+        leaf = feed[:, s:s + _LEAF]
+        np.add.reduce(np.multiply(table, leaf, out=terms), axis=1,
+                      out=inputs)
+        if not math.isfinite(np.add.reduce(x)):
+            # A zero weight meets a non-finite row as 0, as a zero entry
+            # of g meets a non-finite input.
+            np.add.reduce(np.where((table == 0.0) | (leaf == 0.0), 0.0,
+                                   terms), axis=1, out=inputs)
         if powers:
-            base = _leaf_product(g_y, x, y_finite, buf_y)
+            base = _leaf_product(g_y, x[:width], y_finite, buf_y) + x[width:]
             nl = nonlinear(base)
             while True:
                 nxt = nonlinear(base + _leaf_product(lower, nl, y_finite,
@@ -497,16 +595,18 @@ def _leaf_solve(g, g_y, quads, m1, on_w, force, ic_poly, nu_quad, powers):
                 if nxt.tobytes() == nl.tobytes():
                     break
                 nl = nxt
-            x[forcing] += nl
-        out = _leaf_product(g, x, g_finite, buf)
+            x[rhs] += nl
+        out = _leaf_product(g, x[:width], g_finite, buf)
         z1[s:e] = out[:e - s]
         if on_w:
             w[s:e] = out[_LEAF:_LEAF + e - s]
         x[:m1] = out[-m1:]
-        if not np.isfinite(z1[s:e]).all():
+        # A finite sum means every node of the leaf is finite.
+        if (not math.isfinite(np.add.reduce(z1[s:e]))
+                and not np.isfinite(z1[s:e]).all()):
             end = e
             break
     y = ic_poly[:end] + (z1[:end] if nu_quad is None
-                         else _series(nu_quad, z1[:end], far[-1][:end]))
+                         else _series(nu_quad, z1[:end], feed[q - 1, :end]))
     stop = ~(np.isfinite(z1[:end]) & np.isfinite(y))
     return w, z1, y, int(stop.argmax()) if stop.any() else None

@@ -6,9 +6,9 @@ map of the leaf (stepper._leaf_map) and, for a nonlinear problem, a
 sweep to the forward-substitution value inside each leaf.  This module
 runs the same recurrence node by node: every coupling and inverter link
 a running evaluator (_running below) over the package's own
-quadratures, the same update and right-hand side (stepper._step) on
-floats.  It sums each history in another order, so the two agree to
-rounding, not bitwise.
+quadratures, the same update (stepper._step) on floats, each coupling
+of the right-hand side subtracted on its own.  It sums each history in
+another order, so the two agree to rounding, not bitwise.
 
 _running keeps one far-field accumulator per coupling and closes each
 far block once, when a visited node first needs it, so a dense run
@@ -31,6 +31,7 @@ from fodesolve.decompose import (
 from fodesolve.operators import (
     _Quadrature,
     _close_blocks,
+    _group,
     _kernel_quad,
     _table_length,
 )
@@ -89,7 +90,8 @@ def _running(quad: _Quadrature, n: int):
     where _series raises OverflowError, so the two agree bitwise on
     tables finite on the grid."""
     pref, centre, boundary, lag, support, period, _, _, _ = quad
-    acc = np.zeros(n)
+    group = _group((quad,))
+    acc = np.zeros((1, n))
     done = 0  # the last leaf start visited
 
     def product_node(values, i, current=None):
@@ -103,10 +105,10 @@ def _running(quad: _Quadrature, n: int):
             while k > done:
                 closing.append(k)
                 k &= k - 1
-            _close_blocks((quad,), values, (acc,), closing)
+            _close_blocks(group, values, acc, closing)
             done = start
         hi = near if near < i else i - 1
-        lags = acc[i] + _history(lag, values, i, 1,
+        lags = acc[0, i] + _history(lag, values, i, 1,
                                  hi if hi < support else support)
         v_i = values[i] if current is None else current
         return float(pref * (centre * v_i + boundary[i] * values[0] + lags))
@@ -166,10 +168,15 @@ def node_loop_solve(problem, config):
             if not (np.isfinite(y[i]) and np.isfinite(z1[i])):
                 stop = i
                 break
-            # y[i] is a numpy float: a power past double range gives the
-            # signed inf with which the run stops at the next node.
-            _step(u, h, system.a1, fvec.item(i),
-                  [(c, node(z1, i)) for c, node in links], y[i], monomials)
+            # The right-hand side, term by term.  y[i] is a numpy float:
+            # a power past double range gives the signed inf with which
+            # the run stops at the next node.
+            f = fvec.item(i)
+            for c, node in links:
+                f = f - c * node(z1, i)
+            for c, p in monomials:
+                f = f - c * y[i] ** p
+            _step(u, h, system.a1, f)
     tail = None
     if last is not None:
         tail = _tail_norm(last, w[:n if stop is None else stop + 1])

@@ -261,16 +261,35 @@ class TestInputErrors:
         ["solve", "--step", "1e-17"],
         ["convergence", "--steps", "1e-16,5e-17"]])
     def test_grid_too_large_to_allocate(self, args, tmp_path, capsys):
-        # 1e17 nodes ask numpy for 711 PiB, past any address space, so
-        # the allocation fails before any memory is touched: exit 2 with
-        # numpy's message on one line, no traceback.
+        # 1e17 nodes would ask for 711 PiB per array, past physical
+        # memory, so the grid is refused before anything is allocated:
+        # exit 2 with the node count and the bytes on one line, no
+        # traceback.
         problem = Path(__file__).resolve().parents[1] / BENCHMARK
         out = tmp_path / "huge.csv"
         assert main([args[0], "--problem", str(problem), *args[1:],
                      "--t-end", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("invalid input: grid too large: Unable to"
-                              " allocate")
+        assert err.startswith("invalid input: grid too large: ")
+        assert " nodes need " in err and " bytes " in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_grid_past_physical_memory_is_refused_before_solving(
+            self, plate_file, tmp_path, capsys, monkeypatch):
+        # 3e10 nodes fit the address space but not the memory (240 GB
+        # per array): the grid is refused before any solve starts.
+        from fodesolve import stepper
+
+        def reached(*args, **kwargs):
+            pytest.fail("solve was reached")
+        monkeypatch.setattr(stepper, "solve", reached)
+        out = tmp_path / "huge.csv"
+        assert main(["solve", "--problem", plate_file, "--step", "1e-9",
+                     "--t-end", "30", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: grid too large: 30000000001"
+                              " nodes need 240000000008 bytes")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 

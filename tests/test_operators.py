@@ -18,6 +18,7 @@ from fodesolve.operators import (
     _LEAF,
     _block_scale,
     _close_blocks,
+    _group,
     _integral_tables,
     _kernel_quad,
     _node,
@@ -656,11 +657,11 @@ class TestFarFieldGroup:
         v = rng.standard_normal(self.N) * 10.0 ** rng.integers(-3, 4, self.N)
         v[0] = 1.7  # the boundary term's: 0 in every far block
         group = self.group()
-        accs = [np.zeros(self.N) for _ in group]
-        _close_blocks(group, v, accs, closing)
+        accs = np.zeros((len(group), self.N))
+        _close_blocks(_group(group), v, accs, closing)
         for quad, acc in zip(group, accs):
-            own = np.zeros(self.N)
-            _close_blocks((quad,), v, (own,), closing)
+            own = np.zeros((1, self.N))
+            _close_blocks(_group((quad,)), v, own, closing)
             assert own.any()
             assert acc.tobytes() == own.tobytes()
 

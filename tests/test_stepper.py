@@ -63,6 +63,20 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(h=1.0, t_end=1.0)
 
+    def test_grid_past_physical_memory_is_refused(self):
+        # 3e10 + 1 nodes: 240 GB per float64 array, refused before any
+        # array is allocated.
+        with pytest.raises(ValueError, match=r"^grid too large: 30000000001"
+                           r" nodes need 240000000008 bytes"):
+            SolverConfig(h=1e-9, t_end=30.0)
+
+    def test_grid_check_skipped_where_memory_is_not_reported(
+            self, monkeypatch):
+        # Without a reported memory size only the node count is checked;
+        # a config allocates nothing.
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: None)
+        assert SolverConfig(h=1e-9, t_end=30.0).num_steps == 30_000_000_000
+
 
 class TestReconstruction:
     # solve reconstructs y at every node as the initial-condition
@@ -518,22 +532,38 @@ LINEAR = {
                          forcing=_const(1.0),
                          initial_conditions=(0.5, -0.2, 0.1)),
              SolverConfig(h=0.005, t_end=10.0)),
+    # Many couplings: m1 = 3, nu = 0.5, one folded link (order 2.1)
+    # and two right-hand-side links (orders 1.2 and 0.5).
+    "four_term": (ProblemSpec(terms=((1.0, 2.5), (0.5, 2.1), (0.3, 1.2),
+                                     (0.2, 0.5)),
+                              nonlinearity=Polynomial((0.1, 0.5)),
+                              forcing=PiecewiseForcing((
+                                  ForcingSegment(0.0, 1.0, (8.0,)),
+                                  ForcingSegment(1.0, math.inf, (0.0,)))),
+                              initial_conditions=(0.5, -0.2, 0.1)),
+                  SolverConfig(h=0.005, t_end=10.0)),
 }
 
 
 class TestLeafRoute:
     @pytest.mark.parametrize("name", [*LINEAR, "plate_series", "cubic",
-                                      "cubic_series"])
+                                      "cubic_series", "four_term_series"])
     def test_leaf_map_matches_the_node_loop(self, plate, plate_cubic, name):
         # Every problem steps through one leaf map per leaf, a nonlinear
         # one after a sweep inside the leaf; the reference loop steps
         # node by node through the running couplings: the same
         # recurrence, summed in another order.  Bound: 1e-11 relative
         # sup of y and of z1, far above the rounding either route
-        # carries over these 2 001-4 001 nodes (1e-15 to 9e-13
+        # carries over these 1 001-4 001 nodes (7e-16 to 1.3e-12
         # measured) and far below the change a wrong far block, lag,
-        # update order or sweep would make.
-        if name.endswith("series"):
+        # update order or sweep would make.  The four-term series route
+        # runs on [0, 5], where its a-priori factor stays below the
+        # warning's (1.9e-6 at t = 10).
+        if name == "four_term_series":
+            problem = LINEAR["four_term"][0]
+            config = SolverConfig(h=0.005, t_end=5.0,
+                                  inversion=Babenko(terms=30))
+        elif name.endswith("series"):
             problem = plate_cubic if name == "cubic_series" else plate
             config = SolverConfig(h=0.00125, t_end=5.0,
                                   inversion=Babenko(terms=30))
@@ -554,12 +584,14 @@ class TestLeafRoute:
                                       "negative_pivot", "overflowed"])
     def test_leaf_map_keeps_the_full_width_bits(self, monkeypatch, plate,
                                                 name):
-        # Each block of inputs is spread from one column; the reference
-        # runs the recurrence on a column per input.  Every entry must
-        # keep its bits, the zeros before a block's input included (the
-        # direct route's z1 rows hold 0.0 / pivot there, -0.0 for the
-        # negative pivot), and so must G's finiteness (the overflowed
-        # map's response to the start state passes double range).
+        # Each input's block is spread from one column, and y's rows
+        # follow from z1's after the recurrence; the reference runs the
+        # recurrence on a column per input per node and forms y node by
+        # node.  Every entry must keep its bits, the zeros before a
+        # block's input included (the direct route's z1 rows hold
+        # 0.0 / pivot there, -0.0 for the negative pivot, and so do y's
+        # at nu = 0), and so must G's finiteness (the overflowed map's
+        # response to the start state passes double range).
         if name in LINEAR:
             problem, config = LINEAR[name]
         elif name == "negative_pivot":
@@ -597,6 +629,37 @@ class TestLeafRoute:
         assert finite == (name != "overflowed")
         if name == "negative_pivot":
             assert np.signbit(full[0][0, -1]) and full[0][0, -1] == 0.0
+
+    @pytest.mark.parametrize("name, shape", [
+        ("one_term", (65, 65)), ("independent", (66, 66)),
+        ("dependent", (66, 130)), ("m1_3", (67, 67)),
+        ("four_term", (67, 131)), ("plate", (66, 130)),
+        ("plate_series", (130, 130))])
+    def test_leaf_map_takes_one_input_per_injection_point(
+            self, monkeypatch, plate, name, shape):
+        # g has m1 + 64 * (1 + [inverter links]) columns, whatever the
+        # number of couplings: the right-hand side's input, and the
+        # inverter's where it has links.  Its rows are z1 at the leaf's
+        # nodes, w there on the series route, and the state after the
+        # leaf.  g_y has g's columns.
+        if name in LINEAR:
+            problem, config = LINEAR[name]
+        else:
+            problem = plate
+            config = SolverConfig(
+                h=0.01, t_end=5.0,
+                inversion=Babenko(30) if name == "plate_series" else None)
+        built = []
+
+        def kept(*args):
+            built.append(leaf_map(*args))
+            return built[-1]
+        leaf_map = stepper._leaf_map
+        monkeypatch.setattr(stepper, "_leaf_map", kept)
+        solve(problem, config)
+        (g, g_y, _, _), = built
+        assert g.shape == shape
+        assert g_y.shape == (64, shape[1])
 
     @pytest.mark.parametrize("t_short", [0.2, 2.5])
     def test_prefix_causal_over_a_partial_last_leaf(self, plate_cubic,
