@@ -297,11 +297,10 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # its own pair).  _series gives it every block at once, _node the
 # binary prefixes of one leaf start, and the leaf solves one per leaf
 # boundary, for every coupling on one series together, with a group
-# built once per solve.  A node's blocks
-# are one of each size, and of two prefixes of its leaf start the larger
-# block has the smaller k, so largest size first is increasing k for
-# every node, and no bit depends on how the blocks, or the quadratures,
-# were grouped.  The FFT is numpy's pocketfft, which uses no BLAS threads
+# built once per solve.  A node's blocks are one of each size, and of
+# two prefixes of its leaf start the larger block has the smaller k, so
+# largest size first is increasing k for every node, and no bit depends
+# on how the blocks, or the quadratures, were grouped.  The FFT is numpy's pocketfft, which uses no BLAS threads
 # and transforms each row of a stack alone.
 _LEAF = 64
 
