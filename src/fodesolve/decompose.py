@@ -19,8 +19,9 @@ and the ODE advances w instead; the terms after the run couple through
 the right-hand side.  With r = 1 nothing folds and w = z1.  Otherwise
 each step has to recover z1 from w by inverting that Abel-type
 relation; two inverters are provided, a truncated binomial-series
-expansion and a direct node-by-node solve of the discrete system (the
-default, exact at the quadrature level).
+expansion and a direct solve of the discrete triangular system (the
+default, exact at the quadrature level), which the stepper carries out
+a leaf of nodes at a time through its leaf map.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .operators import (
     _check_node,
     _integral_pref,
     _kernel_quad,
-    _node,
     _quadrature,
     _scaled_weights,
     _series,
@@ -324,8 +324,9 @@ class Babenko:
 
 @dataclass(frozen=True)
 class DirectVolterra:
-    """Node-by-node direct inversion of the discrete relation (exact at
-    the quadrature level)."""
+    """Direct inversion of the discrete relation, a triangular system
+    (exact at the quadrature level); the stepper solves it a leaf of
+    nodes at a time."""
 
 
 @dataclass(frozen=True)
@@ -566,9 +567,9 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
     follows by one division.  Node 0 is 0 by construction.  A vanishing
     pivot raises SingularInversionError.
 
-    One call transforms node i's O(log i) far blocks of the history
-    afresh, work of order i log i; solve's direct inversion serves every
-    node and transforms each block once.
+    One call is the whole-series pass of each link over nodes 0..i,
+    work of order i log^2 i; solve's direct inversion serves every node
+    a leaf at a time and transforms each block once.
     """
     i = _check_node(w, i)
     if i == 0:
@@ -578,7 +579,10 @@ def volterra_direct_invert(w: SampleSeries, w_links, i: int,
     if z1_history.h != w.h:
         raise ValueError("series must share the same step")
     quads, pivot = _direct_inverter(w.h, w_links, len(w))
+    # The unknown current sample enters as 0; the pivot carries its
+    # weights.
+    hist = np.append(z1_history.values[:i], 0.0)
     acc = 0.0
     for r, q in quads:
-        acc += r * _node(q, z1_history.values, i, 0.0)
+        acc += r * _series(q, hist).item(i)
     return (w.values.item(i) - acc) / pivot

@@ -19,8 +19,8 @@ class NonzeroOriginError(ValueError):
 
 
 class SingularInversionError(ArithmeticError):
-    """The pivot of the node-by-node Abel inversion vanished, so the
-    current node value cannot be recovered."""
+    """The pivot of the direct Abel inversion vanished, so no node value
+    can be recovered."""
 
 
 class UnsupportedProblemError(ValueError):

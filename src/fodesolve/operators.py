@@ -25,26 +25,24 @@ The node form sums the lags near node i directly and the older ones by
 block FFT, so a whole series costs O(n log^2 n) rather than O(n^2).  A
 whole series transforms all its blocks of one size together, one FFT
 pair per size, the largest size first: a node's blocks all differ in
-size, and a larger one starts earlier, so every node still adds its
-blocks in increasing k, as a single node adds them.  Quadratures that
-read the same series close their blocks as one group: one rfft of the
-samples, one broadcast multiply by the members' stacked lag spectra,
-one irfft for all of them.
+size, and a larger one starts earlier, so every node adds its blocks in
+increasing k.  Quadratures that read the same series close their blocks
+as one group: one rfft of the samples, one broadcast multiply by the
+members' stacked lag spectra, one irfft for all of them.
 Where the weights grow (integral orders above 1, the series fold's last
 power) a geometric scale flattens each block first; a block that no
 scale flattens (the series fold's, where it dips and then grows) or
 that holds a weight past double range is summed directly instead.  The
-node form has two evaluators that agree bitwise on tables finite on the
-grid: a stateless single-node one for the single-node functions, and a
-whole-series one for a series known in full (apply_operator, the series
-inversion and its tail, the reconstruction of y).  The single-node one
-makes no origin check: the derivatives' checks belong to the public
-functions.  A series whose next sample depends on the last output (the
-stepper's, the cross-check solver's) is solved a leaf of nodes at a
-time instead: the far field from before the leaf, one group per series
-the couplings read, then the leaf itself through one matrix and
-_leaf_product; the whole-series evaluator then takes a coupling's far
-field from the run rather than summing it again.
+node form has one evaluator, _series, for a series known in full
+(apply_operator, the series inversion and its tail, the reconstruction
+of y).  Its output is prefix causal to the bit, so a single node i is
+the last output of the series cut after node i: the single-node
+functions evaluate it that way.  A series whose next sample depends on
+the last output (the stepper's, the cross-check solver's) is solved a
+leaf of nodes at a time instead: the far field from before the leaf,
+one group per series the couplings read, then the leaf itself through
+one matrix and _leaf_product; the whole-series evaluator then takes a
+coupling's far field from the run rather than summing it again.
 """
 
 from __future__ import annotations
@@ -136,30 +134,19 @@ def _whole(x, what: str) -> int:
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
 def _weights(kind: str, order: float, n: int) -> np.ndarray:
-    """Read-only weights of one kind and order for an n-sample series.
+    """Read-only weights of one of the three public kinds, "integral",
+    "derivative01" or "binomial", and one order for an n-sample series.
 
-    The one weight cache behind every internal caller.  Besides the three
-    public kinds it holds the node form's internal tables:
-    "integral_boundary", "derivative01_lag" and "derivative01_boundary".
-    The order is not validated here (the oracle needs binomial weights
-    below order 1); weight_table does that.  Tables used only once can
-    skip the cache through the uncached builder, _weights.__wrapped__.
+    The one weight cache behind every internal caller.  The order is not
+    validated here (the oracle needs binomial weights below order 1);
+    weight_table does that.  Tables used only once can skip the cache
+    through the uncached builder, _weights.__wrapped__.
     """
     j = np.arange(n, dtype=np.float64)
-    if kind in _INTEGRAL_KINDS:
-        w = _integral_tables(order, n)[_INTEGRAL_KINDS.index(kind)].copy()
+    if kind == "integral":
+        w = _integral_tables(order, n)[1].copy()
     elif kind == "derivative01":
         w = (j + 1.0) ** (1.0 - order) - j ** (1.0 - order)
-    elif kind == "derivative01_lag":
-        # Summation by parts moves the difference quadrature's weights
-        # from sample differences onto samples: lag j gets w_j - w_{j-1}.
-        w = np.diff(_weights("derivative01", order, n), prepend=0.0)
-        w[0] = 0.0
-    elif kind == "derivative01_boundary":
-        # ... and the first sample gets (1-a)/i^a - w_{i-1} at node i.
-        w = np.zeros(n)
-        w[1:] = ((1.0 - order) / j[1:] ** order
-                 - _weights("derivative01", order, n)[:-1])
     else:
         # Binomial: w_0 = 1, w_j = w_{j-1} * (1 - (order+1)/j).  For an
         # integer order the factor hits zero at j = order+1 and the
@@ -171,17 +158,13 @@ def _weights(kind: str, order: float, n: int) -> np.ndarray:
     return w
 
 
-# The rows of _integral_tables.
-_INTEGRAL_KINDS = ("integral_boundary", "integral")
-
-
 def _integral_tables(order: float, n: int) -> np.ndarray:
-    """The weights x1^a - x0^a of the two integral kinds of one positive
-    order for an n-sample series, as the rows of one array, both
-    differenced from the one power table j^a, j = 0..n.  Row 0,
-    "integral_boundary", has x1 = j: the first sample's weight at node
-    j.  Row 1, "integral", has x1 = j + 1: the weight of lag j.  Both
-    have x0 = j - 1 clipped at 0, and slot 0 is zero in both.  The
+    """The weights x1^a - x0^a of the integral quadrature of one
+    positive order for an n-sample series, as the rows of one array,
+    both differenced from the one power table j^a, j = 0..n.  Row 0, the
+    boundary weights, has x1 = j: the first sample's weight at node j.
+    Row 1, the "integral" kind, has x1 = j + 1: the weight of lag j.
+    Both have x0 = j - 1 clipped at 0, and slot 0 is zero in both.  The
     subtraction loses at most ~j*eps relative accuracy, far below
     quadrature error at any grid this package targets."""
     power = np.arange(n + 1, dtype=np.float64) ** order
@@ -193,8 +176,8 @@ def _integral_tables(order: float, n: int) -> np.ndarray:
 
 def _scaled_weights(c: float, log_c: float, order: float,
                     m: int) -> np.ndarray:
-    """c times the m weights x1^a - x0^a of both integral kinds, the
-    rows of _integral_tables, built outside the cache, where
+    """c times the m weights x1^a - x0^a of both rows of
+    _integral_tables, built outside the cache, where
     |c| = exp(log_c) and c is either a nonzero float or a signed zero
     standing in for a smaller one.  The products may lie in double
     range where the tables, or c, do not.  An entry that a nonzero c
@@ -260,13 +243,11 @@ def _check_node(z: SampleSeries, i: int) -> int:
 #   out_i = pref * (centre*v_i + boundary[i]*v_0
 #                   + sum_{j=1..i-1} lag[j]*v_{i-j}),     out_0 = 0,
 #
-# evaluated at one node by _node and over a whole series by _series,
-# which perform the same float operations in the same order for every
-# node.  A whole-series application and a single-node one therefore
-# agree bitwise on tables finite on the grid (_series rejects a
-# non-finite lag on the grid, where _node returns inf or nan), and the
-# output at node i depends only on samples 0..i (causality holds
-# exactly, not just to rounding).
+# evaluated over a whole series by _series, which performs the same
+# float operations in the same order for every node.  The output at
+# node i depends only on samples 0..i (causality holds exactly, not just
+# to rounding), so the series cut after node i gives node i's bits: the
+# single-node functions take that last output.
 #
 # The lag sum is split in two (Hairer, Lubich & Schlichte 1985).  The
 # near field, the lags inside node i's aligned leaf of _LEAF samples, is
@@ -281,12 +262,11 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # start, O(log i) of them.
 # Every piece has bounds fixed by the node index alone and content
 # independent of the container length, so prefixes stay bitwise equal.
-# _series sums every block once and _node a single node's own O(log i)
-# blocks, both adding a node's blocks in increasing k: a whole series
-# costs O(n log^2 n), a single node O(i log i), and both give the same
-# bits.  Both fill their far field through one function, _close_blocks,
-# and so do the two leaf-blocked solves (stepper._leaf_solve,
-# oracle.gl_direct_solve).
+# _series sums every block once, adding a node's blocks in increasing
+# k, so a whole series costs O(n log^2 n), and a single node, the
+# series cut after it, O(i log^2 i).  It fills its far field through
+# one function, _close_blocks, and so do the two leaf-blocked solves
+# (stepper._leaf_solve, oracle.gl_direct_solve).
 # _close_blocks transforms the blocks it is given size by size, all of
 # one size in one FFT pair (a direct sum from cap on), the largest size
 # first, for a group of quadratures that read the same samples
@@ -294,14 +274,14 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # broadcast multiply by its members' lag spectra, stacked once per group
 # and size, and one irfft, and adds each size's outputs into one
 # accumulator row per member with one slice add (a scaled member takes
-# its own pair).  _series gives it every block at once, _node the
-# binary prefixes of one leaf start, and the leaf solves one per leaf
-# boundary, for every coupling on one series together, with a group
-# built once per solve.  A node's blocks are one of each size, and of
-# two prefixes of its leaf start the larger block has the smaller k, so
-# largest size first is increasing k for every node, and no bit depends
-# on how the blocks, or the quadratures, were grouped.  The FFT is numpy's pocketfft, which uses no BLAS threads
-# and transforms each row of a stack alone.
+# its own pair).  _series gives it every leaf start at once, and the
+# leaf solves one leaf start at a time, for every coupling on one series
+# together, with a group built once per solve.  A node's blocks are the
+# binary prefixes of its leaf start, one of each size, and of two of
+# them the larger block has the smaller k, so largest size first is
+# increasing k for every node, and no bit depends on how the blocks, or
+# the quadratures, were grouped.  The FFT is numpy's pocketfft, which
+# uses no BLAS threads and transforms each row of a stack alone.
 _LEAF = 64
 
 
@@ -524,12 +504,10 @@ def _close_blocks(group: _Group, values: np.ndarray, acc: np.ndarray,
     _far_block call and one slice add, from the largest size to the
     smallest, which is increasing k for every node (see the comment
     above _LEAF).  Those of one size b must be consecutive odd multiples
-    of b: every leaf start of a range, the binary prefixes of one leaf
-    start (one of each size), or a single leaf start, which takes no
-    sorting.  The one far-field path: both evaluators below (_node,
-    _series), and the two leaf solves, fill their far field here, the
-    leaf solves once per leaf start for every coupling that reads the
-    same series."""
+    of b.  The package passes every leaf start of a range (_series) or a
+    single leaf start, which takes no sorting (the two leaf solves, once
+    per leaf start for every coupling that reads the same series): the
+    one far-field path."""
     n = acc.shape[1]
     if len(closing) == 1:
         runs = ((closing[0], 1),)
@@ -550,59 +528,22 @@ def _close_blocks(group: _Group, values: np.ndarray, acc: np.ndarray,
         acc[:, last:last + b] += out[:, -1, :n - last]
 
 
-def _node(quad: _Quadrature, values: np.ndarray, i: int,
-          current: float | None = None) -> float:
-    """quad at node i of the series values, bitwise _series(quad,
-    values)[i], reading samples 0..i only.  A given current stands in
-    for v_i, and values[i] is then never read: values need only cover
-    0..i-1.  The single-node functions (frac_*,
-    decompose.volterra_direct_invert) are its only callers; the solvers
-    step by leaves.
-
-    It closes node i's blocks, the binary prefixes of its leaf start,
-    in one _close_blocks call, which adds them in increasing k as the
-    whole series does, and sums the near lags as _series does: from
-    0.0, lag rising, each product rounded before it is added.  A table
-    without far field is one leaf, starting at 0, so it closes no block.
-
-    It makes no finiteness check: a non-finite lag gives inf or nan
-    where _series raises OverflowError, so the two agree bitwise on
-    tables finite on the grid."""
-    pref, centre, boundary, lag, support, period, _, _, _ = quad
-    if i == 0:
-        return 0.0
-    start = i - i % period
-    far = np.zeros((1, i + 1))
-    closing, k = [], start
-    while k:
-        closing.append(k)
-        k &= k - 1
-    _close_blocks(_group((quad,)), values, far, closing)
-    hi = i - start if start else i - 1
-    m = hi if hi < support else support
-    near = 0.0
-    for w, v in zip(lag[1:m + 1].tolist(), values[i - m:i].tolist()[::-1]):
-        near += w * v
-    v_i = values[i] if current is None else current
-    return float(pref * (centre * v_i + boundary[i] * values[0]
-                         + (far[0, i] + near)))
-
-
 def _series(quad: _Quadrature, values: np.ndarray,
             far: np.ndarray | None = None) -> np.ndarray:
-    """quad at every node of the whole series values, bitwise what _node
-    gives at each node: the same float operations in the same order,
-    batched over the nodes.
+    """quad at every node of the whole series values: the same float
+    operations in the same order at every node, batched over the nodes.
+    Node i reads samples 0..i only, so _series(quad, values[:i + 1])[i]
+    is _series(quad, values)[i], bit for bit.
 
     The far field closes every leaf start's block in one _close_blocks
     call, one FFT pair per block size; a leaf solve that has already
     accumulated it over the same values at every leaf start passes it
     as far (for a table with far field), and it is not summed again.
     The near field is at most min(_LEAF - 1, support) multiply-adds
-    over the leaves, in increasing lag from 0.0, which is the order of
-    _node's near sum; a table without far field is one leaf as long as
-    the series.  Sample 0, the boundary term's, enters as +0.0, which leaves
-    a near sum (never -0.0) as it is while the lag is finite.  A
+    over the leaves, in increasing lag from 0.0, each product rounded
+    before it is added; a table without far field is one leaf as long
+    as the series.  Sample 0, the boundary term's, enters as +0.0, which
+    leaves a near sum (never -0.0) as it is while the lag is finite.  A
     non-finite lag anywhere on the grid raises OverflowError."""
     pref, centre, boundary, lag, support, period, _, _, _ = quad
     n = values.size
@@ -673,7 +614,7 @@ def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
     parts, mu >= 1 the binomial weights (whose sum covers v_0 as
     boundary[i] = w_i).  Cached with its plan and the block spectra it
     fills, so kernels built again on the same grid (single-node calls
-    among them) share them.
+    among them) share them.  Its tables are read-only.
 
     The tables run past the grid to m; a large order's weights may
     leave double range there, so their builds are silent about it.
@@ -684,12 +625,18 @@ def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
         with np.errstate(over="ignore", invalid="ignore"):
             if mu < 0.0:
                 pref, centre = _integral_pref(h, -mu), 1.0
-                boundary = _weights("integral_boundary", -mu, m)
-                lag = _weights("integral", -mu, m)
+                boundary, lag = _integral_tables(-mu, m)
             elif mu < 1.0:
                 pref, centre = h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0
-                boundary = _weights("derivative01_boundary", mu, m)
-                lag = _weights("derivative01_lag", mu, m)
+                # Summation by parts moves the difference quadrature's
+                # weights w from sample differences onto samples: the
+                # first sample gets (1-a)/i^a - w_{i-1} at node i, lag j
+                # gets w_j - w_{j-1}.
+                w = _weights("derivative01", mu, m)
+                j = np.arange(1, m, dtype=np.float64)
+                boundary, lag = np.zeros((2, m))
+                np.subtract((1.0 - mu) / j ** mu, w[:-1], out=boundary[1:])
+                np.subtract(w[1:], w[:-1], out=lag[1:])
             else:
                 boundary = lag = _weights("binomial", mu, m)
                 pref, centre = h ** (-mu), lag[0]
@@ -697,6 +644,8 @@ def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
         raise OverflowError(
             f"operator of order {mu:g} at step {h:.6g}: h**{-mu:g} exceeds"
             f" double range") from None
+    boundary.setflags(write=False)
+    lag.setflags(write=False)
     return _quadrature(pref, centre, boundary, lag)
 
 
@@ -718,9 +667,8 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
     Orders at or above DEFAULT_ORDER_CAP are rejected, as
     apply_operator rejects them.
 
-    One call transforms node i's O(log i) far blocks of samples afresh,
-    work of order i log i; apply_operator serves every node of a series
-    and transforms each block once.
+    One call is the whole-series pass over nodes 0..i, work of order
+    i log^2 i; apply_operator serves every node of a series in one pass.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
@@ -728,7 +676,7 @@ def frac_integral(z: SampleSeries, alpha: float, i: int) -> float:
     _signed_order(-alpha)
     i = _check_node(z, i)
     quad = _kernel_quad(-alpha, z.h, _table_length(len(z)))
-    return _node(quad, z.values, i)
+    return _series(quad, z.values[:i + 1]).item(i)
 
 
 def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
@@ -741,9 +689,8 @@ def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
     SingularOriginError otherwise.  alpha = 0 is the identity and returns
     z_i exactly at every node.
 
-    One call transforms node i's O(log i) far blocks of samples afresh,
-    work of order i log i; apply_operator serves every node of a series
-    and transforms each block once.
+    One call is the whole-series pass over nodes 0..i, work of order
+    i log^2 i; apply_operator serves every node of a series in one pass.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
@@ -755,7 +702,7 @@ def frac_derivative01(z: SampleSeries, alpha: float, i: int) -> float:
         raise SingularOriginError(
             "derivative at t = 0 of a series with nonzero first sample")
     quad = _kernel_quad(alpha, z.h, _table_length(len(z)))
-    return _node(quad, z.values, i)
+    return _series(quad, z.values[:i + 1]).item(i)
 
 
 def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
@@ -771,9 +718,8 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     Orders at or above DEFAULT_ORDER_CAP are rejected, as
     apply_operator rejects them.
 
-    One call transforms node i's O(log i) far blocks of samples afresh,
-    work of order i log i; apply_operator serves every node of a series
-    and transforms each block once.
+    One call is the whole-series pass over nodes 0..i, work of order
+    i log^2 i; apply_operator serves every node of a series in one pass.
     """
     alpha = float(alpha)
     if alpha < 1.0:
@@ -782,7 +728,7 @@ def frac_derivative_general(z: SampleSeries, alpha: float, i: int) -> float:
     i = _check_node(z, i)
     _check_zero_origin(z.values)
     quad = _kernel_quad(alpha, z.h, _table_length(len(z)))
-    return _node(quad, z.values, i)
+    return _series(quad, z.values[:i + 1]).item(i)
 
 
 def apply_operator(z: SampleSeries, mu) -> SampleSeries:

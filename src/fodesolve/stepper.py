@@ -364,7 +364,7 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     is formed before the node's right-hand side enters, so G_y's
     right-hand-side block is strictly lower triangular, with exact
     zeros above.  The near sums run from 0.0 and the farthest lag, not
-    lag rising as operators._node and _series sum them, and the summed
+    lag rising as operators._series sums them, and the summed
     couplings round once: G agrees with a node-by-node run to rounding,
     not bitwise.
 
@@ -511,7 +511,7 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
     The run keeps one far-field row per quadrature, in the feed with
     f - c0 and the initial-condition polynomial.  Each leaf start closes
     the quadratures' far blocks into their rows through
-    operators._close_blocks, as operators._node and _series do, one call
+    operators._close_blocks, as operators._series does, one call
     per group of quadratures that read one series (w for the series
     fold, z1 for every other), so the members of a group share each
     block's transforms.  The leaf's inputs are the weight table times

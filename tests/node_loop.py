@@ -54,9 +54,9 @@ def _history(weights: np.ndarray, values: np.ndarray, i: int,
     0 <= lo <= i and hi <= i.  The tests' direct history sum.
 
     The sum runs left to right from 0.0, in increasing lag j, each term
-    rounded before it is added: operators._series and operators._node
-    reproduce it bitwise by multiply-adds in that order
-    (tests/test_operators.py checks it)."""
+    rounded before it is added: operators._series reproduces it
+    bitwise by multiply-adds in that order (tests/test_operators.py
+    checks it)."""
     # The operand layout: weights forward, values reversed (negative
     # stride).  With one negative-stride operand `@` stays in numpy's own
     # single-threaded loop (numpy 2.4, OpenBLAS 0.3.31), so the sum is
@@ -74,8 +74,9 @@ def _running(quad: _Quadrature, n: int):
     node is one such visit).  A given current stands in for v_i, and
     values[i] is then never read: values need only cover 0..i-1.  The
     node loops below and the every-node comparisons of the tests call
-    it; the package evaluates a single node with operators._node, which
-    keeps no state.
+    it; the package evaluates a single node as the last output of
+    operators._series over the prefix that ends at it, which keeps no
+    state.
 
     It holds the far field in an accumulator over the grid.  A visit
     closes node i's blocks (the binary prefixes of its leaf start) that

@@ -3,18 +3,18 @@
 Every causal history sum in the package is elementwise multiply-adds
 over the near lags plus operators._far_block, one pocketfft rfft/irfft
 pair per block size in each operators._close_blocks call, shared by the
-quadratures of a group that read one series (the binary prefixes of
-one leaf start for a single node, and one per leaf start for every
-coupling on the same series in a leaf solve; a block no scale flattens
-is summed there by elementwise multiply-adds).  Neither depends on BLAS
-threading: the package has no `@`, matmul, einsum or tensordot at all.
-The single-node evaluator operators._node, which only the four
-single-node functions call, sums its near lags one float at a time;
-the whole-series evaluator operators._series sums the same lags in the
-same order by elementwise multiply-adds over the nodes.  Both solvers
-step 64-node leaves: each leaf's history comes from the far field and
-the leaf itself from one matrix, applied by operators._leaf_product, an
-elementwise product and a row sum, no BLAS call either.  The oracle's
+quadratures of a group that read one series (every leaf start of a
+whole series, and one per leaf start for every coupling on the same
+series in a leaf solve; a block no scale flattens is summed there by
+elementwise multiply-adds).  Neither depends on BLAS threading: the
+package has no `@`, matmul, einsum or tensordot at all.  The one
+evaluator of the node form, operators._series, sums the near lags by
+elementwise multiply-adds over the nodes; the four single-node
+functions take the last node of its run over the prefix that ends at
+their node.  Both solvers step 64-node leaves: each leaf's history
+comes from the far field and the leaf itself from one matrix, applied
+by operators._leaf_product, an elementwise product and a row sum, no
+BLAS call either.  The oracle's
 matrix (oracle.gl_direct_solve) is the inverse of the leaf's Toeplitz
 matrix; the stepper's (stepper._leaf_map) is the node recurrence over
 the leaf, and a nonlinear problem's sweeps inside a leaf take the same
@@ -194,17 +194,27 @@ def test_one_far_field_path():
     assert callers == {("operators.py", "_close_blocks")}
 
 
+SINGLE_NODE = ("frac_integral", "frac_derivative01",
+               "frac_derivative_general", "volterra_direct_invert")
+
+
 def test_history_is_summed_only_by_the_node_form():
-    # The single-node evaluator serves the four single-node functions
-    # only; the solvers and the whole-series passes never step a history
-    # node by node.
-    callers = {(path.name, func)
+    # The node form has one evaluator, the whole-series one: nothing in
+    # the package defines, imports or names a single-node evaluator, and
+    # the four single-node functions, each a whole-series pass over the
+    # nodes up to its own, serve only the verification battery's
+    # inversion check.  The solvers and the whole-series passes never
+    # step a history node by node.
+    named = [(path.name, hit)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for hit in _walk(path, _named({"_node"}))]
+    assert named == []
+    callers = {(path.name, func, name)
                for path in sorted(PACKAGE.glob("*.py"))
-               for func, _ in _walk(path, _call_of("_node"))}
-    assert callers == {("operators.py", "frac_integral"),
-                       ("operators.py", "frac_derivative01"),
-                       ("operators.py", "frac_derivative_general"),
-                       ("decompose.py", "volterra_direct_invert")}
+               for name in SINGLE_NODE
+               for func, _ in _walk(path, _call_of(name))}
+    assert callers == {("verify.py", "_check_inversion",
+                        "volterra_direct_invert")}
 
 
 def test_the_node_closure_sums_its_history_once():

@@ -21,7 +21,6 @@ from fodesolve.operators import (
     _group,
     _integral_tables,
     _kernel_quad,
-    _node,
     _series,
     _signed_order,
     _table_length,
@@ -160,22 +159,27 @@ class TestWeightTables:
     @pytest.mark.parametrize("order", [0.5, 1.0, 0.123, 2.75, 170.28])
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
     def test_integral_kinds_share_one_power_table(self, order, n):
-        # Each entry of both integral kinds is the difference of its own
-        # two powers x1^a - x0^a: x1 = j for the boundary weights and
-        # j + 1 for the lags, x0 = j - 1 clipped at 0, slot 0 zero.
-        # Taken from one table of j^a, they keep those bits, entries
-        # past double range included (order 170.28 from j = 65 on).
+        # Each entry of the integral kernel's boundary and lag tables is
+        # the difference of its own two powers x1^a - x0^a: x1 = j for
+        # the boundary weights and j + 1 for the lags, x0 = j - 1
+        # clipped at 0, slot 0 zero.  Taken from one table of j^a, they
+        # keep those bits, entries past double range included (order
+        # 170.28 from j = 65 on), and so does the cached "integral"
+        # kind.
         j = np.arange(n, dtype=np.float64)
         x0 = np.maximum(j - 1.0, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             tables = _integral_tables(order, n)
-            kinds = [_weights(kind, order, n)
-                     for kind in ("integral_boundary", "integral")]
+            quad = _kernel_quad(-order, 1.0, n)
+            cached = _weights("integral", order, n)
             powers = [j ** order - x0 ** order,
                       (j + 1.0) ** order - x0 ** order]
-        for row, kind, expect in zip(tables, kinds, powers):
+        for row, table, expect in zip(tables, (quad.boundary, quad.lag),
+                                      powers):
             expect[0] = 0.0
-            assert row.tobytes() == kind.tobytes() == expect.tobytes()
+            assert row.tobytes() == table.tobytes() == expect.tobytes()
+            assert not table.flags.writeable
+        assert cached.tobytes() == quad.lag.tobytes()
 
 
 NODE_CALLS = [(frac_integral, 0.5), (frac_derivative01, 0.5),
@@ -363,16 +367,13 @@ class TestApplyOperator:
 def _node_form(mu, h, n):
     """The operator of order mu as (pref, centre, boundary, lag), with
     tables of the series' own length."""
-    if mu < 0.0:
-        return (h ** -mu / (2.0 * math.gamma(1.0 - mu)), 1.0,
-                _weights("integral_boundary", -mu, n),
-                _weights("integral", -mu, n))
-    if mu < 1.0:
-        return (h ** -mu / math.gamma(2.0 - mu), 1.0,
-                _weights("derivative01_boundary", mu, n),
-                _weights("derivative01_lag", mu, n))
-    w = _weights("binomial", mu, n)
-    return h ** -mu, w[0], w, w
+    if mu >= 1.0:
+        w = _weights("binomial", mu, n)
+        return h ** -mu, w[0], w, w
+    quad = _kernel_quad(mu, h, n)
+    pref = (h ** -mu / (2.0 * math.gamma(1.0 - mu)) if mu < 0.0
+            else h ** -mu / math.gamma(2.0 - mu))
+    return pref, 1.0, quad.boundary, quad.lag
 
 
 def _direct_sum(form, v, i):
@@ -558,9 +559,10 @@ def test_history_is_a_left_to_right_sum():
 
 class TestSeriesEvaluator:
     """The whole-series evaluator against the running one, node by node,
-    and against the single-node one, _node, at the nodes that end or
-    start a leaf and the leaf starts that close a block of 1024 or more,
-    byte for byte (signed zeros count), on every plan shape."""
+    and against its own run on the prefix that ends at the node, at the
+    nodes that end or start a leaf and the leaf starts that close a
+    block of 1024 or more, byte for byte (signed zeros count), on every
+    plan shape."""
 
     # At 4 097 and 5 000 samples several far blocks share each size, and
     # the grid cuts the last block of some sizes short: the whole series
@@ -586,7 +588,7 @@ class TestSeriesEvaluator:
         nodes = {1, 2, 63, 64, 65, 127, 128, 129, *range(1024, n, 1024),
                  n - 1}
         for i in sorted(i for i in nodes if i < n):
-            single = np.float64(_node(quad, v, i))
+            single = _series(quad, v[:i + 1])[i]
             assert single.tobytes() == whole[i].tobytes(), i
 
     @pytest.mark.parametrize("mu,shape", [(-0.5, "decaying"),

@@ -679,22 +679,37 @@ class TestLeafRoute:
     def test_linear_solve_sums_no_history_node_by_node(self, monkeypatch,
                                                        plate, plate_cubic):
         # Every problem takes each leaf's history from the far field and
-        # its leaf from the leaf map, a nonlinear one after its sweep:
-        # no solve calls the single-node evaluator, operators._node, by
-        # way of the frac_* functions or of the direct inverter.
-        from fodesolve import decompose, operators
+        # its leaf from the leaf map, a nonlinear one after its sweep,
+        # and the oracle and apply_operator take whole series: none of
+        # them calls a single-node function, the frac_* operators or the
+        # direct inverter's volterra_direct_invert, by any module's name
+        # for it.
+        import fodesolve
+        from fodesolve import decompose, operators, oracle, verify
         calls = []
 
-        def counted(*args):
-            calls.append(1)
-            return node(*args)
-        node = operators._node
-        for module in (operators, decompose):
-            monkeypatch.setattr(module, "_node", counted)
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+        for module in (fodesolve, operators, decompose, stepper, oracle,
+                       verify):
+            for name in ("frac_integral", "frac_derivative01",
+                         "frac_derivative_general", "volterra_direct_invert"):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name,
+                                        counting(name, vars(module)[name]))
         config = SolverConfig(h=0.01, t_end=5.0)
-        solve(plate, config)
+        z1 = solve(plate, config).z1
         solve(plate_cubic, config)
-        assert len(calls) == 0
+        gl_direct_solve(plate, config)
+        for mu in (-0.5, 0.5, 1.5):
+            apply_operator(z1, mu)
+        assert calls == []
+        # The counters are live.
+        operators.frac_integral(z1, 0.5, 3)
+        assert calls == ["frac_integral"]
 
     def test_an_overflowed_leaf_map_entry_meets_zero_inputs_as_zero(self):
         # y' + 0.2 D^0.5 y = 1 + 1e5 y at h = 1 grows 1e5-fold a node: the
