@@ -18,11 +18,8 @@ _HOMES = {
     name: module
     for module, names in (
         ("decompose", ("Babenko", "BabenkoResult", "DecomposedSystem",
-                       "DirectVolterra", "ForcingSegment", "FracTerm",
-                       "PiecewiseForcing", "Polynomial", "PowerSumForcing",
-                       "ProblemSpec", "RhsLink", "WLink", "babenko_invert",
-                       "build_system", "integer_order",
-                       "volterra_direct_invert")),
+                       "DirectVolterra", "RhsLink", "WLink", "babenko_invert",
+                       "build_system", "volterra_direct_invert")),
         ("errors", ("BabenkoTailWarning", "NonzeroOriginError", "ParseError",
                     "SingularInversionError", "SingularOriginError",
                     "UnsupportedProblemError")),
@@ -32,7 +29,9 @@ _HOMES = {
                        "weight_table")),
         ("oracle", ("ConvergenceRow", "ManufacturedCase", "convergence_study",
                     "gl_direct_solve", "manufacture", "power_rule")),
-        ("problemfile", ("format_problem", "parse_problem")),
+        ("problemfile", ("ForcingSegment", "FracTerm", "PiecewiseForcing",
+                         "Polynomial", "PowerSumForcing", "ProblemSpec",
+                         "format_problem", "integer_order", "parse_problem")),
         ("stepper", ("Diagnostics", "SolverConfig", "Trajectory",
                      "reconstruct_derivatives", "solve")),
         ("verify", ("CheckResult", "run_checks", "run_verify")),

@@ -15,7 +15,10 @@ chunk of rows at a time and write each chunk as it is made.
 
 Each subcommand imports the modules it runs inside its own function, so
 `apply` never loads the solver and `solve` never loads the cross-check
-solver or the verification battery.
+solver or the verification battery.  solve and convergence check their
+flags and read the problem file before they import the solver, and only
+the apply helpers import numpy here, so a bad flag or a malformed
+problem file is reported without loading numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import argparse
 import math
 import re
 import sys
-
-import numpy as np
 
 from .errors import (
     NonzeroOriginError,
@@ -142,24 +143,29 @@ def _check_positive(flag: str, value: float) -> None:
         raise _UsageError(f"{flag} must be positive and finite")
 
 
+def _check_inversion(args) -> None:
+    if args.inversion == "babenko" and args.babenko_terms < 1:
+        raise _UsageError("--babenko-terms must be at least 1")
+
+
 def _inversion_from(args):
     from .decompose import Babenko, DirectVolterra
 
     if args.inversion == "babenko":
-        if args.babenko_terms < 1:
-            raise _UsageError("--babenko-terms must be at least 1")
         return Babenko(terms=args.babenko_terms)
     return DirectVolterra()
 
 
 def _cmd_solve(args) -> int:
-    from .stepper import SolverConfig, solve
-
     _check_positive("--step", args.step)
     _check_positive("--t-end", args.t_end)
-    inversion = _inversion_from(args)
+    _check_inversion(args)
     problem = _read_problem(args.problem)
-    cfg = SolverConfig(h=args.step, t_end=args.t_end, inversion=inversion,
+
+    from .stepper import SolverConfig, solve
+
+    cfg = SolverConfig(h=args.step, t_end=args.t_end,
+                       inversion=_inversion_from(args),
                        output_derivatives=args.derivatives)
     traj = solve(problem, cfg)
     names, cols = ["t", "y"], [traj.y.times, traj.y.values]
@@ -181,9 +187,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    from .oracle import convergence_study
-    from .problemfile import _fmt
-
     try:
         steps = [float(tok) for tok in args.steps.split(",") if tok.strip()]
     except ValueError:
@@ -193,10 +196,14 @@ def _cmd_convergence(args) -> int:
     for s in steps:
         _check_positive("--steps", s)
     _check_positive("--t-end", args.t_end)
-    inversion = _inversion_from(args)
+    _check_inversion(args)
     problem = _read_problem(args.problem)
-    rows = convergence_study(problem, steps, args.t_end,
-                             oracle=args.oracle, inversion=inversion)
+
+    from .oracle import convergence_study
+    from .problemfile import _fmt
+
+    rows = convergence_study(problem, steps, args.t_end, oracle=args.oracle,
+                             inversion=_inversion_from(args))
     lines = ["h,sup_error,observed_order\n"]
     for row in rows:
         order = "" if row.observed_order is None else _fmt(row.observed_order)
@@ -224,6 +231,8 @@ def _read_csv_pairs(path: str):
     rejected input gets the loop's message.  Whitespace-only lines,
     empty fields, '_' in a number and non-ASCII digits take that
     route; empty lines do not."""
+    import numpy as np
+
     rows = None
     try:
         with open(path) as fh:
@@ -258,17 +267,22 @@ def _read_csv_rows(path: str):
         v.append(float(parts[1]))
     if len(t) < 2:
         raise ValueError("need at least two samples")
-    return _finite(np.asarray(t), np.asarray(v))
+    return _finite(t, v)
 
 
 def _finite(t, v):
-    """t and v, once every sample is checked finite."""
+    """t and v as arrays, once every sample is checked finite."""
+    import numpy as np
+
+    t, v = np.asarray(t), np.asarray(v)
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
         raise ValueError("input samples must be finite")
     return t, v
 
 
 def _cmd_apply(args) -> int:
+    import numpy as np
+
     from .operators import SampleSeries, _signed_order, apply_operator
 
     try:

@@ -1,9 +1,13 @@
-"""Problem description and its reduction to one integer-order equation.
+"""Reduction of a problem to one integer-order equation.
 
-A problem is a sum of fractional derivative terms plus a polynomial
-nonlinearity, driven by piecewise-polynomial forcing:
+A problem (fodesolve.problemfile.ProblemSpec) is a sum of fractional
+derivative terms plus a polynomial nonlinearity, driven by forcing:
 
     sum_i  a_i D^(alpha_i) y  +  g(y)  =  f(t),   orders strictly decreasing.
+
+This module holds the reduction only; the problem's types live with
+their file format in fodesolve.problemfile and stay importable from
+here.
 
 The reduction rewrites the leading term through a temporary series
 z1 = I^(m1 - alpha1)[y - ic polynomial], where m1 is the smallest integer
@@ -28,18 +32,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
+    DEFAULT_ORDER_CAP,
     BabenkoTailWarning,
     SingularInversionError,
     UnsupportedProblemError,
 )
 from .operators import (
-    DEFAULT_ORDER_CAP,
     SampleSeries,
     _check_node,
     _integral_pref,
@@ -48,6 +51,15 @@ from .operators import (
     _scaled_weights,
     _series,
     _table_length,
+)
+from .problemfile import (
+    ForcingSegment,
+    FracTerm,
+    PiecewiseForcing,
+    Polynomial,
+    PowerSumForcing,
+    ProblemSpec,
+    integer_order,
 )
 
 __all__ = [
@@ -75,211 +87,6 @@ __all__ = [
 # bound on it, exceeds this.  Callers wanting another threshold read the
 # reported sup norm and filter BabenkoTailWarning with the warnings module.
 TAIL_TOL = 1e-8
-
-
-def integer_order(alpha: float) -> int:
-    """Smallest integer m with m >= alpha (an integer order is its own m)."""
-    return int(math.ceil(alpha))
-
-
-@dataclass(frozen=True)
-class FracTerm:
-    """One term a * D^order applied to the unknown."""
-
-    coefficient: float
-    order: float
-
-    def __post_init__(self):
-        c = float(self.coefficient)
-        a = float(self.order)
-        if not math.isfinite(c):
-            raise ValueError("term coefficient must be finite")
-        if not math.isfinite(a) or a < 0.0:
-            raise ValueError("term order must be finite and nonnegative")
-        if a >= DEFAULT_ORDER_CAP:
-            raise ValueError(
-                f"term order {a!r} exceeds the supported cap {DEFAULT_ORDER_CAP}"
-            )
-        object.__setattr__(self, "coefficient", c)
-        object.__setattr__(self, "order", a)
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial with coefficients indexed by power: p(y) = sum c_k y^k."""
-
-    coefficients: tuple = ()
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if any(not math.isfinite(c) for c in coeffs):
-            raise ValueError("polynomial coefficients must be finite")
-        # Trailing zero coefficients carry no information; strip them so
-        # equal polynomials compare equal.
-        while coeffs and coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def monomials(self):
-        """Nonzero (coefficient, power) pairs, ascending in power."""
-        return tuple(
-            (c, p) for p, c in enumerate(self.coefficients) if c != 0.0
-        )
-
-
-@dataclass(frozen=True)
-class ForcingSegment:
-    """Polynomial forcing on the half-open window [t_from, t_to)."""
-
-    t_from: float
-    t_to: float
-    coefficients: tuple
-
-    def __post_init__(self):
-        t0 = float(self.t_from)
-        t1 = float(self.t_to)
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if not math.isfinite(t0) or t0 < 0.0:
-            raise ValueError("segment start must be finite and nonnegative")
-        if math.isnan(t1) or t1 <= t0:
-            raise ValueError("segment end must exceed its start")
-        if not coeffs or any(not math.isfinite(c) for c in coeffs):
-            raise ValueError("segment needs at least one finite coefficient")
-        object.__setattr__(self, "t_from", t0)
-        object.__setattr__(self, "t_to", t1)
-        object.__setattr__(self, "coefficients", coeffs)
-
-
-# Nodes this close to a segment boundary (relative to the step) are taken
-# to sit on the boundary, so grids whose node times carry float rounding
-# still pick the intended segment.
-_BOUNDARY_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class PiecewiseForcing:
-    """Forcing assembled from contiguous polynomial segments starting at 0.
-
-    The forcing is evaluated on the grid only, through sample(h, n).
-    Each node t is evaluated on the segment with t_from <= t < t_to; a
-    node exactly on a boundary, or less than 1e-9*h below it, belongs
-    to the segment that starts there (with h = 0.03, node 11 is
-    t = 0.32999999999999996 and takes a segment starting at 0.33).
-    """
-
-    segments: tuple
-
-    def __post_init__(self):
-        segs = tuple(self.segments)
-        if not segs:
-            raise ValueError("forcing needs at least one segment")
-        if segs[0].t_from != 0.0:
-            raise ValueError("forcing must start at t = 0")
-        for a, b in zip(segs, segs[1:]):
-            if b.t_from != a.t_to:
-                raise ValueError(
-                    "forcing segments must be contiguous and ordered"
-                )
-        object.__setattr__(self, "segments", segs)
-
-    @classmethod
-    def zero(cls) -> "PiecewiseForcing":
-        return cls((ForcingSegment(0.0, math.inf, (0.0,)),))
-
-    @property
-    def t_end(self) -> float:
-        return self.segments[-1].t_to
-
-    def sample(self, h: float, n: int) -> np.ndarray:
-        """Evaluate at t_i = i*h for i = 0..n-1."""
-        t = np.arange(n) * float(h)
-        end = self.t_end
-        if not math.isinf(end) and t[-1] > end + _BOUNDARY_SLACK * h:
-            raise ValueError(
-                f"grid extends to t = {t[-1]:g} beyond the forcing coverage"
-                f" ending at {end:g}"
-            )
-        froms = np.array([s.t_from for s in self.segments])
-        idx = np.searchsorted(froms, t + _BOUNDARY_SLACK * h, side="right") - 1
-        out = np.empty(n, dtype=np.float64)
-        for k, seg in enumerate(self.segments):
-            mask = idx == k
-            if mask.any():
-                out[mask] = npoly.polyval(t[mask], seg.coefficients)
-        return out
-
-
-@dataclass(frozen=True)
-class PowerSumForcing:
-    """Forcing of the form sum_k c_k t^(e_k) with real exponents e_k >= 0.
-
-    Fractional powers of t fall outside polynomial segments, so forcing
-    synthesized for manufactured solutions is carried in this exact
-    closed form and evaluated directly at whatever grid is requested.
-    """
-
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple((float(c), float(e)) for c, e in self.terms)
-        for c, e in terms:
-            if not math.isfinite(c) or not math.isfinite(e) or e < 0.0:
-                raise ValueError("power-sum terms need finite c and e >= 0")
-        object.__setattr__(self, "terms", terms)
-
-    def sample(self, h: float, n: int) -> np.ndarray:
-        t = np.arange(n) * float(h)
-        out = np.zeros(n, dtype=np.float64)
-        for c, e in self.terms:
-            out += c * t ** e if e != 0.0 else c
-        return out
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Full initial-value problem statement.
-
-    The lower terminal of every fractional operator is t = 0.  The
-    initial conditions are the integer derivatives y^(k)(0) for
-    k = 0..m1-1 where m1 is the integer order of the leading term.
-    """
-
-    terms: tuple
-    nonlinearity: Polynomial = Polynomial()
-    forcing: object = field(default_factory=PiecewiseForcing.zero)
-    initial_conditions: tuple = ()
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("problem needs at least one term")
-        if any(not isinstance(tm, FracTerm) for tm in terms):
-            terms = tuple(
-                tm if isinstance(tm, FracTerm) else FracTerm(*tm)
-                for tm in terms
-            )
-        orders = [tm.order for tm in terms]
-        if any(b >= a for a, b in zip(orders, orders[1:])):
-            raise ValueError("orders must be strictly decreasing")
-        if terms[0].coefficient == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
-        ics = tuple(float(v) for v in self.initial_conditions)
-        if any(not math.isfinite(v) for v in ics):
-            raise ValueError("initial conditions must be finite")
-        m1 = integer_order(terms[0].order)
-        if len(ics) != m1:
-            raise ValueError(
-                f"need exactly {m1} initial conditions for leading order"
-                f" {terms[0].order:g}, got {len(ics)}"
-            )
-        if not hasattr(self.forcing, "sample"):
-            raise ValueError("forcing must provide sample(h, n)")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "initial_conditions", ics)
-
-    @property
-    def leading_order(self) -> float:
-        return self.terms[0].order
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the
+order cap.
 
 They live apart from the modules that raise them so that a caller can
 catch any of them, as the command line does, without importing the
 numerical code behind it.  That includes ParseError, the problem-file
 syntax error, which fodesolve.problemfile raises and re-exports.
+DEFAULT_ORDER_CAP lives here for the same reason: the problem types
+and the operators both check orders against it, and neither module
+loads the other.
 """
+
+# Orders beyond this are almost certainly misparsed input, not physics.
+# Terms, links and operators all share it.
+DEFAULT_ORDER_CAP = 10.0
 
 
 class SingularOriginError(ValueError):

@@ -55,7 +55,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gammafn
-from .errors import NonzeroOriginError, SingularOriginError
+from .errors import (
+    DEFAULT_ORDER_CAP,
+    NonzeroOriginError,
+    SingularOriginError,
+)
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -66,10 +70,6 @@ __all__ = [
     "frac_derivative_general",
     "apply_operator",
 ]
-
-# Orders beyond this are almost certainly misparsed input, not physics.
-# Terms, links and operators all share it.
-DEFAULT_ORDER_CAP = 10.0
 
 _WEIGHT_CACHE_SIZE = 256
 # Each cached quadrature also holds block spectra, and a growing table

@@ -20,13 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gammafn
-from .decompose import (
-    DirectVolterra,
-    PowerSumForcing,
-    ProblemSpec,
-    integer_order,
-    _guard_pivot,
-)
+from .decompose import DirectVolterra, _guard_pivot
 from .errors import UnsupportedProblemError
 from .operators import (
     _LEAF,
@@ -38,6 +32,7 @@ from .operators import (
     _table_length,
     _weights,
 )
+from .problemfile import PowerSumForcing, ProblemSpec, integer_order
 from .stepper import Diagnostics, SolverConfig, Trajectory, solve
 
 __all__ = [

@@ -1,6 +1,18 @@
-"""Plain-text problem files.
+"""Problem statements and their plain-text form.
 
-One directive per line, `#` starts a comment, blank lines are ignored:
+A problem is a sum of fractional derivative terms plus a polynomial
+nonlinearity, driven by forcing on the grid:
+
+    sum_i  a_i D^(alpha_i) y  +  g(y)  =  f(t),   orders strictly decreasing,
+
+with the integer derivatives y^(k)(0), k = 0..m1-1, as initial
+conditions.  The types here hold it as plain data; only the forcing's
+sample methods load numpy, inside the call, so reading and writing a
+problem file never does.  fodesolve.decompose reduces a problem to the
+equations the stepper runs.
+
+A problem file holds one directive per line; `#` starts a comment and
+blank lines are ignored:
 
     term <coefficient> <order>          one fractional term (orders must
                                         appear strictly decreasing)
@@ -18,18 +30,241 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass, field
 
-from .decompose import (
-    ForcingSegment,
-    FracTerm,
-    PiecewiseForcing,
-    Polynomial,
-    ProblemSpec,
-    integer_order,
-)
-from .errors import ParseError
+from .errors import DEFAULT_ORDER_CAP, ParseError
 
-__all__ = ["ParseError", "parse_problem", "format_problem"]
+__all__ = [
+    "FracTerm",
+    "Polynomial",
+    "ForcingSegment",
+    "PiecewiseForcing",
+    "PowerSumForcing",
+    "ProblemSpec",
+    "integer_order",
+    "ParseError",
+    "parse_problem",
+    "format_problem",
+]
+
+
+def integer_order(alpha: float) -> int:
+    """Smallest integer m with m >= alpha (an integer order is its own m)."""
+    return int(math.ceil(alpha))
+
+
+@dataclass(frozen=True)
+class FracTerm:
+    """One term a * D^order applied to the unknown."""
+
+    coefficient: float
+    order: float
+
+    def __post_init__(self):
+        c = float(self.coefficient)
+        a = float(self.order)
+        if not math.isfinite(c):
+            raise ValueError("term coefficient must be finite")
+        if not math.isfinite(a) or a < 0.0:
+            raise ValueError("term order must be finite and nonnegative")
+        if a >= DEFAULT_ORDER_CAP:
+            raise ValueError(
+                f"term order {a!r} exceeds the supported cap {DEFAULT_ORDER_CAP}"
+            )
+        object.__setattr__(self, "coefficient", c)
+        object.__setattr__(self, "order", a)
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """Polynomial with coefficients indexed by power: p(y) = sum c_k y^k."""
+
+    coefficients: tuple = ()
+
+    def __post_init__(self):
+        coeffs = tuple(float(c) for c in self.coefficients)
+        if any(not math.isfinite(c) for c in coeffs):
+            raise ValueError("polynomial coefficients must be finite")
+        # Trailing zero coefficients carry no information; strip them so
+        # equal polynomials compare equal.
+        while coeffs and coeffs[-1] == 0.0:
+            coeffs = coeffs[:-1]
+        object.__setattr__(self, "coefficients", coeffs)
+
+    def monomials(self):
+        """Nonzero (coefficient, power) pairs, ascending in power."""
+        return tuple(
+            (c, p) for p, c in enumerate(self.coefficients) if c != 0.0
+        )
+
+
+@dataclass(frozen=True)
+class ForcingSegment:
+    """Polynomial forcing on the half-open window [t_from, t_to)."""
+
+    t_from: float
+    t_to: float
+    coefficients: tuple
+
+    def __post_init__(self):
+        t0 = float(self.t_from)
+        t1 = float(self.t_to)
+        coeffs = tuple(float(c) for c in self.coefficients)
+        if not math.isfinite(t0) or t0 < 0.0:
+            raise ValueError("segment start must be finite and nonnegative")
+        if math.isnan(t1) or t1 <= t0:
+            raise ValueError("segment end must exceed its start")
+        if not coeffs or any(not math.isfinite(c) for c in coeffs):
+            raise ValueError("segment needs at least one finite coefficient")
+        object.__setattr__(self, "t_from", t0)
+        object.__setattr__(self, "t_to", t1)
+        object.__setattr__(self, "coefficients", coeffs)
+
+
+# Nodes this close to a segment boundary (relative to the step) are taken
+# to sit on the boundary, so grids whose node times carry float rounding
+# still pick the intended segment.
+_BOUNDARY_SLACK = 1e-9
+
+
+def _horner(coefficients: tuple, t):
+    """sum_k c_k t^k at the samples t, in the operation order of
+    numpy.polynomial.polynomial.polyval, so the bits match it."""
+    out = coefficients[-1] + t * 0
+    for c in coefficients[-2::-1]:
+        out = c + out * t
+    return out
+
+
+@dataclass(frozen=True)
+class PiecewiseForcing:
+    """Forcing assembled from contiguous polynomial segments starting at 0.
+
+    The forcing is evaluated on the grid only, through sample(h, n).
+    Each node t is evaluated on the segment with t_from <= t < t_to; a
+    node exactly on a boundary, or less than 1e-9*h below it, belongs
+    to the segment that starts there (with h = 0.03, node 11 is
+    t = 0.32999999999999996 and takes a segment starting at 0.33).
+    """
+
+    segments: tuple
+
+    def __post_init__(self):
+        segs = tuple(self.segments)
+        if not segs:
+            raise ValueError("forcing needs at least one segment")
+        if segs[0].t_from != 0.0:
+            raise ValueError("forcing must start at t = 0")
+        for a, b in zip(segs, segs[1:]):
+            if b.t_from != a.t_to:
+                raise ValueError(
+                    "forcing segments must be contiguous and ordered"
+                )
+        object.__setattr__(self, "segments", segs)
+
+    @classmethod
+    def zero(cls) -> "PiecewiseForcing":
+        return cls((ForcingSegment(0.0, math.inf, (0.0,)),))
+
+    @property
+    def t_end(self) -> float:
+        return self.segments[-1].t_to
+
+    def sample(self, h: float, n: int):
+        """Evaluate at t_i = i*h for i = 0..n-1, as a float64 array."""
+        import numpy as np
+
+        t = np.arange(n) * float(h)
+        end = self.t_end
+        if n and not math.isinf(end) and t[-1] > end + _BOUNDARY_SLACK * h:
+            raise ValueError(
+                f"grid extends to t = {t[-1]:g} beyond the forcing coverage"
+                f" ending at {end:g}"
+            )
+        froms = np.array([s.t_from for s in self.segments])
+        idx = np.searchsorted(froms, t + _BOUNDARY_SLACK * h, side="right") - 1
+        out = np.empty(n, dtype=np.float64)
+        for k, seg in enumerate(self.segments):
+            mask = idx == k
+            if mask.any():
+                out[mask] = _horner(seg.coefficients, t[mask])
+        return out
+
+
+@dataclass(frozen=True)
+class PowerSumForcing:
+    """Forcing of the form sum_k c_k t^(e_k) with real exponents e_k >= 0.
+
+    Fractional powers of t fall outside polynomial segments, so forcing
+    synthesized for manufactured solutions is carried in this exact
+    closed form and evaluated directly at whatever grid is requested.
+    """
+
+    terms: tuple
+
+    def __post_init__(self):
+        terms = tuple((float(c), float(e)) for c, e in self.terms)
+        for c, e in terms:
+            if not math.isfinite(c) or not math.isfinite(e) or e < 0.0:
+                raise ValueError("power-sum terms need finite c and e >= 0")
+        object.__setattr__(self, "terms", terms)
+
+    def sample(self, h: float, n: int):
+        import numpy as np
+
+        t = np.arange(n) * float(h)
+        out = np.zeros(n, dtype=np.float64)
+        for c, e in self.terms:
+            out += c * t ** e if e != 0.0 else c
+        return out
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """Full initial-value problem statement.
+
+    The lower terminal of every fractional operator is t = 0.  The
+    initial conditions are the integer derivatives y^(k)(0) for
+    k = 0..m1-1 where m1 is the integer order of the leading term.
+    """
+
+    terms: tuple
+    nonlinearity: Polynomial = Polynomial()
+    forcing: object = field(default_factory=PiecewiseForcing.zero)
+    initial_conditions: tuple = ()
+
+    def __post_init__(self):
+        terms = tuple(self.terms)
+        if not terms:
+            raise ValueError("problem needs at least one term")
+        if any(not isinstance(tm, FracTerm) for tm in terms):
+            terms = tuple(
+                tm if isinstance(tm, FracTerm) else FracTerm(*tm)
+                for tm in terms
+            )
+        orders = [tm.order for tm in terms]
+        if any(b >= a for a, b in zip(orders, orders[1:])):
+            raise ValueError("orders must be strictly decreasing")
+        if terms[0].coefficient == 0.0:
+            raise ValueError("leading coefficient must be nonzero")
+        ics = tuple(float(v) for v in self.initial_conditions)
+        if any(not math.isfinite(v) for v in ics):
+            raise ValueError("initial conditions must be finite")
+        m1 = integer_order(terms[0].order)
+        if len(ics) != m1:
+            raise ValueError(
+                f"need exactly {m1} initial conditions for leading order"
+                f" {terms[0].order:g}, got {len(ics)}"
+            )
+        if not hasattr(self.forcing, "sample"):
+            raise ValueError("forcing must provide sample(h, n)")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "initial_conditions", ics)
+
+    @property
+    def leading_order(self) -> float:
+        return self.terms[0].order
+
 
 _TOKEN = re.compile(r"\S+")
 

@@ -48,10 +48,8 @@ import numpy as np
 from .decompose import (
     Babenko,
     DirectVolterra,
-    ProblemSpec,
     TAIL_TOL,
     build_system,
-    integer_order,
     _babenko_bound,
     _babenko_kernels,
     _direct_inverter,
@@ -69,6 +67,7 @@ from .operators import (
     _series,
     _table_length,
 )
+from .problemfile import ProblemSpec, integer_order
 
 __all__ = [
     "SolverConfig",

@@ -18,19 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gammafn
-from .decompose import (
-    Babenko,
+from .decompose import babenko_invert, volterra_direct_invert, WLink
+from .operators import SampleSeries, apply_operator
+from .oracle import gl_direct_solve, power_rule
+from .problemfile import (
     FracTerm,
     PiecewiseForcing,
     ForcingSegment,
     Polynomial,
     ProblemSpec,
-    babenko_invert,
-    volterra_direct_invert,
-    WLink,
 )
-from .operators import SampleSeries, apply_operator
-from .oracle import gl_direct_solve, power_rule
 from .stepper import SolverConfig, solve
 
 __all__ = ["CheckResult", "run_checks", "run_verify"]

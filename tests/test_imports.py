@@ -1,6 +1,7 @@
 """The package namespace resolves its names on first use, each
-command-line subcommand loads only the modules it runs, and only the
-command line's process entry sets the BLAS thread count.
+command-line subcommand loads only the modules it runs, reading a
+problem file loads no numpy, and only the command line's process entry
+sets the BLAS thread count.
 
 Each import check runs in a fresh interpreter, so modules that other
 tests imported do not leak in.
@@ -37,18 +38,21 @@ def _fresh(code, *args, threads=None):
     return run.stdout.splitlines()[-1]
 
 
-def _loaded(code):
+def _loaded(code, absent=()):
     """The fodesolve modules loaded after running code in a fresh
-    interpreter on the source tree."""
+    interpreter on the source tree, once none of the modules named in
+    absent has been loaded."""
     code += ("\nimport json, sys\n"
+             f"for m in {tuple(absent)!r}:\n"
+             "    assert m not in sys.modules, m\n"
              "print(json.dumps(sorted(m for m in sys.modules"
              " if m.startswith('fodesolve'))))\n")
     return {m.removeprefix("fodesolve.") for m in json.loads(_fresh(code))}
 
 
-def _cli_loaded(argv):
+def _cli_loaded(argv, absent=()):
     return _loaded("import fodesolve.cli\n"
-                   f"assert fodesolve.cli.main({argv!r}) == 0\n")
+                   f"assert fodesolve.cli.main({argv!r}) == 0\n", absent)
 
 
 @pytest.fixture
@@ -62,24 +66,34 @@ class TestSubcommandImports:
     def test_import_loads_no_submodule(self):
         assert _loaded("import fodesolve") == {"fodesolve"}
 
+    def test_problem_file_loads_no_numpy(self):
+        code = ("import fodesolve\n"
+                f"with open({PLATE!r}) as fh:\n"
+                "    problem = fodesolve.parse_problem(fh.read())\n"
+                "assert fodesolve.parse_problem("
+                "fodesolve.format_problem(problem)) == problem\n")
+        assert _loaded(code, absent=["numpy"]) == {
+            "fodesolve", "errors", "problemfile"}
+
     def test_apply(self, signal_csv, tmp_path):
         loaded = _cli_loaded(["apply", "--in", signal_csv, "--order", "-0.5",
                               "--out", str(tmp_path / "out.csv")])
-        assert "operators" in loaded
-        assert not loaded & {"decompose", "stepper", "oracle", "verify",
-                             "problemfile"}
+        assert loaded == {"fodesolve", "cli", "errors", "gammafn",
+                          "operators"}
 
     def test_solve(self, tmp_path):
         loaded = _cli_loaded(["solve", "--problem", PLATE, "--step", "0.1",
                               "--t-end", "1",
-                              "--out", str(tmp_path / "out.csv")])
+                              "--out", str(tmp_path / "out.csv")],
+                             absent=["numpy.polynomial"])
         assert "stepper" in loaded
         assert not loaded & {"oracle", "verify"}
 
     def test_convergence(self, tmp_path):
         loaded = _cli_loaded(["convergence", "--problem", PLATE, "--steps",
                               "0.1,0.05", "--t-end", "1", "--oracle", "gl",
-                              "--out", str(tmp_path / "out.csv")])
+                              "--out", str(tmp_path / "out.csv")],
+                             absent=["numpy.polynomial"])
         assert "oracle" in loaded
         assert "verify" not in loaded
 
@@ -172,6 +186,20 @@ class TestProcessEntry:
     def test_caller_setting_kept(self, entry):
         code, blas, numpy_loaded, _ = entry(threads="2")
         assert (code, blas, numpy_loaded) == (0, "2", True)
+
+    @pytest.mark.parametrize("route", ["-m", SCRIPT])
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    def test_malformed_problem_file_exits_before_numpy(self, route, command,
+                                                       tmp_path):
+        bad = tmp_path / "bad.fode"
+        bad.write_text("term 1 2\ninit 0 zero\ninit 1 0\n")
+        grid = (["--step", "0.1"] if command == "solve"
+                else ["--steps", "0.1,0.05"])
+        argv = [command, "--problem", str(bad), *grid, "--t-end", "1",
+                "--out", str(tmp_path / "out.csv")]
+        code, blas, numpy_loaded, _ = json.loads(_fresh(_ENTRY, route, *argv))
+        assert (code, blas, numpy_loaded) == (2, "1", False)
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("module", ["fodesolve", "fodesolve.cli",
                                         "fodesolve.__main__"])

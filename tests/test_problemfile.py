@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from fodesolve.decompose import (
     ForcingSegment,
@@ -11,7 +13,15 @@ from fodesolve.decompose import (
     PowerSumForcing,
     ProblemSpec,
 )
-from fodesolve.problemfile import ParseError, format_problem, parse_problem
+from fodesolve.problemfile import (
+    ParseError,
+    _horner,
+    format_problem,
+    parse_problem,
+)
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "problems")
+                 .glob("*.fode"))
 
 BENCHMARK_TEXT = """\
 # damped plate, half-order damping
@@ -199,3 +209,61 @@ class TestRoundTrip:
                         initial_conditions=(0.0,))
         with pytest.raises(ValueError):
             format_problem(p)
+
+
+def _polyval_sample(forcing, h, n):
+    """PiecewiseForcing.sample with numpy's polyval on each segment."""
+    t = np.arange(n) * float(h)
+    froms = np.array([s.t_from for s in forcing.segments])
+    idx = np.searchsorted(froms, t + 1e-9 * h, side="right") - 1
+    out = np.empty(n, dtype=np.float64)
+    for k, seg in enumerate(forcing.segments):
+        mask = idx == k
+        out[mask] = npoly.polyval(t[mask], seg.coefficients)
+    return out
+
+
+class TestForcingSamples:
+    """The segments are summed by Horner's rule in polyval's operation
+    order, so every sample keeps polyval's bits."""
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("h", [0.002, 0.01, 0.03, 0.1])
+    def test_shipped_problems_keep_polyval_bits(self, path, h):
+        forcing = parse_problem(path.read_text()).forcing
+        n = int(round(30.0 / h)) + 1
+        t = np.arange(n) * h
+        for seg in forcing.segments:
+            assert (_horner(seg.coefficients, t).tobytes()
+                    == npoly.polyval(t, seg.coefficients).tobytes())
+        assert (forcing.sample(h, n).tobytes()
+                == _polyval_sample(forcing, h, n).tobytes())
+
+    def test_random_coefficients_and_grids_keep_polyval_bits(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(300):
+            degree = int(rng.integers(0, 9))
+            coeffs = tuple(float(c) for c in
+                           rng.standard_normal(degree + 1)
+                           * 10.0 ** rng.integers(-6, 7, degree + 1))
+            n = int(rng.integers(2, 400))
+            h = float(10.0 ** rng.uniform(-4, 1))
+            t = np.arange(n) * h
+            assert (_horner(coeffs, t).tobytes()
+                    == npoly.polyval(t, coeffs).tobytes()), (coeffs, h, n)
+            cut = float(t[n // 2])
+            forcing = PiecewiseForcing((
+                ForcingSegment(0.0, cut, coeffs),
+                ForcingSegment(cut, math.inf, coeffs[::-1]),
+            ))
+            assert (forcing.sample(h, n).tobytes()
+                    == _polyval_sample(forcing, h, n).tobytes())
+
+    @pytest.mark.parametrize("forcing", [
+        PiecewiseForcing((ForcingSegment(0.0, 1.0, (3.0, 2.0)),)),
+        PiecewiseForcing.zero(),
+        PowerSumForcing(((2.0, 1.5), (1.0, 0.0))),
+    ], ids=["finite_piecewise", "zero", "power_sum"])
+    def test_empty_grid_gives_an_empty_sample(self, forcing):
+        got = forcing.sample(0.5, 0)
+        assert got.dtype == np.float64 and got.shape == (0,)
