@@ -1,11 +1,13 @@
 """Process entry of the command line: `python -m fodesolve` runs this
 module, and the `fodesolve` console script calls its main.
 
-Importing it changes nothing; only main touches the environment.
+Importing it changes nothing; only main touches the environment
+and the warning format.
 """
 
 import os
 import sys
+import warnings
 
 
 def main() -> int:
@@ -15,6 +17,10 @@ def main() -> int:
     # CPU per process.  OpenBLAS reads the variable when numpy loads,
     # so it is set before cli imports numpy.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # A warning is one stderr line, as the other diagnostics are, not
+    # Python's file:line header and source line.  The filters stay as
+    # they are, so -W error still raises.
+    warnings.formatwarning = lambda msg, *_, **__: f"warning: {msg}\n"
     from .cli import main as cli_main
 
     return cli_main()

@@ -39,10 +39,11 @@ of y).  Its output is prefix causal to the bit, so a single node i is
 the last output of the series cut after node i: the single-node
 functions evaluate it that way.  A series whose next sample depends on
 the last output (the stepper's, the cross-check solver's) is solved a
-leaf of nodes at a time instead: the far field from before the leaf,
-one group per series the couplings read, then the leaf itself through
-one matrix and _leaf_product; the whole-series evaluator then takes a
-coupling's far field from the run rather than summing it again.
+leaf of nodes at a time instead, by one driver, _leaf_run: the far
+field from before the leaf, one group per series the couplings read,
+then the leaf itself through one matrix and _leaf_product; the
+whole-series evaluator then takes a coupling's far field from the run
+rather than summing it again.
 """
 
 from __future__ import annotations
@@ -265,8 +266,9 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # _series sums every block once, adding a node's blocks in increasing
 # k, so a whole series costs O(n log^2 n), and a single node, the
 # series cut after it, O(i log^2 i).  It fills its far field through
-# one function, _close_blocks, and so do the two leaf-blocked solves
-# (stepper._leaf_solve, oracle.gl_direct_solve).
+# one function, _close_blocks, and so does the one leaf driver,
+# _leaf_run, which walks the leaves of stepper._leaf_solve and
+# oracle.gl_direct_solve.
 # _close_blocks transforms the blocks it is given size by size, all of
 # one size in one FFT pair (a direct sum from cap on), the largest size
 # first, for a group of quadratures that read the same samples
@@ -274,8 +276,8 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # broadcast multiply by its members' lag spectra, stacked once per group
 # and size, and one irfft, and adds each size's outputs into one
 # accumulator row per member with one slice add (a scaled member takes
-# its own pair).  _series gives it every leaf start at once, and the
-# leaf solves one leaf start at a time, for every coupling on one series
+# its own pair).  _series gives it every leaf start at once, and
+# _leaf_run one leaf start at a time, for every coupling on one series
 # together, with a group built once per solve.  A node's blocks are the
 # binary prefixes of its leaf start, one of each size, and of two of
 # them the larger block has the smaller k, so largest size first is
@@ -505,9 +507,9 @@ def _close_blocks(group: _Group, values: np.ndarray, acc: np.ndarray,
     smallest, which is increasing k for every node (see the comment
     above _LEAF).  Those of one size b must be consecutive odd multiples
     of b.  The package passes every leaf start of a range (_series) or a
-    single leaf start, which takes no sorting (the two leaf solves, once
-    per leaf start for every coupling that reads the same series): the
-    one far-field path."""
+    single leaf start, which takes no sorting (_leaf_run, once per leaf
+    start for every coupling that reads the same series): the one
+    far-field path."""
     n = acc.shape[1]
     if len(closing) == 1:
         runs = ((closing[0], 1),)
@@ -572,8 +574,9 @@ def _leaf_product(g: np.ndarray, x: np.ndarray, finite: bool,
     """(g * x).sum(axis=1): one leaf of a leaf-blocked solve, its outputs
     from the leaf's matrix g and its inputs x, by an elementwise product
     into buf, a g-shaped array the caller keeps for the whole solve, and
-    a row sum (no BLAS call).  Both leaf solvers, the stepper's and
-    oracle.gl_direct_solve, take their leaves here.
+    a row sum (no BLAS call).  The per-leaf solves that _leaf_run
+    drives, the stepper's and oracle.gl_direct_solve's, take their
+    leaves here.
 
     A non-finite input counts as 0 in the sums, so an output it does not
     reach never meets it as 0 * inf.  An output it reaches through a
@@ -600,6 +603,28 @@ def _leaf_product(g: np.ndarray, x: np.ndarray, finite: bool,
         rows = hit.any(axis=1)
         out[rows] = np.where(hit, gb * x[bad], 0.0)[rows].sum(axis=1)
     return out
+
+
+def _leaf_run(n: int, groups, leaf) -> int | None:
+    """Walk an n-node leaf-blocked solve a leaf of _LEAF nodes at a
+    time: the one leaf loop of the stepper and of
+    oracle.gl_direct_solve.  At each leaf start s it closes the far
+    blocks that s closes for every (values, group, acc) of groups, one
+    _close_blocks call per group, then calls leaf(s, e), which solves
+    nodes s..e-1 and returns their outputs.  It stops after the first
+    leaf whose outputs are not all finite and returns the first
+    non-finite node (None for a clean run)."""
+    for s in range(0, n, _LEAF):
+        if s:
+            for values, group, acc in groups:
+                _close_blocks(group, values, acc, (s,))
+        out = leaf(s, min(s + _LEAF, n))
+        # A finite sum means every node of the leaf is finite.
+        if not math.isfinite(np.add.reduce(out)):
+            bad = ~np.isfinite(out)
+            if bad.any():
+                return s + int(bad.argmax())
+    return None
 
 
 def _integral_pref(h: float, alpha: float) -> float:

@@ -25,9 +25,9 @@ from .errors import UnsupportedProblemError
 from .operators import (
     _LEAF,
     SampleSeries,
-    _close_blocks,
     _group,
     _leaf_product,
+    _leaf_run,
     _quadrature,
     _table_length,
     _weights,
@@ -145,9 +145,10 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     the leaf comes from the node form's far field, and the leaf's own
     nodes from G (f - far), where G is the inverse of the leaf's
     Toeplitz matrix (W_0 + c, W_1, ..., W_63), applied by
-    operators._leaf_product as the stepper applies its leaf map.  That
-    costs O(N log^2 N) rather than one O(N) history sum per node.  The
-    run stops at the first non-finite node.
+    operators._leaf_product as the stepper applies its leaf map; the
+    leaves are walked by operators._leaf_run, the stepper's leaf loop
+    too.  That costs O(N log^2 N) rather than one O(N) history sum per
+    node.  The run stops at the first non-finite node.
     """
     if any(v != 0.0 for v in problem.initial_conditions):
         raise UnsupportedProblemError(
@@ -162,7 +163,11 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
 
     h = config.h
     n = config.num_steps + 1
-    fvec = np.asarray(problem.forcing.sample(h, n), dtype=np.float64)
+    # y_0 = 0: node 0 solves for a zero right-hand side, so the rest of
+    # the first leaf is the same Toeplitz system one node shorter.  The
+    # zero goes into a copy; the forcing may hand out a shared array.
+    fvec = np.array(problem.forcing.sample(h, n), dtype=np.float64)
+    fvec[0] = 0.0
     scales = [_term_scale(tm, h) for tm in problem.terms]
     pivot = _guard_pivot(sum(scales) + c_lin,
                          sum(abs(s) for s in scales) + abs(c_lin),
@@ -178,27 +183,17 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     y = np.zeros(n, dtype=np.float64)
     acc = np.zeros((1, n))
     far = acc[0]
-    nan_node = None
+
+    def solve_leaf(s, e):
+        # A non-finite right-hand side at node j makes y_j non-finite,
+        # and only the rows from j on.
+        y[s:e] = _leaf_product(inverse[:e - s, :e - s],
+                               fvec[s:e] - far[s:e], finite,
+                               buf[:e - s, :e - s])
+        return y[s:e]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n, _LEAF):
-            if s:
-                _close_blocks(group, y, acc, (s,))
-            e = min(s + _LEAF, n)
-            r = fvec[s:e] - far[s:e]
-            # y_0 = 0: the rest of the first leaf is the same Toeplitz
-            # system one node shorter.
-            if not s:
-                r[0] = 0.0
-            # A non-finite r_j makes y_j non-finite, and only the rows
-            # from j on.
-            y[s:e] = _leaf_product(inverse[:e - s, :e - s], r, finite,
-                                   buf[:e - s, :e - s])
-            # A finite sum means every node of the leaf is finite.
-            if not math.isfinite(np.add.reduce(y[s:e])):
-                stop = ~np.isfinite(y[s:e])
-                if stop.any():
-                    nan_node = s + int(stop.argmax())
-                    break
+        nan_node = _leaf_run(n, [(y, group, acc)], solve_leaf)
     if nan_node is not None:
         y = y[:nan_node]
     return Trajectory(

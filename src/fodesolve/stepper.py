@@ -60,10 +60,10 @@ from .operators import (
     _LEAF,
     SampleSeries,
     apply_operator,
-    _close_blocks,
     _group,
     _kernel_quad,
     _leaf_product,
+    _leaf_run,
     _series,
     _table_length,
 )
@@ -508,15 +508,15 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
     first node where z1 or y is not finite (None for a clean run).
 
     The run keeps one far-field row per quadrature, in the feed with
-    f - c0 and the initial-condition polynomial.  Each leaf start closes
-    the quadratures' far blocks into their rows through
-    operators._close_blocks, as operators._series does, one call
-    per group of quadratures that read one series (w for the series
-    fold, z1 for every other), so the members of a group share each
-    block's transforms.  The leaf's inputs are the weight table times
-    the feed at the leaf's nodes, a product and a sum over the feed's
-    rows; its outputs are one operators._leaf_product with g, into
-    buffers kept for the solve.  A node's nonlinear value
+    f - c0 and the initial-condition polynomial, and walks its leaves
+    through operators._leaf_run, the cross-check solver's leaf loop
+    too.  Each leaf start closes the quadratures' far blocks into their
+    rows there, one group of quadratures per series they read (w for
+    the series fold, z1 for every other), so the members of a group
+    share each block's transforms.  The leaf's inputs are the weight
+    table times the feed at the leaf's nodes, a product and a sum over
+    the feed's rows; its outputs are one operators._leaf_product with
+    g, into buffers kept for the solve.  A node's nonlinear value
     n_r = -sum c*y_r**p enters where the right-hand side's input does,
     and y at a leaf node depends on n at the leaf's earlier nodes only.
     So a leaf with powers first takes base = g_y x + o, o being y's own
@@ -526,7 +526,8 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
     sweeps end after at most _LEAF + 1 and give the forward-substitution
     value however many they take, so a prefix of the grid gives the
     same bits.  A linear problem skips the sweep.  Stepping stops after
-    the first leaf whose z1 is not finite.  y is ic_poly + nu's
+    the first leaf whose z1 is not finite, and y is formed up to z1's
+    first non-finite node.  y is ic_poly + nu's
     whole-series pass over z1 (ic_poly + z1 at nu = 0), bitwise what
     apply_operator gives: the run has closed nu's blocks at every leaf
     start before the end, as that pass would, so the pass takes its far
@@ -571,12 +572,7 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
             out = out - c * y ** p
         return out
 
-    end = n
-    for s in range(0, n, _LEAF):
-        e = min(s + _LEAF, n)
-        if s:
-            for values, group, acc in groups:
-                _close_blocks(group, values, acc, (s,))
+    def solve_leaf(s, e):
         leaf = feed[:, s:s + _LEAF]
         np.add.reduce(np.multiply(table, leaf, out=terms), axis=1,
                       out=inputs)
@@ -600,12 +596,11 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
         if on_w:
             w[s:e] = out[_LEAF:_LEAF + e - s]
         x[:m1] = out[-m1:]
-        # A finite sum means every node of the leaf is finite.
-        if (not math.isfinite(np.add.reduce(z1[s:e]))
-                and not np.isfinite(z1[s:e]).all()):
-            end = e
-            break
+        return z1[s:e]
+
+    stop = _leaf_run(n, groups, solve_leaf)
+    end = n if stop is None else stop + 1
     y = ic_poly[:end] + (z1[:end] if nu_quad is None
                          else _series(nu_quad, z1[:end], feed[q - 1, :end]))
-    stop = ~(np.isfinite(z1[:end]) & np.isfinite(y))
-    return w, z1, y, int(stop.argmax()) if stop.any() else None
+    bad = ~(np.isfinite(z1[:end]) & np.isfinite(y))
+    return w, z1, y, int(bad.argmax()) if bad.any() else None

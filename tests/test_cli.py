@@ -157,6 +157,53 @@ class TestSolve:
         assert np.all(np.isfinite(body))
         assert "numerical failure" in capsys.readouterr().err
 
+    @staticmethod
+    def _module(*args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                          env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_process_prints_each_warning_on_one_line(self, plate_file,
+                                                      blowup_file, tmp_path):
+        # The series route's two tail warnings on [0, 30], and a stopped
+        # run's: "warning: <message>", with no file name, line number or
+        # source line.
+        run = self._module(
+            "-m", "fodesolve", "solve", "--problem", plate_file,
+            "--step", "0.01", "--t-end", "30", "--inversion", "babenko",
+            "--out", str(tmp_path / "series.csv"))
+        assert run.returncode == 0
+        lines = run.stderr.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == ("warning: series inversion's a-priori term"
+                            " factor is 10.2 at t = 30; the result will be"
+                            " unreliable")
+        assert lines[1].startswith("warning: series inversion truncated")
+        assert "cli.py" not in run.stderr and "solve(" not in run.stderr
+        run = self._module(
+            "-m", "fodesolve", "solve", "--problem", blowup_file,
+            "--step", "0.1", "--t-end", "50",
+            "--out", str(tmp_path / "blowup.csv"))
+        assert run.returncode == 3
+        assert run.stderr == (
+            "warning: run stopped at node 9 (t = 0.9): non-finite value\n"
+            "numerical failure at node 9 (t = 0.9); wrote the nodes before"
+            " it\n")
+
+    def test_warning_filters_still_apply_in_the_process(self, blowup_file,
+                                                         tmp_path):
+        run = self._module(
+            "-W", "error::RuntimeWarning", "-m", "fodesolve", "solve",
+            "--problem", blowup_file, "--step", "0.1", "--t-end", "50",
+            "--out", str(tmp_path / "blowup.csv"))
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1] == (
+            "RuntimeWarning: run stopped at node 9 (t = 0.9): non-finite"
+            " value")
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):

@@ -19,7 +19,8 @@ matrix (oracle.gl_direct_solve) is the inverse of the leaf's Toeplitz
 matrix; the stepper's (stepper._leaf_map) is the node recurrence over
 the leaf, and a nonlinear problem's sweeps inside a leaf take the same
 product.  All of them take their far blocks through the one far-field
-path, operators._close_blocks.  The subprocess tests check the promise
+path, operators._close_blocks, and walk their leaves through one
+driver, operators._leaf_run.  The subprocess tests check the promise
 end to end through the CLI; the source scans keep a thread-dependent
 reduction, a node-by-node history evaluator or a second far-field path
 from coming back in some other function.
@@ -192,6 +193,35 @@ def test_one_far_field_path():
                for path in sorted(PACKAGE.glob("*.py"))
                for func, _ in _walk(path, _call_of("_far_block"))}
     assert callers == {("operators.py", "_close_blocks")}
+
+
+def _leaf_starts(node):
+    # Each walk over leaf starts: a range stepping by _LEAF, or a
+    # counter advanced by _LEAF.
+    if (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+            == "range" and len(node.args) == 3):
+        step = node.args[2]
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+        step = node.value
+    else:
+        return None
+    return "leaf starts" if getattr(step, "id", None) == "_LEAF" else None
+
+
+def test_one_leaf_loop():
+    # The stepper and the cross-check solver walk their leaves through
+    # one driver, operators._leaf_run: no other function walks leaf
+    # starts, and only it and the whole-series evaluator close far
+    # blocks.
+    callers = {(path.name, func)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for func, _ in _walk(path, _call_of("_close_blocks"))}
+    assert callers == {("operators.py", "_series"),
+                       ("operators.py", "_leaf_run")}
+    walkers = {(path.name, func)
+               for path in sorted(PACKAGE.glob("*.py"))
+               for func, _ in _walk(path, _leaf_starts)}
+    assert walkers == {("operators.py", "_leaf_run")}
 
 
 SINGLE_NODE = ("frac_integral", "frac_derivative01",

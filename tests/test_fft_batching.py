@@ -65,8 +65,10 @@ def test_couplings_on_one_series_share_each_leaf_transform(fft_calls,
     # of order 1.2 and the reconstruction y = D^0.5 z1, both on z1.
     # 10 001 nodes: 156 leaf starts, each closing one block for both
     # couplings with one rfft and one irfft.  y comes from the far field
-    # the run accumulated for nu: no whole-series far pass, which would
-    # go through the module's _close_blocks.
+    # the run accumulated for nu: no whole-series far pass.  The leaf
+    # driver closes its leaves through the module's _close_blocks too,
+    # so the calls recorded there are the 156 leaf closings, one leaf
+    # start each; a whole-series pass would add a call closing many.
     from fodesolve import operators
     problem = ProblemSpec(
         terms=((1.0, 1.5), (0.5, 0.7)),
@@ -86,4 +88,6 @@ def test_couplings_on_one_series_share_each_leaf_transform(fft_calls,
     fft_calls.update(rfft=0, irfft=0)
     assert len(solve(problem, config).y.values) == 10001
     assert fft_calls == {"rfft": 156, "irfft": 156}
-    assert passes == []
+    assert len(passes) == 156
+    assert [tuple(args[3]) for args in passes] == [
+        (s,) for s in range(64, 10001, 64)]

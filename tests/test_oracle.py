@@ -253,6 +253,46 @@ class TestGlDirectSolve:
         assert len(ref) == len(y) == 4001
         assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(ref))
 
+    # The leaf driver's stop.  D^1.5 y + 0.7 D^0.7 y + 0.4 y = 1 - 0.05 t
+    # up to t = start, then 1e308 t, past double range from the first
+    # node after start: node 30 inside the first leaf, or node 196 inside
+    # the partial last leaf of a 201-node grid (3 leaves and 9 nodes).
+    # Bound, here and on the short grids below: 1e-9 relative sup, as in
+    # test_leaf_solve_matches_the_node_by_node_loop, far above the
+    # rounding either solve carries over at most 201 nodes (up to 2e-14
+    # measured) and far below the change a lost leaf, a far block closed
+    # at the wrong start or a leaf cut short would make.
+    @pytest.mark.parametrize("start,nan_node", [(2.95, 30), (19.55, 196)],
+                             ids=["first_leaf", "partial_last_leaf"])
+    def test_stops_inside_a_leaf_and_keeps_the_nodes_before(self, start,
+                                                            nan_node):
+        p = replace(INDEPENDENT, forcing=PiecewiseForcing((
+            ForcingSegment(0.0, start, (1.0, -0.05)),
+            ForcingSegment(start, math.inf, (0.0, 1e308)))))
+        cfg = SolverConfig(h=0.1, t_end=20.0)
+        with np.errstate(over="ignore"):
+            traj = gl_direct_solve(p, cfg)
+            ref = _loop_solve(p, cfg)
+        assert traj.diagnostics.nan_node == nan_node
+        assert len(traj.y) == len(ref) == nan_node
+        y = traj.y.values
+        assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nodes", [3, 64, 65])
+    @pytest.mark.parametrize("problem", ["plate", "independent"])
+    def test_short_grids_match_the_node_by_node_loop(self, problem, nodes,
+                                                     plate):
+        # Fewer nodes than one leaf, exactly one leaf, and one leaf and
+        # the node that closes the first far block.
+        problem = plate if problem == "plate" else INDEPENDENT
+        cfg = SolverConfig(h=0.125, t_end=0.125 * (nodes - 1))
+        ref = _loop_solve(problem, cfg)
+        traj = gl_direct_solve(problem, cfg)
+        assert traj.diagnostics.nan_node is None
+        assert len(traj.y) == len(ref) == nodes
+        y = traj.y.values
+        assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(ref))
+
     def test_folded_table_matches_a_per_term_exact_sum(self, plate):
         # The solver folds its terms into one table W_j = sum_k s_k w_j^(k)
         # and sums one history per node.  The reference keeps the terms

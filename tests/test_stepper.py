@@ -746,6 +746,53 @@ class TestLeafRoute:
         assert loop.nan_node == 181
         assert _rel_sup(leaf.y.values, loop.y) <= 1e-11
 
+    # The leaf driver's stop.  D^1.5 y + 0.7 D^0.7 y + 0.4 y = 1 - 0.05 t
+    # up to t = start, then 1e308 t, past double range from the first
+    # node after start, which reaches z1 through the state at the next
+    # node: node 31 inside the first leaf, or node 197 inside the partial
+    # last leaf of a 201-node grid (3 leaves and 9 nodes).  Bound, here
+    # and on the short grids below: 1e-9 relative sup of y and of z1, the
+    # bound of the oracle's test_leaf_solve_matches_the_node_by_node_loop,
+    # far above the rounding either route carries over at most 201 nodes
+    # (up to 2.4e-14 measured) and far below the change a lost leaf, a
+    # far block closed at the wrong start or a leaf cut short would make.
+    @pytest.mark.parametrize("start,nan_node", [(2.95, 31), (19.55, 197)],
+                             ids=["first_leaf", "partial_last_leaf"])
+    def test_stops_inside_a_leaf_and_keeps_the_nodes_before(self, start,
+                                                            nan_node):
+        p = ProblemSpec(terms=((1.0, 1.5), (0.7, 0.7)),
+                        nonlinearity=Polynomial((0.0, 0.4)),
+                        forcing=PiecewiseForcing((
+                            ForcingSegment(0.0, start, (1.0, -0.05)),
+                            ForcingSegment(start, math.inf, (0.0, 1e308)))),
+                        initial_conditions=(0.0, 0.0))
+        config = SolverConfig(h=0.1, t_end=20.0)
+        with np.errstate(over="ignore"):
+            with pytest.warns(RuntimeWarning,
+                              match=f"stopped at node {nan_node} "):
+                leaf = solve(p, config)
+            loop = node_loop_solve(p, config)
+        assert leaf.diagnostics.nan_node == loop.nan_node == nan_node
+        assert len(leaf.y) == len(leaf.z1) == len(loop.y) == nan_node
+        assert _rel_sup(leaf.y.values, loop.y) <= 1e-9
+        assert _rel_sup(leaf.z1.values, loop.z1) <= 1e-9
+
+    @pytest.mark.parametrize("nodes", [3, 64, 65])
+    @pytest.mark.parametrize("name", ["plate", "cubic", "independent"])
+    def test_short_grids_match_the_node_loop(self, plate, plate_cubic, name,
+                                             nodes):
+        # Fewer nodes than one leaf, exactly one leaf, and one leaf and
+        # the node that closes the first far block.
+        problem = {"plate": plate, "cubic": plate_cubic,
+                   "independent": LINEAR["independent"][0]}[name]
+        config = SolverConfig(h=0.125, t_end=0.125 * (nodes - 1))
+        leaf = solve(problem, config)
+        loop = node_loop_solve(problem, config)
+        assert leaf.diagnostics.nan_node is None and loop.nan_node is None
+        assert len(leaf.y) == len(loop.y) == nodes
+        assert _rel_sup(leaf.y.values, loop.y) <= 1e-9
+        assert _rel_sup(leaf.z1.values, loop.z1) <= 1e-9
+
     def test_a_runaway_is_kept_up_to_its_own_overflow(self):
         # D^1.5 y - 50 y = 1 passes double range after node 630.  The
         # node loop stops at 628, where its history sums overflow; the
