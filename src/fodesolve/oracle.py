@@ -285,7 +285,9 @@ def convergence_study(problem: ProblemSpec, steps, t_end: float,
         ref_cfg = SolverConfig(h=h_ref, t_end=t_end)
         ref = gl_direct_solve(problem, ref_cfg)
         if ref.diagnostics.nan_node is not None:
-            raise ArithmeticError("reference run stopped on a non-finite node")
+            raise ArithmeticError(
+                f"reference run stopped at node {ref.diagnostics.nan_node}"
+                f" at step {h_ref:g}")
         measured_steps = steps
     else:
         ref = _run(h_ref)

@@ -25,15 +25,16 @@ two inputs at each of its nodes: the inverter's, where the inverter's
 far fields enter, and the right-hand side's, where the forcing, the
 right-hand-side links' far fields and, through the linear reaction,
 the initial-condition polynomial and nu's far field enter.  The map is
-built once per solve, with a weight table that forms the inputs from
-one far-field row per coupling, the forcing and the polynomial; each
-leaf costs one far block per series its couplings read (one shared
-transform pair), the weighted inputs, one elementwise product with the
-map and one row sum.  A node's nonlinear value enters the recurrence
-where its forcing sample does and reaches only the later nodes, so a
-nonlinear problem steps through the same map: each leaf first sweeps y
-at its nodes to the forward-substitution value, then adds the
-nonlinear values to its right-hand-side inputs.
+built once per solve, by one pass of the node recurrence over a column
+per state component and per input at each node, with a weight table
+that forms the inputs from one far-field row per coupling, the forcing
+and the polynomial; each leaf costs one far block per series its
+couplings read (one shared transform pair), the weighted inputs, one
+elementwise product with the map and one row sum.  A node's nonlinear
+value enters the recurrence where its forcing sample does and reaches
+only the later nodes, so a nonlinear problem steps through the same
+map: each leaf first sweeps y at its nodes to the forward-substitution
+value, then adds the nonlinear values to its right-hand-side inputs.
 """
 
 from __future__ import annotations
@@ -352,43 +353,26 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     linear and, within a leaf, shift-invariant: a leaf node's near lags
     reach only the leaf's earlier nodes, everything before the leaf
     comes in as a far field, and the first samples of w and z1, which
-    the boundary weights read, are 0.  So G is built once, by running
-    the node recurrence on coefficient rows (entry c of a row is the
-    value's response to a unit input c), with elementwise products and
-    sums only.  The couplings that enter one input are summed as one,
-    each times its factor (_near_table): one lag table and one centre
-    weight per input, so each node takes one near sum per input, and
-    y's rows, which the recurrence does not read, follow from z1's
-    after it.  y at a node
-    is formed before the node's right-hand side enters, so G_y's
-    right-hand-side block is strictly lower triangular, with exact
-    zeros above.  The near sums run from 0.0 and the farthest lag, not
-    lag rising as operators._series sums them, and the summed
-    couplings round once: G agrees with a node-by-node run to rounding,
-    not bitwise.
-
-    The rows run on one column per state component and one per input,
-    the input at the leaf's first node.  By the shift invariance, the
-    response at node r to an input at node c is its column's at node
-    r - c, and the state after the leaf its column's after node
-    _LEAF - 1 - c, so each input's block is spread from its column.
-    Every operation acts on each column alone, each near sum starts
-    from 0.0 and numpy sums the rows of two or more columns one row at a
-    time, so the entries keep the bits that rows over every input give
-    them (tests/leaf_map_rows.py).  Before its input enters, such a
-    row's entry is an exact zero: +0.0, but 0.0 / pivot on z1's rows of
-    the direct route, and y's there too at nu = 0."""
+    the boundary weights read, are 0.  So G is built once, by one pass
+    of the node recurrence on coefficient rows (entry c of a row is the
+    value's response to a unit input c), a column per state component
+    and a column per input per node, with elementwise products and sums
+    only.  The couplings that enter one input are summed as one, each
+    times its factor (_near_table): one lag table and one centre weight
+    per input, so each node takes one near sum per input, and y's row
+    there one more, nu's.  y at a node is formed before the node's
+    right-hand side enters, so G_y's right-hand-side block is strictly
+    lower triangular, with exact zeros above.  The near sums run from
+    0.0 and the farthest lag, not lag rising as operators._series sums
+    them, and the summed couplings round once: G agrees with a
+    node-by-node run to rounding, not bitwise."""
     couplings = _couplings(fold, w_links, links, nu_quad, c1)
     inverter = _near_table(couplings, 0)
     rhs = _near_table(couplings, 1, -c1 if nu_quad is None else 0.0)
-    blocks = 1 + (inverter is not None)
-    cols = m1 + blocks
-    eye = np.eye(cols)
-    zero = np.zeros(cols)
-
-    def unit(col, r):
-        # An input at leaf node r: its column's only at node 0.
-        return eye[col] if r == 0 else zero
+    width = m1 + _LEAF * (1 + (inverter is not None))
+    eye = np.eye(width)
+    if nu_quad is not None:
+        lag_nu, _ = _near_table([(nu_quad, 1, 1.0)], 1)
 
     def near(lag, rows, r):
         # sum_{j<r} lag[r-j] * rows[j] from 0.0, the farthest lag first.
@@ -396,61 +380,26 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
                              initial=0.0)
 
     u = eye[:m1].copy()
-    w = np.zeros((_LEAF, cols))
-    z = np.zeros((_LEAF, cols))
-    after = np.zeros((_LEAF, m1, cols))  # the state after leaf node r
+    w = np.zeros((_LEAF, width))
+    z = np.zeros((_LEAF, width))
+    y = np.zeros((_LEAF, width))
     for r in range(_LEAF):
         w[r] = u[0]
         if fold is not None:
             lag, centre = inverter
-            z[r] = w[r] + (centre * w[r] + near(lag, w, r)) + unit(m1, r)
+            z[r] = w[r] + (centre * w[r] + near(lag, w, r)) + eye[m1 + r]
         elif inverter is not None:
-            z[r] = (w[r] + unit(m1, r) + near(inverter[0], z, r)) / pivot
+            z[r] = (w[r] + eye[m1 + r] + near(inverter[0], z, r)) / pivot
         else:
             z[r] = w[r] / pivot
-        f = unit(cols - 1, r)
+        y[r] = z[r] if nu_quad is None else nu_quad.pref * (
+            nu_quad.centre * z[r] + near(lag_nu, z, r))
+        f = eye[width - _LEAF + r]
         if rhs is not None:
             lag, centre = rhs
             f = f + (centre * z[r] if lag is None
                      else centre * z[r] + near(lag, z, r))
         _step(u, h, a1, f)
-        after[r] = u
-    if nu_quad is None:
-        y = z
-    else:
-        # nu's near sum at every node r at once, in near()'s order; the
-        # rows j >= r meet it as exact zeros, which leave a sum from 0.0
-        # as it is.
-        lag = np.subtract.outer(np.arange(_LEAF), np.arange(_LEAF))[..., None]
-        lag_nu, _ = _near_table([(nu_quad, 1, 1.0)], 1)
-        terms = np.where(lag > 0, lag_nu[lag % _LEAF] * z, 0.0)
-        y = nu_quad.pref * (nu_quad.centre * z
-                            + np.add.reduce(terms, axis=1, initial=0.0))
-
-    def spread(rows, before):
-        # Entry (r, c) of a block: its column at node r - c, or before
-        # the input, for c > r.
-        padded = np.full((blocks, 2 * _LEAF - 1), before)
-        padded[:, _LEAF - 1:] = rows[:, m1:].T
-        window = np.lib.stride_tricks.sliding_window_view(
-            padded[:, ::-1], _LEAF, axis=1)[:, ::-1]
-        # window[k, r, c] = padded[k, _LEAF - 1 + r - c]
-        out = np.empty((_LEAF, m1 + blocks * _LEAF))
-        out[:, :m1] = rows[:, :m1]
-        out[:, m1:].reshape(_LEAF, blocks, _LEAF)[...] = (
-            window.transpose(1, 0, 2))
-        return out
-
-    # The state after the leaf from input node c: after node
-    # _LEAF - 1 - c.
-    state = np.empty((m1, m1 + blocks * _LEAF))
-    state[:, :m1] = after[-1, :, :m1]
-    state[:, m1:] = after[::-1, :, m1:].transpose(1, 2, 0).reshape(m1, -1)
-    before = 0.0 if fold is not None else 0.0 / pivot
-    rows = [spread(z, before)]
-    if fold is not None:
-        rows.append(spread(w, 0.0))
-    g_y = spread(y, before if nu_quad is None else 0.0)
     # The weight table: a row per input, a column per feed row.
     table = [[f if place == 0 else 0.0 for _, place, f in couplings]
              + [0.0, 0.0]] if inverter is not None else []
@@ -460,8 +409,8 @@ def _leaf_map(m1, a1, h, fold, w_links, pivot, links, nu_quad, c1):
     if nu_quad is not None:
         own[len(couplings) - 1] = nu_quad.pref
     table.append(own)
-    return (np.vstack(rows + [state]), g_y, [q for q, _, _ in couplings],
-            np.array(table))
+    return (np.vstack([z] + ([w] if fold is not None else []) + [u]), y,
+            [q for q, _, _ in couplings], np.array(table))
 
 
 def _couplings(fold, w_links, links, nu_quad, c1):
@@ -557,11 +506,12 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
     table = weights[:, :, None]
     rhs = slice(width - _LEAF, width)
     g_finite = bool(np.isfinite(g).all())
-    y_finite = bool(np.isfinite(g_y).all())
-    lower = g_y[:, rhs].copy()
     buf = np.empty_like(g)
-    buf_y, buf_lower = ((np.empty_like(g_y), np.empty_like(lower)) if powers
-                        else (None, None))
+    if powers:
+        # Only the sweep reads g_y.
+        y_finite = bool(np.isfinite(g_y).all())
+        lower = g_y[:, rhs].copy()
+        buf_y, buf_lower = np.empty_like(g_y), np.empty_like(lower)
 
     def nonlinear(y):
         # From +0.0: a zero value is +0.0 whatever sign y's zero has, so

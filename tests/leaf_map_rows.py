@@ -1,12 +1,13 @@
 """The full-width reference for the stepper's leaf map.
 
-stepper._leaf_map runs the node recurrence of one leaf on one column
-per state component and one per input (the inverter's, when it has
-links, and the right-hand side's), and spreads each input's block from
-its column.  This module runs the same recurrence on one column per
-input per node, every block's entries computed where they sit, and
-y's rows node by node rather than after the recurrence.  Its G
-and G_y are the bits the spread ones must keep.
+stepper._leaf_map builds G and G_y in one pass of the node recurrence
+of one leaf, over a column per state component and a column per input
+(the inverter's, when it has links, and the right-hand side's) per
+node.  This module runs that recurrence again, written out on its own
+with a unit vector per input, a list of state rows and numpy's sum, so
+that a change to the package's build is checked against a second
+writing of the same pass.  Its G and G_y are the bits the package's
+build must keep.
 """
 
 import numpy as np

@@ -373,6 +373,12 @@ class TestConvergenceStudy:
         with pytest.raises(ArithmeticError, match="reference run stopped"):
             convergence_study(RUNAWAY, [0.2, 0.1], 100.0, oracle="gl")
 
+    def test_stopped_reference_run_names_its_node_and_step(self):
+        # The gl reference run at the finest step, 0.1, stops at node 694.
+        with pytest.raises(ArithmeticError, match=r"^reference run stopped"
+                           r" at node 694 at step 0\.1$"):
+            convergence_study(RUNAWAY, [0.2, 0.1], 100.0, oracle="gl")
+
     def test_diverging_run_raises(self):
         p = ProblemSpec(
             terms=((1.0, 0.5),),

@@ -581,17 +581,19 @@ class TestLeafRoute:
             assert tails[0] == pytest.approx(tails[1], rel=1e-11)
 
     @pytest.mark.parametrize("name", [*LINEAR, "plate", "plate_series",
-                                      "negative_pivot", "overflowed"])
+                                      "negative_pivot", "overflowed",
+                                      "cubic", "cubic_series", "plate_11"])
     def test_leaf_map_keeps_the_full_width_bits(self, monkeypatch, plate,
-                                                name):
-        # Each input's block is spread from one column, and y's rows
-        # follow from z1's after the recurrence; the reference runs the
-        # recurrence on a column per input per node and forms y node by
-        # node.  Every entry must keep its bits, the zeros before a
-        # block's input included (the direct route's z1 rows hold
-        # 0.0 / pivot there, -0.0 for the negative pivot, and so do y's
-        # at nu = 0), and so must G's finiteness (the overflowed map's
-        # response to the start state passes double range).
+                                                plate_cubic, name):
+        # The reference runs the recurrence on a column per input per
+        # node and forms y node by node.  Every entry must keep its
+        # bits, the zeros before a block's input included (the direct
+        # route's z1 rows hold 0.0 / pivot there, -0.0 for the negative
+        # pivot, and so do y's at nu = 0), and so must G's finiteness
+        # (the overflowed map's response to the start state passes
+        # double range).  On the cubic plate G_y's right-hand-side block
+        # drives the nonlinear sweep; the plate's 11-node grid has lag
+        # tables of 16 entries, shorter than the leaf.
         if name in LINEAR:
             problem, config = LINEAR[name]
         elif name == "negative_pivot":
@@ -606,11 +608,13 @@ class TestLeafRoute:
                                   forcing=_const(1.0),
                                   initial_conditions=(0.0,))
             config = SolverConfig(h=1.0, t_end=70.0)
+        elif name == "plate_11":
+            problem, config = plate, SolverConfig(h=0.1, t_end=1.0)
         else:
-            problem = plate
+            problem = plate_cubic if name.startswith("cubic") else plate
             config = SolverConfig(
                 h=0.01, t_end=5.0,
-                inversion=Babenko(30) if name == "plate_series" else None)
+                inversion=Babenko(30) if name.endswith("series") else None)
         built = []
 
         def both(*args):
@@ -622,8 +626,8 @@ class TestLeafRoute:
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
             solve(problem, config)
-        (spread, full), = built
-        for a, b in zip(spread[:2], full[:2]):
+        (package, full), = built
+        for a, b in zip(package[:2], full[:2]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         finite = np.isfinite(full[0]).all()
         assert finite == (name != "overflowed")
