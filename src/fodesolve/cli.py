@@ -27,6 +27,7 @@ import argparse
 import math
 import re
 import sys
+import warnings
 
 from .errors import (
     NonzeroOriginError,
@@ -167,7 +168,11 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(h=args.step, t_end=args.t_end,
                        inversion=_inversion_from(args),
                        output_derivatives=args.derivatives)
-    traj = solve(problem, cfg)
+    # A stopped run is reported once, by the exit-3 line below; other
+    # warnings pass, and library callers still get this one.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "run stopped", RuntimeWarning)
+        traj = solve(problem, cfg)
     names, cols = ["t", "y"], [traj.y.times, traj.y.values]
     if args.derivatives:
         names.append("z1")

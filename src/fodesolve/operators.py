@@ -43,7 +43,9 @@ leaf of nodes at a time instead, by one driver, _leaf_run: the far
 field from before the leaf, one group per series the couplings read,
 then the leaf itself through one matrix and _leaf_product; the
 whole-series evaluator then takes a coupling's far field from the run
-rather than summing it again.
+rather than summing it again.  _leaf_product holds the package's one
+rule for non-finite values in a leaf: a product with an exact zero on
+either side counts as 0.
 """
 
 from __future__ import annotations
@@ -215,6 +217,8 @@ def weight_table(kind: str, order: float, n: int) -> np.ndarray:
     calls with the same arguments return the same cached array, built on
     first use; the array is read-only."""
     order = float(order)
+    if not math.isfinite(order):
+        raise ValueError(f"weight order must be finite, got {order!r}")
     n = _whole(n, "table length")
     if n < 1:
         raise ValueError("table length must be at least 1")
@@ -569,39 +573,27 @@ def _series(quad: _Quadrature, values: np.ndarray,
     return out
 
 
-def _leaf_product(g: np.ndarray, x: np.ndarray, finite: bool,
-                  buf: np.ndarray) -> np.ndarray:
+def _leaf_product(g: np.ndarray, x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """(g * x).sum(axis=1): one leaf of a leaf-blocked solve, its outputs
     from the leaf's matrix g and its inputs x, by an elementwise product
-    into buf, a g-shaped array the caller keeps for the whole solve, and
-    a row sum (no BLAS call).  The per-leaf solves that _leaf_run
-    drives, the stepper's and oracle.gl_direct_solve's, take their
-    leaves here.
+    into buf, the broadcast product's shape, kept by the caller for the
+    whole solve, and a row sum (no BLAS call).  The per-leaf solves that
+    _leaf_run drives, the stepper's and oracle.gl_direct_solve's, take
+    their leaves here, and the stepper its leaf inputs too.
 
-    A non-finite input counts as 0 in the sums, so an output it does not
-    reach never meets it as 0 * inf.  An output it reaches through a
-    nonzero entry of g gets instead the sum of those entries' terms in
-    the non-finite inputs: the signed inf a node-by-node run gives, or
-    nan.  Where g itself is not finite (finite False, which the caller
-    tests once per solve), a zero input adds 0.  Inputs all finite, the
-    usual case, skip that bookkeeping."""
-    # A finite sum means every input is finite; only a sum that is not
-    # tests them one by one.
-    clean = math.isfinite(np.add.reduce(x))
-    if not clean:
-        ok = np.isfinite(x)
-        clean = ok.all()
-    xz = x if clean else np.where(ok, x, 0.0)
-    prod = np.multiply(g, xz, out=buf)
-    if not finite:
-        prod[:, xz == 0.0] = 0.0
+    The package's one rule for non-finite values in a leaf: a product
+    with an exact zero on either side counts as 0, so a zero entry of g
+    never meets a non-finite input as 0 * inf, nor a non-finite entry a
+    zero input; every other product is plain IEEE arithmetic.  Outputs
+    that come out finite, the usual case, are the plain sum; only a leaf
+    with a non-finite output is summed again with its zero products
+    masked."""
+    prod = np.multiply(g, x, out=buf)
     out = np.add.reduce(prod, axis=1)
-    if not clean:
-        bad = ~ok
-        gb = g[:, bad]
-        hit = gb != 0.0
-        rows = hit.any(axis=1)
-        out[rows] = np.where(hit, gb * x[bad], 0.0)[rows].sum(axis=1)
+    # A finite sum means every output is finite.
+    if not math.isfinite(np.add.reduce(out, axis=None)):
+        prod[(g == 0.0) | (x == 0.0)] = 0.0
+        out = np.add.reduce(prod, axis=1)
     return out
 
 

@@ -31,6 +31,7 @@ from .operators import (
     _quadrature,
     _table_length,
     _weights,
+    _whole,
 )
 from .problemfile import PowerSumForcing, ProblemSpec, integer_order
 from .stepper import Diagnostics, SolverConfig, Trajectory, solve
@@ -53,10 +54,11 @@ def power_rule(alpha: float, p: int, t: float, kind: str) -> float:
 
     For the derivative, Gamma(p+1-alpha) sits at a pole whenever
     p+1-alpha is a nonpositive integer and a ValueError propagates.
-    t = 0 with a negative result exponent is singular and raises too.
+    t = 0 with a negative result exponent is singular and raises too,
+    as does a power that is not whole (3.0 and numpy integers are).
     """
     alpha = float(alpha)
-    p = int(p)
+    p = _whole(p, "power")
     t = float(t)
     if alpha <= 0.0:
         raise ValueError("order must be positive")
@@ -98,10 +100,10 @@ def manufacture(base: ProblemSpec, p: int) -> ManufacturedCase:
                + g(t^p),
 
     kept in exact power-sum form so any grid samples it without error.
-    Requires p >= m1 so all initial conditions are zero (they are
-    replaced with zeros in the returned problem).
+    Requires a whole p >= m1 so all initial conditions are zero (they
+    are replaced with zeros in the returned problem).
     """
-    p = int(p)
+    p = _whole(p, "power")
     m1 = integer_order(base.terms[0].order)
     if p < m1:
         raise ValueError(
@@ -145,9 +147,9 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
     the leaf comes from the node form's far field, and the leaf's own
     nodes from G (f - far), where G is the inverse of the leaf's
     Toeplitz matrix (W_0 + c, W_1, ..., W_63), applied by
-    operators._leaf_product as the stepper applies its leaf map; the
-    leaves are walked by operators._leaf_run, the stepper's leaf loop
-    too.  That costs O(N log^2 N) rather than one O(N) history sum per
+    operators._leaf_product, under its one rule for non-finite values,
+    as the stepper applies its leaf map; the leaves are walked by
+    operators._leaf_run, the stepper's leaf loop too.  That costs O(N log^2 N) rather than one O(N) history sum per
     node.  The run stops at the first non-finite node.
     """
     if any(v != 0.0 for v in problem.initial_conditions):
@@ -177,7 +179,6 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
         table += s * _weights("binomial", tm.order, table.size)
     group = _group((_quadrature(1.0, pivot, np.zeros(n), table),))
     inverse = _leaf_inverse(pivot, table[:min(_LEAF, n)])
-    finite = bool(np.isfinite(inverse).all())
     buf = np.empty_like(inverse)
 
     y = np.zeros(n, dtype=np.float64)
@@ -188,8 +189,7 @@ def gl_direct_solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
         # A non-finite right-hand side at node j makes y_j non-finite,
         # and only the rows from j on.
         y[s:e] = _leaf_product(inverse[:e - s, :e - s],
-                               fvec[s:e] - far[s:e], finite,
-                               buf[:e - s, :e - s])
+                               fvec[s:e] - far[s:e], buf[:e - s, :e - s])
         return y[s:e]
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -462,12 +462,14 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
     too.  Each leaf start closes the quadratures' far blocks into their
     rows there, one group of quadratures per series they read (w for
     the series fold, z1 for every other), so the members of a group
-    share each block's transforms.  The leaf's inputs are the weight
-    table times the feed at the leaf's nodes, a product and a sum over
-    the feed's rows; its outputs are one operators._leaf_product with
-    g, into buffers kept for the solve.  A node's nonlinear value
-    n_r = -sum c*y_r**p enters where the right-hand side's input does,
-    and y at a leaf node depends on n at the leaf's earlier nodes only.
+    share each block's transforms.  The leaf's inputs, the weight table
+    times the feed at the leaf's nodes summed over the feed's rows, and
+    its outputs, g times the inputs, are one operators._leaf_product
+    each, into buffers kept for the solve, so a zero weight or entry of
+    g meets a non-finite value as 0 by that helper's rule.  A node's
+    nonlinear value n_r = -sum c*y_r**p enters where the right-hand
+    side's input does, and y at a leaf node depends on n at the leaf's
+    earlier nodes only.
     So a leaf with powers first takes base = g_y x + o, o being y's own
     input, then sweeps y = base + L n(y), L being g_y's strictly lower
     right-hand-side block, until n's bits stop changing, and adds n to
@@ -501,15 +503,12 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
     width = g.shape[1]
     # The leaf's inputs at x[m1:width], y's own after them.
     x = np.zeros(m1 + weights.shape[0] * _LEAF)
-    inputs = x[m1:].reshape(-1, _LEAF)
     terms = np.empty((len(weights), q + 2, _LEAF))
     table = weights[:, :, None]
     rhs = slice(width - _LEAF, width)
-    g_finite = bool(np.isfinite(g).all())
     buf = np.empty_like(g)
     if powers:
         # Only the sweep reads g_y.
-        y_finite = bool(np.isfinite(g_y).all())
         lower = g_y[:, rhs].copy()
         buf_y, buf_lower = np.empty_like(g_y), np.empty_like(lower)
 
@@ -523,25 +522,17 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
         return out
 
     def solve_leaf(s, e):
-        leaf = feed[:, s:s + _LEAF]
-        np.add.reduce(np.multiply(table, leaf, out=terms), axis=1,
-                      out=inputs)
-        if not math.isfinite(np.add.reduce(x)):
-            # A zero weight meets a non-finite row as 0, as a zero entry
-            # of g meets a non-finite input.
-            np.add.reduce(np.where((table == 0.0) | (leaf == 0.0), 0.0,
-                                   terms), axis=1, out=inputs)
+        x[m1:] = _leaf_product(table, feed[:, s:s + _LEAF], terms).ravel()
         if powers:
-            base = _leaf_product(g_y, x[:width], y_finite, buf_y) + x[width:]
+            base = _leaf_product(g_y, x[:width], buf_y) + x[width:]
             nl = nonlinear(base)
             while True:
-                nxt = nonlinear(base + _leaf_product(lower, nl, y_finite,
-                                                     buf_lower))
+                nxt = nonlinear(base + _leaf_product(lower, nl, buf_lower))
                 if nxt.tobytes() == nl.tobytes():
                     break
                 nl = nxt
             x[rhs] += nl
-        out = _leaf_product(g, x[:width], g_finite, buf)
+        out = _leaf_product(g, x[:width], buf)
         z1[s:e] = out[:e - s]
         if on_w:
             w[s:e] = out[_LEAF:_LEAF + e - s]

@@ -147,11 +147,13 @@ class TestSolve:
 
     def test_numerical_failure_writes_partial_csv(self, blowup_file,
                                                   tmp_path, capsys):
+        # The stop is reported once, on stderr, not also as a warning.
         out = str(tmp_path / "out.csv")
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
             rc = main(["solve", "--problem", blowup_file, "--step", "0.1",
                        "--t-end", "50", "--out", out])
-        assert rc == 3
+        assert rc == 3 and not rec
         _, body = read_csv(out)
         assert 0 < body.shape[0] < 501
         assert np.all(np.isfinite(body))
@@ -168,9 +170,9 @@ class TestSolve:
 
     def test_process_prints_each_warning_on_one_line(self, plate_file,
                                                       blowup_file, tmp_path):
-        # The series route's two tail warnings on [0, 30], and a stopped
-        # run's: "warning: <message>", with no file name, line number or
-        # source line.
+        # The series route's two tail warnings on [0, 30]: "warning:
+        # <message>", with no file name, line number or source line.  A
+        # stopped run prints only its own exit-3 line.
         run = self._module(
             "-m", "fodesolve", "solve", "--problem", plate_file,
             "--step", "0.01", "--t-end", "30", "--inversion", "babenko",
@@ -189,20 +191,23 @@ class TestSolve:
             "--out", str(tmp_path / "blowup.csv"))
         assert run.returncode == 3
         assert run.stderr == (
-            "warning: run stopped at node 9 (t = 0.9): non-finite value\n"
             "numerical failure at node 9 (t = 0.9); wrote the nodes before"
             " it\n")
 
-    def test_warning_filters_still_apply_in_the_process(self, blowup_file,
+    def test_warning_filters_still_apply_in_the_process(self, plate_file,
                                                          tmp_path):
+        # The K = 30 series plate on [0, 30]: its tail warning, a
+        # RuntimeWarning, ends the run under -W error::RuntimeWarning.
         run = self._module(
             "-W", "error::RuntimeWarning", "-m", "fodesolve", "solve",
-            "--problem", blowup_file, "--step", "0.1", "--t-end", "50",
-            "--out", str(tmp_path / "blowup.csv"))
+            "--problem", plate_file, "--step", "0.01", "--t-end", "30",
+            "--inversion", "babenko", "--babenko-terms", "30",
+            "--out", str(tmp_path / "series.csv"))
         assert run.returncode == 1
         assert run.stderr.splitlines()[-1] == (
-            "RuntimeWarning: run stopped at node 9 (t = 0.9): non-finite"
-            " value")
+            "fodesolve.errors.BabenkoTailWarning: series inversion's"
+            " a-priori term factor is 10.2 at t = 30; the result will be"
+            " unreliable")
 
 
 class TestUsageErrors:

@@ -224,6 +224,35 @@ def test_one_leaf_loop():
     assert walkers == {("operators.py", "_leaf_run")}
 
 
+def _calls_in(path, name):
+    """The names of the calls inside the function called name in one
+    source file, its nested functions included; isfinite(...).all() is
+    named "isfinite().all"."""
+    func, = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    calls = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = getattr(f, "id", getattr(f, "attr", None))
+            if called == "all" and _call_of("isfinite")(f.value):
+                called = "isfinite().all"
+            calls.add(called)
+    return calls
+
+
+def test_leaf_solves_keep_no_non_finite_rule_of_their_own():
+    # operators._leaf_product holds the one rule for non-finite values
+    # in a leaf product.  The solvers that call it form no product of
+    # their own, mask none and test no map's finiteness: a second rule
+    # there could stop a run at another node.
+    for path, name in ((PACKAGE / "stepper.py", "_leaf_solve"),
+                       (PACKAGE / "oracle.py", "gl_direct_solve")):
+        calls = _calls_in(path, name)
+        assert "_leaf_product" in calls, name
+        assert not calls & {"multiply", "where", "isfinite().all"}, name
+
+
 SINGLE_NODE = ("frac_integral", "frac_derivative01",
                "frac_derivative_general", "volterra_direct_invert")
 

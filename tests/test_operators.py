@@ -21,6 +21,7 @@ from fodesolve.operators import (
     _group,
     _integral_tables,
     _kernel_quad,
+    _leaf_product,
     _series,
     _signed_order,
     _table_length,
@@ -144,6 +145,14 @@ class TestWeightTables:
             weight_table("binomial", 0.5, 4)
         with pytest.raises(ValueError):
             weight_table("nope", 0.5, 4)
+        # A non-finite order is refused before it reaches the cache,
+        # where a nan key would never hit again.
+        before = _weights.cache_info().currsize
+        for kind in ("integral", "derivative01", "binomial"):
+            for order in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="must be finite"):
+                    weight_table(kind, order, 6)
+        assert _weights.cache_info().currsize == before
 
     @pytest.mark.parametrize("n", [0, 2.5, math.nan, math.inf])
     def test_length_must_be_whole_and_positive(self, n):
@@ -666,6 +675,79 @@ class TestFarFieldGroup:
             _close_blocks(_group((quad,)), v, own, closing)
             assert own.any()
             assert acc.tobytes() == own.tobytes()
+
+
+class TestLeafProduct:
+    """_leaf_product, the one product of both leaf-blocked solvers and of
+    the stepper's leaf inputs, holds the package's one rule for
+    non-finite values there: a product with an exact zero on either side
+    counts as 0, every other product is plain IEEE arithmetic."""
+
+    @staticmethod
+    def product(g, x):
+        g, x = np.asarray(g, dtype=float), np.asarray(x, dtype=float)
+        buf = np.empty(np.broadcast_shapes(g.shape, x.shape))
+        # The solvers silence the warnings of a run that stops, too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _leaf_product(g, x, buf)
+
+    def test_finite_inputs_give_the_plain_row_sum(self):
+        # Signed zeros on both sides included: the bits of the plain
+        # product and sum.
+        rng = np.random.default_rng(32)
+        g = np.tril(rng.standard_normal((64, 64)))
+        g[5, :6] = -0.0
+        x = rng.standard_normal(64) * 10.0 ** rng.integers(-9, 10, 64)
+        x[::7], x[3::11] = -0.0, 0.0
+        out = self.product(g, x)
+        assert out.tobytes() == np.add.reduce(g * x, axis=1).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_zero_entry_meets_a_non_finite_input_as_zero(self, bad):
+        g = [[2.0, 0.0, -1.0], [0.0, 3.0, 0.5], [-0.0, 0.0, 0.0]]
+        out = self.product(g, [bad, 4.0, 2.0])
+        assert out[1:].tolist() == [13.0, 0.0]
+        # The row the non-finite input reaches through 2.0 keeps it.
+        assert np.array_equal(out[:1], [bad], equal_nan=True)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_non_finite_entry_meets_a_zero_input_as_zero(self, zero):
+        g = [[math.inf, 1.0], [math.nan, 2.0], [-math.inf, 0.0]]
+        assert self.product(g, [zero, 3.0]).tolist() == [3.0, 6.0, 0.0]
+
+    def test_an_output_reached_through_a_nonzero_entry_is_not_finite(self):
+        g = [[math.inf, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]]
+        out = self.product(g, [2.0, 5.0])
+        assert out[0] == math.inf and out[1:].tolist() == [7.0, -2.0, 5.0]
+        out = self.product(g[1:], [math.inf, -math.inf])
+        assert np.isnan(out[0]) and out[1] == -math.inf
+        assert out[2] == -math.inf
+        assert self.product([[1e308, 1e308]], [10.0, 1.0])[0] == math.inf
+
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_the_weight_table_product_is_its_row_by_row_products(self,
+                                                                 finite):
+        # The stepper's leaf inputs: a (k, rows, 1) weight table times a
+        # (rows, 64) leaf of the feed, summed over the rows.  Each
+        # weight row gives the bits of its own product with the leaf.
+        rng = np.random.default_rng(33)
+        table = rng.standard_normal((3, 5, 1))
+        table[0, 1], table[2, 3] = 0.0, -0.0
+        leaf = rng.standard_normal((5, _LEAF))
+        leaf[4, 5], leaf[0, 9] = 0.0, -0.0
+        if not finite:
+            leaf[1, 10], leaf[3, 20] = math.inf, math.nan
+            leaf[2, 30] = -math.inf
+        out = self.product(table, leaf)
+        assert out.shape == (3, _LEAF)
+        assert np.isfinite(out).all() == finite
+        for k in range(3):
+            row = self.product(leaf.T, table[k, :, 0])
+            assert out[k].tobytes() == row.tobytes()
+        if not finite:
+            # Weight row 0 meets the inf at node 10 through its zero
+            # weight; weight row 2 meets the nan at node 20 the same way.
+            assert np.isfinite(out[0, 10]) and np.isfinite(out[2, 20])
 
 
 @settings(max_examples=40, deadline=None)

@@ -117,6 +117,13 @@ class TestPowerRule:
             power_rule(0.5, 1, 1.0, "nope")
         with pytest.raises(ValueError, match="t must be nonnegative"):
             power_rule(0.5, 1, -1.0, "integral")
+        # A power that is not whole is refused, not cut to an integer;
+        # whole-valued ones stay accepted.
+        with pytest.raises(ValueError, match="power must be a whole"):
+            power_rule(0.5, 2.5, 1.0, "integral")
+        assert (power_rule(0.5, 3.0, 1.0, "integral")
+                == power_rule(0.5, np.int64(3), 1.0, "integral")
+                == power_rule(0.5, 3, 1.0, "integral"))
 
 
 class TestManufacture:
@@ -154,6 +161,10 @@ class TestManufacture:
                            initial_conditions=(0.0, 0.0))
         with pytest.raises(ValueError):
             manufacture(base, 1)
+        with pytest.raises(ValueError, match="power must be a whole"):
+            manufacture(base, 2.9)
+        assert manufacture(base, 3.0).power == 3
+        assert manufacture(base, np.int64(3)) == manufacture(base, 3)
 
     def test_initial_conditions_zeroed(self):
         base = ProblemSpec(terms=((1.0, 1.5),),
