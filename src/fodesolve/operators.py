@@ -23,7 +23,10 @@ length and the order.
 
 The node form sums the lags near node i directly and the older ones by
 block FFT, so a whole series costs O(n log^2 n) rather than O(n^2).  A
-whole series transforms all its blocks of one size together, one FFT
+whole series lays its near sums out lag-major, one row per place in the
+leaf and one column per leaf, so each lag is one multiply and one add
+over contiguous memory for every leaf at once.  It transforms all its
+far blocks of one size together, one FFT
 pair per size, the largest size first: a node's blocks all differ in
 size, and a larger one starts earlier, so every node adds its blocks in
 increasing k.  Quadratures that read the same series close their blocks
@@ -548,8 +551,13 @@ def _series(quad: _Quadrature, values: np.ndarray,
     The near field is at most min(_LEAF - 1, support) multiply-adds
     over the leaves, in increasing lag from 0.0, each product rounded
     before it is added; a table without far field is one leaf as long
-    as the series.  Sample 0, the boundary term's, enters as +0.0, which
-    leaves a near sum (never -0.0) as it is while the lag is finite.  A
+    as the series.  It is laid out lag-major: samples, sums and one
+    product buffer are (period, leaves) arrays, slot [c, r] for leaf r's
+    sample c, so lag j multiplies the first rows into the buffer and
+    adds it to the rows from j on, both over contiguous memory, and one
+    transpose gives the node order back (a view for one leaf).  Sample
+    0, the boundary term's, enters as +0.0, which leaves a near sum
+    (never -0.0) as it is while the lag is finite.  A
     non-finite lag anywhere on the grid raises OverflowError."""
     pref, centre, boundary, lag, support, period, _, _, _ = quad
     n = values.size
@@ -560,14 +568,21 @@ def _series(quad: _Quadrature, values: np.ndarray,
         _close_blocks(_group((quad,)), values, acc,
                       range(period, n, period))
         far = acc[0]
-    # Near lags j at node r*p + c: the samples c-j of the same leaf.
+    # Near lags j at node r*p + c: the samples c-j of the same leaf, at
+    # slots [c - j, r].
     p = min(period, n)
-    v = np.zeros((-(-n // p), p))
-    v.reshape(-1)[1:n] = values[1:]
+    full, tail = divmod(n, p)
+    v = np.zeros((p, full + (tail > 0)))
+    v.T[:full] = values[:full * p].reshape(full, p)
+    if tail:
+        v[:tail, full] = values[full * p:]
+    v[0, 0] = 0.0
     near = np.zeros(v.shape)
+    buf = np.empty(v.shape)
     for j in range(1, min(p, support + 1)):
-        near[:, j:] += lag[j] * v[:, :p - j]
-    lags = far + near.ravel()[:n]
+        np.multiply(lag[j], v[:p - j], out=buf[:p - j])
+        near[j:] += buf[:p - j]
+    lags = far + near.T.reshape(-1)[:n]
     out = pref * (centre * values + boundary[:n] * values[0] + lags)
     out[0] = 0.0
     return out

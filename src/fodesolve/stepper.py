@@ -474,7 +474,8 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
     input, then sweeps y = base + L n(y), L being g_y's strictly lower
     right-hand-side block, until n's bits stop changing, and adds n to
     the right-hand side's inputs.  Sweep k fixes node k for good: the
-    sweeps end after at most _LEAF + 1 and give the forward-substitution
+    sweeps end after at most one more than the leaf has grid nodes (n is
+    held at 0 on the last leaf's padding) and give the forward-substitution
     value however many they take, so a prefix of the grid gives the
     same bits.  A linear problem skips the sweep.  Stepping stops after
     the first leaf whose z1 is not finite, and y is formed up to z1's
@@ -512,22 +513,26 @@ def _leaf_solve(g, g_y, quads, weights, m1, on_w, force, ic_poly, nu_quad,
         lower = g_y[:, rhs].copy()
         buf_y, buf_lower = np.empty_like(g_y), np.empty_like(lower)
 
-    def nonlinear(y):
+    def nonlinear(y, k):
         # From +0.0: a zero value is +0.0 whatever sign y's zero has, so
         # the later nodes' signed zeros in a row sum cannot flip its
-        # bits and keep the sweeps from ending.
+        # bits and keep the sweeps from ending.  Only the leaf's first k
+        # nodes are on the grid: the padding past its end stays 0, so
+        # neither the sweeps' stop test nor the inputs read it.
         out = np.zeros(_LEAF)
         for c, p in powers:
             out = out - c * y ** p
+        out[k:] = 0.0
         return out
 
     def solve_leaf(s, e):
         x[m1:] = _leaf_product(table, feed[:, s:s + _LEAF], terms).ravel()
         if powers:
             base = _leaf_product(g_y, x[:width], buf_y) + x[width:]
-            nl = nonlinear(base)
+            nl = nonlinear(base, e - s)
             while True:
-                nxt = nonlinear(base + _leaf_product(lower, nl, buf_lower))
+                nxt = nonlinear(base + _leaf_product(lower, nl, buf_lower),
+                                e - s)
                 if nxt.tobytes() == nl.tobytes():
                     break
                 nl = nxt

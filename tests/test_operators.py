@@ -638,6 +638,72 @@ class TestSeriesEvaluator:
             self.assert_same_bytes(last, v)
 
 
+def row_major_series(quad, values):
+    """_series with its near field laid out row-major, one leaf a row,
+    each lag a strided multiply-add over every row: the reference for
+    _series' lag-major layout."""
+    pref, centre, boundary, lag, support, period, _, _, _ = quad
+    n = values.size
+    acc = np.zeros((1, n))
+    _close_blocks(_group((quad,)), values, acc, range(period, n, period))
+    p = min(period, n)
+    v = np.zeros((-(-n // p), p))
+    v.reshape(-1)[1:n] = values[1:]
+    near = np.zeros(v.shape)
+    for j in range(1, min(p, support + 1)):
+        near[:, j:] += lag[j] * v[:, :p - j]
+    lags = acc[0] + near.ravel()[:n]
+    out = pref * (centre * values + boundary[:n] * values[0] + lags)
+    out[0] = 0.0
+    return out
+
+
+class TestNearFieldLayout:
+    """_series sums its near lags lag-major, over contiguous memory, and
+    gives the row-major loop's bytes: every node sums from 0.0, lag
+    rising, each product rounded before it is added, in both layouts.
+
+    Where two nans of different sign meet in one add (a nan sample's
+    product and an inf - inf), numpy returns one of them by the place of
+    the element in its vector loop, which depends on the layout and on
+    the host's vector width, so there a nan only has to stay a nan."""
+
+    NS = (1, 2, 63, 64, 65, 129, 16001)
+    # Supports 1, 2 and 3 (a table without far field, one leaf as long
+    # as the series), then full tables: decaying, order (0, 1), and one
+    # whose far blocks are scaled.
+    ORDERS = (1.0, 2.0, 3.0, -0.5, 0.5, 1.5, -1.5)
+
+    @staticmethod
+    def series_pair(mu, n, special):
+        quad = _kernel_quad(mu, 0.01, _table_length(n))
+        whole = mu in (1.0, 2.0, 3.0)
+        assert quad.support == min(int(mu) if whole else math.inf,
+                                   _table_length(n) - 1)
+        v = TestSeriesEvaluator.samples(n, n)
+        for start, step, x in zip((5, 9, 2), (13, 17, 19), special):
+            v[start::step] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _series(quad, v), row_major_series(quad, v)
+
+    @pytest.mark.parametrize("special", [(0.0, -0.0), (np.nan,),
+                                         (np.inf, -np.inf)],
+                             ids=["signed zeros", "nan", "+-inf"])
+    @pytest.mark.parametrize("mu", ORDERS)
+    def test_same_bytes_as_the_row_major_loop(self, mu, special):
+        for n in self.NS:
+            out, ref = self.series_pair(mu, n, special)
+            assert out.tobytes() == ref.tobytes(), n
+
+    @pytest.mark.parametrize("mu", ORDERS)
+    def test_nan_and_inf_samples_agree_up_to_the_nan_sign(self, mu):
+        for n in self.NS:
+            out, ref = self.series_pair(mu, n, (np.nan, np.inf, -np.inf))
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(out), nan), n
+            assert out[~nan].tobytes() == ref[~nan].tobytes(), n
+
+
 class TestFarFieldGroup:
     """Quadratures that read one series close their far blocks together,
     sharing the cut, the zeroed sample 0, one rfft and one irfft; each

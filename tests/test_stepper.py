@@ -680,6 +680,28 @@ class TestLeafRoute:
             assert np.array_equal(short.y.values, whole.y.values[:n])
             assert np.array_equal(short.z1.values, whole.z1.values[:n])
 
+    @pytest.mark.parametrize("inversion", [{}, {"inversion": Babenko(30)}],
+                             ids=["direct", "series"])
+    def test_sweeps_stop_at_the_grid_nodes(self, monkeypatch, plate_cubic,
+                                           inversion):
+        # The cubic plate at h = 0.125 on [0, 0.25] is one leaf of 3 grid
+        # nodes and 61 padding nodes.  The leaf takes one product for its
+        # inputs, one for the sweeps' base, one per sweep and one for its
+        # outputs.  Sweep k fixes node k, so once the padding is held at
+        # 0 the sweeps end after at most 3 + 1, and the leaf takes 4 to
+        # 7 products; sweeping the padding too took 49.
+        calls = []
+        real = stepper._leaf_product
+
+        def counted(g, x, buf):
+            calls.append(g.shape)
+            return real(g, x, buf)
+        monkeypatch.setattr(stepper, "_leaf_product", counted)
+        run = solve(plate_cubic,
+                    SolverConfig(h=0.125, t_end=0.25, **inversion))
+        assert len(run.y) == 3 and run.diagnostics.nan_node is None
+        assert 4 <= len(calls) <= 7
+
     def test_linear_solve_sums_no_history_node_by_node(self, monkeypatch,
                                                        plate, plate_cubic):
         # Every problem takes each leaf's history from the far field and
