@@ -163,6 +163,8 @@ def _cmd_solve(args) -> int:
     _check_inversion(args)
     problem = _read_problem(args.problem)
 
+    import numpy as np
+
     from .stepper import SolverConfig, solve
 
     cfg = SolverConfig(h=args.step, t_end=args.t_end,
@@ -179,10 +181,15 @@ def _cmd_solve(args) -> int:
         cols.append(traj.z1.values)
         for k, dser in enumerate(traj.y_derivs or (), start=1):
             names.append(f"dy{k}")
-            cols.append(dser.values[: len(traj.y)])
-    _write(args.out, _csv_chunks(",".join(names), cols))
-    if traj.diagnostics.nan_node is not None:
-        node = traj.diagnostics.nan_node
+            cols.append(dser.values)
+    # A derivative row may overflow before the run stops: the rows
+    # before the first non-finite value are written, and its node is
+    # reported as the run's stop is.
+    bad = ~np.isfinite(cols).all(axis=0)
+    stop = int(bad.argmax()) if bad.any() else len(traj.y)
+    _write(args.out, _csv_chunks(",".join(names), [c[:stop] for c in cols]))
+    node = stop if stop < len(traj.y) else traj.diagnostics.nan_node
+    if node is not None:
         sys.stderr.write(
             f"numerical failure at node {node} (t = {node * traj.h:g});"
             " wrote the nodes before it\n"

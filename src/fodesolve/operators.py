@@ -30,12 +30,14 @@ far blocks of one size together, one FFT
 pair per size, the largest size first: a node's blocks all differ in
 size, and a larger one starts earlier, so every node adds its blocks in
 increasing k.  Quadratures that read the same series close their blocks
-as one group: one rfft of the samples, one broadcast multiply by the
-members' stacked lag spectra, one irfft for all of them.
+as one group that shares every transform: one rfft of the samples, one
+broadcast multiply by the members' stacked lag spectra, one irfft for
+all of them.
 Where the weights grow (integral orders above 1, the series fold's last
 power) a geometric scale flattens each block first; a block that no
 scale flattens (the series fold's, where it dips and then grows) or
-that holds a weight past double range is summed directly instead.  The
+that holds a weight past double range is summed directly instead.  A
+quadrature that scales or sums directly closes its blocks alone.  The
 node form has one evaluator, _series, for a series known in full
 (apply_operator, the series inversion and its tail, the reconstruction
 of y).  Its output is prefix causal to the bit, so a single node i is
@@ -279,13 +281,14 @@ def _check_node(z: SampleSeries, i: int) -> int:
 # _close_blocks transforms the blocks it is given size by size, all of
 # one size in one FFT pair (a direct sum from cap on), the largest size
 # first, for a group of quadratures that read the same samples
-# (_Group): the group cuts the blocks once and shares one rfft, one
-# broadcast multiply by its members' lag spectra, stacked once per group
-# and size, and one irfft, and adds each size's outputs into one
-# accumulator row per member with one slice add (a scaled member takes
-# its own pair).  _series gives it every leaf start at once, and
-# _leaf_run one leaf start at a time, for every coupling on one series
-# together, with a group built once per solve.  A node's blocks are the
+# (_Group): the group cuts the blocks once and shares every transform,
+# one rfft, one broadcast multiply by its members' lag spectra, stacked
+# once per group and size, and one irfft, and adds each size's outputs
+# into one accumulator row per member with one slice add.  A quadrature
+# that scales a block or sums it directly is a group of its own.
+# _series gives it every leaf start at once, and _leaf_run one leaf
+# start at a time, for every coupling on one series together, with a
+# group built once per solve.  A node's blocks are the
 # binary prefixes of its leaf start, one of each size, and of two of
 # them the larger block has the smaller k, so largest size first is
 # increasing k for every node, and no bit depends on how the blocks, or
@@ -399,35 +402,26 @@ def _block_scale(block: np.ndarray, b: int):
 
 class _Group(NamedTuple):
     """Quadratures that read one series and close their far blocks
-    together (see the comment above _LEAF), built once per solve or per
-    whole-series pass:
+    together, sharing every transform (see the comment above _LEAF),
+    built once per solve or per whole-series pass:
 
     quads    the members, in the order of the accumulator's rows;
-    stacked  by block size b, the members that share the group's one
-             transform pair at that size (None for all of them) and
-             their lag spectra stacked one row each, filled on use.
-    """
+    spectra  by block size, the members' lag spectra stacked one row
+             each, filled on use.
+
+    A quadrature whose plan scales a block or sums it directly closes
+    its blocks alone."""
 
     quads: tuple
-    stacked: dict
+    spectra: dict
 
 
 def _group(quads) -> _Group:
-    return _Group(tuple(quads), {})
-
-
-def _stacked(group: _Group, b: int):
-    """The members of the group that share its transform pair for
-    blocks of b samples, and their cached lag spectra stacked one row
-    each.  A member that sums these blocks directly (b >= cap) or scales
-    them takes its own route instead.  A single member's row is its
-    cache's spectrum, not a copy."""
-    shared = [j for j, q in enumerate(group.quads)
-              if not (q.cap and b >= q.cap) and b not in q.scales]
-    spectra = [group.quads[j].spectra[b] for j in shared]
-    rows = (spectra[0][None] if len(spectra) == 1
-            else np.array(spectra).reshape(len(shared), b + 1))
-    return (None if len(shared) == len(group.quads) else shared), rows
+    quads = tuple(quads)
+    if len(quads) > 1 and any(q.cap or q.scales for q in quads):
+        raise ValueError("a quadrature that scales or sums its far blocks"
+                         " directly closes them alone")
+    return _Group(quads, {})
 
 
 def _far_block(group: _Group, values: np.ndarray, k: int, count: int,
@@ -440,16 +434,16 @@ def _far_block(group: _Group, values: np.ndarray, k: int, count: int,
     nodes at or past n are not meaningful.
 
     The blocks are cut once.  Sample 0 belongs to the boundary term and
-    counts as 0 here: the cut zeroes it once, and a member with
-    b >= cap, which sums the blocks directly, from 0.0 in increasing
-    lag, skips it.  A member whose plan holds a scale for b takes its
-    own FFT pair, scaled as _block_scale says.  The others share one
-    rfft of the blocks, one broadcast multiply by their lag spectra,
-    stacked once per group and size (_stacked), and one irfft.  Each
-    transform acts on each row alone, so every member gets the bits a
-    group of its own gives it.  Every FFT is a circular convolution of
-    size 2b: the outputs b..2b-1 take lags 1..2b-1 only, so none of them
-    wraps."""
+    counts as 0 here: the cut zeroes it once, and a direct sum, from 0.0
+    in increasing lag, skips it.  The members share one rfft of the
+    blocks, one broadcast multiply by their lag spectra, stacked once
+    per group and size (a lone member's row is its cache's spectrum, not
+    a copy), and one irfft.  Each transform acts on each row alone, so
+    every member gets the bits a group of its own gives it.  Every FFT
+    is a circular convolution of size 2b: the outputs b..2b-1 take lags
+    1..2b-1 only, so none of them wraps.  A lone member may scale the
+    pair, as _block_scale says, or sum the blocks directly from its
+    cap on."""
     b = k & -k
     if count == 1 and k != b:
         x = values[None, k - b:k]
@@ -461,48 +455,41 @@ def _far_block(group: _Group, values: np.ndarray, k: int, count: int,
         x = x[:, :b]
         if k == b:
             x[0, 0] = 0.0
-    plan = group.stacked.get(b)
-    if plan is None:
-        for quad in group.quads:
-            if b not in quad.spectra and not (quad.cap and b >= quad.cap):
+    quad = group.quads[0]
+    if quad.cap and b >= quad.cap:
+        # Lag rising is sample falling.  Lags past the grid reach only
+        # the nodes past it, and may be inf: they count as 0 here.
+        # Sample 0's lags may be inf too: it is skipped, not multiplied
+        # by its zero.
+        lag = quad.lag[:2 * b]
+        if n < 2 * b:
+            lag = lag.copy()
+            lag[n:] = 0.0
+        out = np.zeros((count, b))
+        for m in range(b - 1, -1, -1):
+            r = 1 if m == 0 and k == b else 0
+            out[r:] += lag[b - m:2 * b - m] * x[r:, m, None]
+        return out[None]
+    spectra = group.spectra.get(b)
+    if spectra is None:
+        for q in group.quads:
+            if b not in q.spectra:
                 # Lag 0 never reaches the outputs kept below; zeroed, it
                 # adds no rounding either.
-                lag = quad.lag[:2 * b].copy()
+                lag = q.lag[:2 * b].copy()
                 lag[0] = 0.0
-                if b in quad.scales:
-                    lag *= quad.scales[b]
-                quad.spectra[b] = np.fft.rfft(lag)
-        plan = group.stacked[b] = _stacked(group, b)
-    shared, spectra = plan
-    if len(spectra):
-        out = np.fft.irfft(np.fft.rfft(x, 2 * b) * spectra[:, None],
-                           2 * b)[..., b:]
-        if shared is None:
-            return out
-    outs = np.empty((len(group.quads), count, b))
-    if shared:
-        outs[shared] = out
-    for j, quad in enumerate(group.quads):
-        if quad.cap and b >= quad.cap:
-            # Lag rising is sample falling.  Lags past the grid reach
-            # only the nodes past it, and may be inf: they count as 0
-            # here.  Sample 0's lags may be inf too: it is skipped, not
-            # multiplied by its zero.
-            lag = quad.lag[:2 * b]
-            if n < 2 * b:
-                lag = lag.copy()
-                lag[n:] = 0.0
-            out = outs[j]
-            out[...] = 0.0
-            for m in range(b - 1, -1, -1):
-                r = 1 if m == 0 and k == b else 0
-                out[r:] += lag[b - m:2 * b - m] * x[r:, m, None]
-        elif b in quad.scales:
-            scale = quad.scales[b]
-            out = np.fft.irfft(np.fft.rfft(x * scale[:b], 2 * b)
-                               * quad.spectra[b], 2 * b)[:, b:]
-            outs[j] = out / scale[b:]
-    return outs
+                if b in q.scales:
+                    lag *= q.scales[b]
+                q.spectra[b] = np.fft.rfft(lag)
+        spectra = group.spectra[b] = (
+            quad.spectra[b][None] if len(group.quads) == 1
+            else np.array([q.spectra[b] for q in group.quads]))
+    scale = quad.scales.get(b)
+    if scale is not None:
+        x = x * scale[:b]
+    out = np.fft.irfft(np.fft.rfft(x, 2 * b) * spectra[:, None],
+                       2 * b)[..., b:]
+    return out if scale is None else out / scale[b:]
 
 
 def _close_blocks(group: _Group, values: np.ndarray, acc: np.ndarray,

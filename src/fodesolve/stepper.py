@@ -227,7 +227,9 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
 
     A non-finite value at some node stops the run: the returned series
     are cut to the nodes before it and diagnostics.nan_node records its
-    index.  Inversion trouble (a vanished pivot) raises instead, since
+    index.  A derivative row may pass double range at an earlier node:
+    its non-finite entries are returned as they are, with no numpy
+    warning.  Inversion trouble (a vanished pivot) raises instead, since
     no node can be produced at all.
     """
     system = build_system(problem, config.inversion)
@@ -277,24 +279,23 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Trajectory:
             g, g_y, quads, weights, m1, fold is not None,
             fvec - coef.get(0, 0.0),
             ic_poly, nu_quad, [(c, p) for c, p in monomials if p > 1])
+        if nan_node is not None:
+            y = y[:nan_node]
+            z1 = z1[:nan_node]
+        y_series = SampleSeries(h, y)
+        z1_series = SampleSeries(h, z1)
+        derivs = None
+        if config.output_derivatives and m1 > 1:
+            derivs = reconstruct_derivatives(
+                z1_series, system.initial_conditions, problem.leading_order,
+                m1)
 
     if nan_node is not None:
-        cut = nan_node
-        y = y[:cut]
-        z1 = z1[:cut]
         warnings.warn(
             f"run stopped at node {nan_node} (t = {nan_node * h:g}):"
             " non-finite value",
             RuntimeWarning,
             stacklevel=2,
-        )
-
-    y_series = SampleSeries(h, y)
-    z1_series = SampleSeries(h, z1)
-    derivs = None
-    if config.output_derivatives and m1 > 1:
-        derivs = reconstruct_derivatives(
-            z1_series, system.initial_conditions, problem.leading_order, m1
         )
     tail = None
     if last is not None:

@@ -194,6 +194,30 @@ class TestSolve:
             "numerical failure at node 9 (t = 0.9); wrote the nodes before"
             " it\n")
 
+    @pytest.mark.parametrize("flags", [(), ("-W", "error::RuntimeWarning")],
+                             ids=["default", "RuntimeWarning as error"])
+    def test_overflowing_derivative_rows_stop_the_csv_before_them(
+            self, tmp_path, flags):
+        # D^1.5 y - 50 y = 1 from rest runs away and stops at node 631;
+        # its dy1 row passes double range two nodes earlier.  Only the
+        # rows before node 629 are written, four finite fields each, and
+        # that node is reported in one line, with no numpy warning.
+        problem = tmp_path / "runaway.fode"
+        problem.write_text("term 1 1.5\nnonlinear 1 -50\nforcing 0 inf 1\n"
+                           "init 0 0\ninit 1 0\n")
+        out = tmp_path / "runaway.csv"
+        run = self._module(
+            *flags, "-m", "fodesolve", "solve", "--problem", str(problem),
+            "--step", "0.1", "--t-end", "100", "--derivatives",
+            "--out", str(out))
+        assert run.returncode == 3
+        assert run.stderr == (
+            "numerical failure at node 629 (t = 62.9); wrote the nodes"
+            " before it\n")
+        header, body = read_csv(out)
+        assert header == ["t", "y", "z1", "dy1"]
+        assert body.shape == (629, 4) and np.all(np.isfinite(body))
+
     def test_warning_filters_still_apply_in_the_process(self, plate_file,
                                                          tmp_path):
         # The K = 30 series plate on [0, 30]: its tail warning, a

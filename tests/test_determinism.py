@@ -2,12 +2,13 @@
 
 Every causal history sum in the package is elementwise multiply-adds
 over the near lags plus operators._far_block, one pocketfft rfft/irfft
-pair per block size in each operators._close_blocks call, shared by the
-quadratures of a group that read one series (every leaf start of a
-whole series, and one per leaf start for every coupling on the same
-series in a leaf solve; a block no scale flattens is summed there by
-elementwise multiply-adds).  Neither depends on BLAS threading: the
-package has no `@`, matmul, einsum or tensordot at all.  The one
+pair per block size in each operators._close_blocks call (every leaf
+start of a whole series, or one leaf start in a leaf solve).  The
+quadratures of a group read one series and share every transform; one
+that scales its blocks, or sums them directly by elementwise
+multiply-adds where no scale flattens them, closes its blocks alone.
+Neither route depends on BLAS threading: the package has no `@`,
+matmul, einsum or tensordot at all.  The one
 evaluator of the node form, operators._series, sums the near lags by
 elementwise multiply-adds over the nodes; the four single-node
 functions take the last node of its run over the prefix that ends at
@@ -101,6 +102,17 @@ def test_two_couplings_on_one_series_independent_of_blas_threads(tmp_path):
     _assert_same_bytes_on_1_and_2_threads(
         ["solve", "--problem", str(problem), "--step", "0.002",
          "--t-end", "30", "--derivatives"], tmp_path)
+
+
+def test_series_route_bytes_independent_of_blas_threads(tmp_path):
+    # The 30-term series plate on [0, 30] at h = 0.01: the fold closes
+    # its blocks alone and sums them directly from 2048 on, and the tail
+    # pass scales every block of the last power.  The run warns of its
+    # tail and exits 0.
+    _assert_same_bytes_on_1_and_2_threads(
+        ["solve", "--problem", str(ROOT / "problems/bagley_torvik.fode"),
+         "--step", "0.01", "--t-end", "30", "--inversion", "babenko",
+         "--babenko-terms", "30"], tmp_path)
 
 
 def _walk(path, match):

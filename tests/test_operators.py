@@ -706,23 +706,22 @@ class TestNearFieldLayout:
 
 class TestFarFieldGroup:
     """Quadratures that read one series close their far blocks together,
-    sharing the cut, the zeroed sample 0, one rfft and one irfft; each
-    member still gets the bits a group of its own gives it."""
+    sharing the cut, the zeroed sample 0 and every transform: one rfft,
+    one broadcast multiply by their stacked spectra and one irfft; each
+    member still gets the bits a group of its own gives it.  A
+    quadrature whose plan scales a block or sums it directly closes its
+    blocks alone."""
 
-    # The 30-term plate fold at h = 0.01 on [0, 30]: its 2048-block,
-    # closed at k == b = 2048 with n < 2b, is summed directly.
     N = 3001
 
-    def group(self):
+    def shared(self):
+        # d01, binomial and integral members: all decaying, none scaled
+        # or capped.
         m = _table_length(self.N)
-        fold, _ = _babenko_kernels(0.5, 0.5, 0.01, 30, self.N)
-        d01, binomial, integral = (_kernel_quad(mu, 0.01, m)
-                                   for mu in (0.5, 1.2, -1.5))
-        assert fold.cap == 2048 and not fold.scales
-        assert d01.cap == binomial.cap == integral.cap == 0
-        assert not d01.scales and not binomial.scales
-        assert list(integral.scales) == _blocks(self.N)
-        return d01, binomial, integral, fold
+        quads = tuple(_kernel_quad(mu, 0.01, m) for mu in (0.5, 1.2, -0.5))
+        for quad in quads:
+            assert quad.cap == 0 and not quad.scales
+        return quads
 
     @pytest.mark.parametrize("closing", [
         (64,), (1984,), (2048,), range(_LEAF, N, _LEAF),
@@ -733,7 +732,7 @@ class TestFarFieldGroup:
         rng = np.random.default_rng(24)
         v = rng.standard_normal(self.N) * 10.0 ** rng.integers(-3, 4, self.N)
         v[0] = 1.7  # the boundary term's: 0 in every far block
-        group = self.group()
+        group = self.shared()
         accs = np.zeros((len(group), self.N))
         _close_blocks(_group(group), v, accs, closing)
         for quad, acc in zip(group, accs):
@@ -741,6 +740,22 @@ class TestFarFieldGroup:
             _close_blocks(_group((quad,)), v, own, closing)
             assert own.any()
             assert acc.tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("member", ["capped fold", "scaled integral"])
+    def test_a_group_refuses_a_member_that_scales_or_caps(self, member):
+        # The 30-term plate fold at h = 0.01 on [0, 30] sums its blocks
+        # directly from 2048 on; the integral at -1.5 scales every block.
+        if member == "capped fold":
+            quad, _ = _babenko_kernels(0.5, 0.5, 0.01, 30, self.N)
+            assert quad.cap == 2048 and not quad.scales
+        else:
+            quad = _kernel_quad(-1.5, 0.01, _table_length(self.N))
+            assert quad.cap == 0 and list(quad.scales) == _blocks(self.N)
+        plain = self.shared()[0]
+        _group((quad,))
+        for quads in ((plain, quad), (quad, plain)):
+            with pytest.raises(ValueError, match="closes them alone"):
+                _group(quads)
 
 
 class TestLeafProduct:
