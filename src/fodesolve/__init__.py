@@ -11,30 +11,27 @@ Discrete Riemann-Liouville quadratures for sampled series live in
 
 import importlib
 
-# Home module of each public name.  A name is imported from its home on
-# first access, so a program (the command line included) loads only the
-# modules it uses.
+# Home module of each public name: the inverters and the decomposition,
+# the problem's input types, the operators, the cross-check solver and
+# the stepper.  A name is imported from its home on first access, so a
+# program (the command line included) loads only the modules it uses.
+# Result types, the error classes and the verification battery are
+# imported from their home modules.
 _HOMES = {
     name: module
     for module, names in (
-        ("decompose", ("Babenko", "BabenkoResult", "DecomposedSystem",
-                       "DirectVolterra", "RhsLink", "WLink", "babenko_invert",
+        ("decompose", ("Babenko", "DirectVolterra", "babenko_invert",
                        "build_system", "volterra_direct_invert")),
-        ("errors", ("BabenkoTailWarning", "NonzeroOriginError", "ParseError",
-                    "SingularInversionError", "SingularOriginError",
-                    "UnsupportedProblemError")),
-        ("gammafn", ("GAMMA_MAX", "gamma")),
+        ("errors", ("BabenkoTailWarning",)),
         ("operators", ("SampleSeries", "apply_operator", "frac_derivative01",
                        "frac_derivative_general", "frac_integral",
                        "weight_table")),
-        ("oracle", ("ConvergenceRow", "ManufacturedCase", "convergence_study",
-                    "gl_direct_solve", "manufacture", "power_rule")),
+        ("oracle", ("convergence_study", "gl_direct_solve", "manufacture",
+                    "power_rule")),
         ("problemfile", ("ForcingSegment", "FracTerm", "PiecewiseForcing",
                          "Polynomial", "PowerSumForcing", "ProblemSpec",
-                         "format_problem", "integer_order", "parse_problem")),
-        ("stepper", ("Diagnostics", "SolverConfig", "Trajectory",
-                     "reconstruct_derivatives", "solve")),
-        ("verify", ("CheckResult", "run_checks", "run_verify")),
+                         "parse_problem")),
+        ("stepper", ("SolverConfig", "reconstruct_derivatives", "solve")),
     )
     for name in names
 }

@@ -212,14 +212,14 @@ def _cmd_convergence(args) -> int:
     problem = _read_problem(args.problem)
 
     from .oracle import convergence_study
-    from .problemfile import _fmt
 
     rows = convergence_study(problem, steps, args.t_end, oracle=args.oracle,
                              inversion=_inversion_from(args))
     lines = ["h,sup_error,observed_order\n"]
     for row in rows:
-        order = "" if row.observed_order is None else _fmt(row.observed_order)
-        lines.append(f"{_fmt(row.h)},{_fmt(row.sup_error)},{order}\n")
+        order = ("" if row.observed_order is None
+                 else "%.17g" % row.observed_order)
+        lines.append("%.17g,%.17g,%s\n" % (row.h, row.sup_error, order))
     _write(args.out, lines)
     return 0
 

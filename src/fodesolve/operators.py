@@ -62,7 +62,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import gammafn
 from .errors import (
     DEFAULT_ORDER_CAP,
     NonzeroOriginError,
@@ -220,10 +219,10 @@ def weight_table(kind: str, order: float, n: int) -> np.ndarray:
     kind is one of "integral", "derivative01", "binomial".  Weights carry
     no h factor; the caller applies the h**(+-order) prefactor.  Repeated
     calls with the same arguments return the same cached array, built on
-    first use; the array is read-only."""
-    order = float(order)
-    if not math.isfinite(order):
-        raise ValueError(f"weight order must be finite, got {order!r}")
+    first use; the array is read-only.  An order that is not finite, or
+    at or past DEFAULT_ORDER_CAP, raises ValueError, as for
+    apply_operator."""
+    order = _signed_order(order)
     n = _whole(n, "table length")
     if n < 1:
         raise ValueError("table length must be at least 1")
@@ -622,7 +621,7 @@ def _leaf_run(n: int, groups, leaf) -> int | None:
 
 
 def _integral_pref(h: float, alpha: float) -> float:
-    return h ** alpha / (2.0 * gammafn.gamma(1.0 + alpha))
+    return h ** alpha / (2.0 * math.gamma(1.0 + alpha))
 
 
 @functools.lru_cache(maxsize=_QUAD_CACHE_SIZE)
@@ -646,7 +645,7 @@ def _kernel_quad(mu: float, h: float, m: int) -> _Quadrature:
                 pref, centre = _integral_pref(h, -mu), 1.0
                 boundary, lag = _integral_tables(-mu, m)
             elif mu < 1.0:
-                pref, centre = h ** (-mu) / gammafn.gamma(2.0 - mu), 1.0
+                pref, centre = h ** (-mu) / math.gamma(2.0 - mu), 1.0
                 # Summation by parts moves the difference quadrature's
                 # weights w from sample differences onto samples: the
                 # first sample gets (1-a)/i^a - w_{i-1} at node i, lag j

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gammafn
 from .decompose import DirectVolterra, _guard_pivot
 from .errors import UnsupportedProblemError
 from .operators import (
@@ -52,26 +51,28 @@ def power_rule(alpha: float, p: int, t: float, kind: str) -> float:
         integral:    Gamma(p+1) / Gamma(p+1+alpha) * t^(p+alpha)
         derivative:  Gamma(p+1) / Gamma(p+1-alpha) * t^(p-alpha)
 
-    For the derivative, Gamma(p+1-alpha) sits at a pole whenever
-    p+1-alpha is a nonpositive integer and a ValueError propagates.
+    A non-finite order raises ValueError.  For the derivative,
+    Gamma(p+1-alpha) sits at a pole whenever p+1-alpha is a nonpositive
+    integer and a ValueError propagates; a Gamma past double range
+    raises OverflowError.
     t = 0 with a negative result exponent is singular and raises too,
     as does a power that is not whole (3.0 and numpy integers are).
     """
     alpha = float(alpha)
     p = _whole(p, "power")
     t = float(t)
-    if alpha <= 0.0:
-        raise ValueError("order must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"order must be positive and finite, got {alpha!r}")
     if p < 0:
         raise ValueError("power must be a nonnegative integer")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if kind == "integral":
         expo = p + alpha
-        coef = gammafn.gamma(p + 1.0) / gammafn.gamma(p + 1.0 + alpha)
+        coef = math.gamma(p + 1.0) / math.gamma(p + 1.0 + alpha)
     elif kind == "derivative":
         expo = p - alpha
-        coef = gammafn.gamma(p + 1.0) / gammafn.gamma(p + 1.0 - alpha)
+        coef = math.gamma(p + 1.0) / math.gamma(p + 1.0 - alpha)
     else:
         raise ValueError(f"kind must be 'integral' or 'derivative', got {kind!r}")
     if t == 0.0:
@@ -111,9 +112,9 @@ def manufacture(base: ProblemSpec, p: int) -> ManufacturedCase:
             " the manufactured start values would not vanish"
         )
     terms = []
-    gp1 = gammafn.gamma(p + 1.0)
+    gp1 = math.gamma(p + 1.0)
     for tm in base.terms:
-        coef = tm.coefficient * gp1 / gammafn.gamma(p + 1.0 - tm.order)
+        coef = tm.coefficient * gp1 / math.gamma(p + 1.0 - tm.order)
         terms.append((coef, p - tm.order))
     for c, q in base.nonlinearity.monomials():
         terms.append((c, float(p * q)))

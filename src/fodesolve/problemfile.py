@@ -7,8 +7,8 @@ nonlinearity, driven by forcing on the grid:
 
 with the integer derivatives y^(k)(0), k = 0..m1-1, as initial
 conditions.  The types here hold it as plain data; only the forcing's
-sample methods load numpy, inside the call, so reading and writing a
-problem file never does.  fodesolve.decompose reduces a problem to the
+sample methods load numpy, inside the call, so reading a problem file
+never does.  fodesolve.decompose reduces a problem to the
 equations the stepper runs.
 
 A problem file holds one directive per line; `#` starts a comment and
@@ -44,7 +44,6 @@ __all__ = [
     "integer_order",
     "ParseError",
     "parse_problem",
-    "format_problem",
 ]
 
 
@@ -431,28 +430,3 @@ def parse_problem(text: str) -> ProblemSpec:
         forcing=forcing,
         initial_conditions=tuple(inits[k] for k in range(m1)),
     )
-
-
-def _fmt(v: float) -> str:
-    """17 significant digits: parsing the text gives back the same float."""
-    return format(float(v), ".17g")
-
-
-def format_problem(problem: ProblemSpec) -> str:
-    """Render a ProblemSpec back to file text; parsing the output yields
-    an equal ProblemSpec.  Only piecewise-polynomial forcing is
-    representable in the file grammar."""
-    if not isinstance(problem.forcing, PiecewiseForcing):
-        raise ValueError(
-            "only piecewise-polynomial forcing can be written to a file")
-    lines = []
-    for tm in problem.terms:
-        lines.append(f"term {_fmt(tm.coefficient)} {_fmt(tm.order)}")
-    for c, p in problem.nonlinearity.monomials():
-        lines.append(f"nonlinear {p} {_fmt(c)}")
-    for seg in problem.forcing.segments:
-        coeffs = " ".join(_fmt(c) for c in seg.coefficients)
-        lines.append(f"forcing {_fmt(seg.t_from)} {_fmt(seg.t_to)} {coeffs}")
-    for k, v in enumerate(problem.initial_conditions):
-        lines.append(f"init {k} {_fmt(v)}")
-    return "\n".join(lines) + "\n"

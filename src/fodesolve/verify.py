@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gammafn
 from .decompose import babenko_invert, volterra_direct_invert, WLink
 from .operators import SampleSeries, apply_operator
 from .oracle import gl_direct_solve, power_rule
@@ -56,22 +55,6 @@ def _bagley_torvik() -> ProblemSpec:
         )),
         initial_conditions=(0.0, 0.0),
     )
-
-
-def _check_gamma():
-    # Call through the module so a broken gamma cannot hide behind an
-    # import-time binding.
-    worst = 0.0
-    fact = 1.0
-    for k in range(2, 21):
-        fact *= k - 1
-        worst = max(worst, abs(gammafn.gamma(float(k)) - fact) / fact)
-    for x, want in ((0.5, math.sqrt(math.pi)),
-                    (1.5, 0.5 * math.sqrt(math.pi)),
-                    (-0.5, -2.0 * math.sqrt(math.pi))):
-        worst = max(worst, abs(gammafn.gamma(x) - want) / abs(want))
-    yield _result("gamma-reference-points", f"{worst:.2e}", "<= 1e-10",
-                  worst <= 1e-10)
 
 
 def _check_closed_forms():
@@ -225,7 +208,6 @@ def _check_benchmark():
 
 
 _CHECKS = (
-    _check_gamma,
     _check_closed_forms,
     _check_reductions,
     _check_compositions,

@@ -10,6 +10,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from fodesolve import (
     Babenko,
@@ -21,11 +22,11 @@ from fodesolve import (
     gl_direct_solve,
     manufacture,
     power_rule,
-    run_verify,
     solve,
 )
 from fodesolve.cli import main as cli_main
 from fodesolve.decompose import TAIL_TOL
+from fodesolve.verify import run_verify
 
 
 def report(name, ok, detail):
@@ -130,6 +131,46 @@ class TestBenchmarkVsCrossSolver:
             f"{diffs[0]:.4f}/{diffs[1]:.4f}/{diffs[2]:.4f} "
             f"(finest <= 0.05), ratios {ratios[0]:.2f}/{ratios[1]:.2f} "
             f"(>= 1.5); {elapsed:.1f}s (< 60s)")
+
+
+# The plate's exact solution, L^-1[8 (1 - e^-s) / (s (s^2 + 0.5 s^1.5
+# + 0.5))], split at the load's cut-off and inverted by mpmath's Talbot
+# method; the values agree at 30 and at 40 digits.
+PLATE_EXACT = {
+    0.5: 0.8147569493832937,
+    1.0: 2.952583880038981,
+    2.0: 6.760110396535259,
+    5.0: 2.943935663751244,
+    10.0: -2.8483808693895183,
+    20.0: -1.4843294639920563,
+    30.0: -0.5115451108802965,
+}
+
+
+class TestPlateExactSolution:
+    """Both solvers against the plate's exact values on [0, 30]: the sup
+    error at N = 3 000 and 15 000 steps is bounded, and falls at least
+    4.5 times from the coarse grid to the fine one."""
+
+    @pytest.mark.parametrize("solver,coarse,fine", [
+        (solve, 3.0e-2, 6.0e-3),
+        (gl_direct_solve, 8.0e-2, 1.6e-2),
+    ], ids=["solve", "gl_direct_solve"])
+    def test_converges_to_the_exact_values(self, plate, solver, coarse, fine):
+        errs = []
+        for n in (3000, 15000):
+            h = 30.0 / n
+            y = solver(plate, SolverConfig(h=h, t_end=30.0)).y.values
+            errs.append(max(abs(y[round(t / h)] - want)
+                            for t, want in PLATE_EXACT.items()))
+        ok = (errs[0] <= coarse and errs[1] <= fine
+              and errs[0] >= 4.5 * errs[1])
+        report(
+            f"plate exact values, {solver.__name__}",
+            ok,
+            f"sup error at N=3000/15000: {errs[0]:.3e} (<= {coarse:g})"
+            f"/{errs[1]:.3e} (<= {fine:g}), ratio "
+            f"{errs[0] / errs[1]:.2f} (>= 4.5)")
 
 
 class TestInversionRouteEquivalence:

@@ -17,23 +17,25 @@ from hypothesis import given, settings, strategies as st
 import csv_loop
 from fodesolve import cli
 from fodesolve.cli import _csv_chunks, _write, main
-from fodesolve.problemfile import format_problem
 
 BENCHMARK = "problems/bagley_torvik.fode"
 CUBIC = "problems/bagley_torvik_cubic.fode"
+ROOT = Path(__file__).resolve().parents[1]
 
 
+# Copies of the shipped problem files, which parse to conftest's plate
+# and cubic plate.
 @pytest.fixture
-def plate_file(tmp_path, plate):
+def plate_file(tmp_path):
     path = tmp_path / "plate.fode"
-    path.write_text(format_problem(plate))
+    path.write_text((ROOT / BENCHMARK).read_text())
     return str(path)
 
 
 @pytest.fixture
-def plate_cubic_file(tmp_path, plate_cubic):
+def plate_cubic_file(tmp_path):
     path = tmp_path / "plate_cubic.fode"
-    path.write_text(format_problem(plate_cubic))
+    path.write_text((ROOT / CUBIC).read_text())
     return str(path)
 
 

@@ -395,8 +395,7 @@ class TestVolterraDirect:
 
     def test_singular_pivot(self):
         h = 0.04
-        from fodesolve.gammafn import gamma
-        ratio = -2.0 * gamma(1.5) / h ** 0.5
+        ratio = -2.0 * math.gamma(1.5) / h ** 0.5
         links = (WLink(ratio, 0.5),)
         w = SampleSeries(h, [0.0, 1.0, 2.0])
         with pytest.raises(SingularInversionError):

@@ -8,6 +8,7 @@ tests imported do not leak in.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -70,16 +71,14 @@ class TestSubcommandImports:
         code = ("import fodesolve\n"
                 f"with open({PLATE!r}) as fh:\n"
                 "    problem = fodesolve.parse_problem(fh.read())\n"
-                "assert fodesolve.parse_problem("
-                "fodesolve.format_problem(problem)) == problem\n")
+                "assert problem.terms[0] == fodesolve.FracTerm(1.0, 2.0)\n")
         assert _loaded(code, absent=["numpy"]) == {
             "fodesolve", "errors", "problemfile"}
 
     def test_apply(self, signal_csv, tmp_path):
         loaded = _cli_loaded(["apply", "--in", signal_csv, "--order", "-0.5",
                               "--out", str(tmp_path / "out.csv")])
-        assert loaded == {"fodesolve", "cli", "errors", "gammafn",
-                          "operators"}
+        assert loaded == {"fodesolve", "cli", "errors", "operators"}
 
     def test_solve(self, tmp_path):
         loaded = _cli_loaded(["solve", "--problem", PLATE, "--step", "0.1",
@@ -101,10 +100,39 @@ class TestSubcommandImports:
         assert "verify" in _cli_loaded(["verify", "--json"])
 
 
+# The package's public names: the inverters and the decomposition, the
+# problem's input types, the operators, the cross-check solver and the
+# stepper.
+PUBLIC = {
+    "Babenko", "BabenkoTailWarning", "DirectVolterra", "babenko_invert",
+    "build_system", "volterra_direct_invert",
+    "ForcingSegment", "FracTerm", "PiecewiseForcing", "Polynomial",
+    "PowerSumForcing", "ProblemSpec", "parse_problem",
+    "SampleSeries", "apply_operator", "frac_derivative01",
+    "frac_derivative_general", "frac_integral", "weight_table",
+    "convergence_study", "gl_direct_solve", "manufacture", "power_rule",
+    "SolverConfig", "reconstruct_derivatives", "solve",
+    "__version__",
+}
+
+# Names that live only in their home modules.
+HOME_ONLY = {
+    "decompose": ("BabenkoResult", "DecomposedSystem", "RhsLink", "WLink"),
+    "stepper": ("Diagnostics", "Trajectory"),
+    "oracle": ("ConvergenceRow", "ManufacturedCase"),
+    "problemfile": ("integer_order",),
+    "errors": ("NonzeroOriginError", "ParseError", "SingularInversionError",
+               "SingularOriginError", "UnsupportedProblemError"),
+    "verify": ("CheckResult", "run_checks", "run_verify"),
+}
+
+
 class TestNamespace:
     def test_names_resolve_to_their_home_objects(self):
         assert len(set(fodesolve.__all__)) == len(fodesolve.__all__)
-        for gone in ("OperatorOrder", "reconstruct_y"):
+        assert set(fodesolve.__all__) == PUBLIC
+        for gone in ("OperatorOrder", "reconstruct_y", "gamma", "GAMMA_MAX",
+                     "format_problem"):
             with pytest.raises(AttributeError, match=gone):
                 getattr(fodesolve, gone)
         for name, home in fodesolve._HOMES.items():
@@ -113,6 +141,18 @@ class TestNamespace:
             assert value is getattr(module, name), name
             if hasattr(value, "__qualname__"):
                 assert value.__module__ == module.__name__, name
+
+    def test_fresh_interpreter_resolves_every_name(self):
+        # A home module that is gone, or one that warns on import, fails
+        # here rather than on a user's first access.
+        code = ("import warnings\n"
+                "warnings.simplefilter('error')\n"
+                "import fodesolve\n"
+                "for name in fodesolve.__all__:\n"
+                "    getattr(fodesolve, name)\n"
+                "exec('from fodesolve import *', {})\n"
+                "print(len(fodesolve.__all__))\n")
+        assert _fresh(code) == str(len(PUBLIC))
 
     def test_star_import_binds_every_name(self):
         namespace = {}
@@ -129,12 +169,24 @@ class TestNamespace:
         with pytest.raises(ImportError):
             exec("from fodesolve import no_such_name", {})
 
+    @pytest.mark.parametrize("home", sorted(HOME_ONLY))
+    def test_home_only_names_stay_out_of_the_package(self, home):
+        module = importlib.import_module(f"fodesolve.{home}")
+        for name in HOME_ONLY[home]:
+            assert hasattr(module, name), name
+            with pytest.raises(AttributeError, match=name):
+                getattr(fodesolve, name)
+
+    def test_deleted_names_are_gone(self):
+        assert importlib.util.find_spec("fodesolve.gammafn") is None
+        problemfile = importlib.import_module("fodesolve.problemfile")
+        assert not hasattr(problemfile, "format_problem")
+
     def test_parse_error_has_one_identity(self):
         import fodesolve.errors
         import fodesolve.problemfile
 
-        assert fodesolve.problemfile.ParseError is fodesolve.ParseError
-        assert fodesolve.errors.ParseError is fodesolve.ParseError
+        assert fodesolve.problemfile.ParseError is fodesolve.errors.ParseError
 
 
 # Runs the command line through one entry, as `python -m fodesolve` or

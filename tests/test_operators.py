@@ -152,6 +152,15 @@ class TestWeightTables:
             for order in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match="must be finite"):
                     weight_table(kind, order, 6)
+        # An order at or past the cap is refused too, as apply_operator
+        # refuses it: order 200 would leave double range in the table.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, order in (("integral", DEFAULT_ORDER_CAP),
+                                ("integral", 200.0),
+                                ("binomial", DEFAULT_ORDER_CAP)):
+                with pytest.raises(ValueError, match="exceeds the cap"):
+                    weight_table(kind, order, 10000)
         assert _weights.cache_info().currsize == before
 
     @pytest.mark.parametrize("n", [0, 2.5, math.nan, math.inf])

@@ -1,7 +1,6 @@
 import io
 import json
 
-import fodesolve.gammafn
 import fodesolve.verify
 from fodesolve.operators import SampleSeries
 from fodesolve.verify import run_checks, run_verify
@@ -19,10 +18,11 @@ class TestRunChecks:
 
     def test_expected_battery_is_present(self):
         names = {r.name for r in run_checks()}
-        for expected in ("gamma-reference-points", "causality",
+        for expected in ("integral-closed-form", "causality",
                          "determinism", "benchmark-cross-solver",
                          "series-vs-direct-inversion"):
             assert expected in names
+        assert "gamma-reference-points" not in names
 
 
 class TestRunVerify:
@@ -31,7 +31,7 @@ class TestRunVerify:
         assert run_verify(stream=stream) == 0
         text = stream.getvalue()
         assert "all checks passed" in text
-        assert "gamma-reference-points" in text
+        assert "integral-closed-form" in text
         assert "measured" in text
 
     def test_json_output(self):
@@ -43,19 +43,19 @@ class TestRunVerify:
         assert len(names) == len(set(names))
 
     def test_injected_fault_is_detected(self, monkeypatch):
-        # poison the gamma function; the reference-point check must notice
-        real = fodesolve.gammafn.gamma
+        # skew the closed forms by 10%; the closed-form check must notice
+        real = fodesolve.verify.power_rule
 
-        def skewed(x):
-            return real(x) * (1.0 + 1e-6)
+        def skewed(*args):
+            return real(*args) * 1.1
 
-        monkeypatch.setattr(fodesolve.gammafn, "gamma", skewed)
+        monkeypatch.setattr(fodesolve.verify, "power_rule", skewed)
         stream = io.StringIO()
         assert run_verify(stream=stream) == 3
         text = stream.getvalue()
         assert "CHECKS FAILED" in text
         failing = [ln for ln in text.splitlines()
-                   if "gamma-reference-points" in ln]
+                   if "integral-closed-form" in ln]
         assert failing and "FAIL" in failing[0]
 
     def test_non_causal_operator_is_detected(self, monkeypatch):
