@@ -51,7 +51,7 @@ def power_rule(alpha: float, p: int, t: float, kind: str) -> float:
         integral:    Gamma(p+1) / Gamma(p+1+alpha) * t^(p+alpha)
         derivative:  Gamma(p+1) / Gamma(p+1-alpha) * t^(p-alpha)
 
-    A non-finite order raises ValueError.  For the derivative,
+    A non-finite order or time raises ValueError.  For the derivative,
     Gamma(p+1-alpha) sits at a pole whenever p+1-alpha is a nonpositive
     integer and a ValueError propagates; a Gamma past double range
     raises OverflowError.
@@ -65,8 +65,8 @@ def power_rule(alpha: float, p: int, t: float, kind: str) -> float:
         raise ValueError(f"order must be positive and finite, got {alpha!r}")
     if p < 0:
         raise ValueError("power must be a nonnegative integer")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t!r}")
     if kind == "integral":
         expo = p + alpha
         coef = math.gamma(p + 1.0) / math.gamma(p + 1.0 + alpha)
@@ -261,8 +261,10 @@ def convergence_study(problem: ProblemSpec, steps, t_end: float,
     uses the decomposition solve at the finest step as reference, in
     which case the finest step itself gets no row.  Rows come out coarse
     to fine; each row after the first carries the observed order
-    log(e_prev/e_this) / log(h_prev/h_this).  Any run that dies with a
-    non-finite node raises ArithmeticError.
+    log(e_prev/e_this) / log(h_prev/h_this).  A step or horizon that no
+    grid takes, or a step that is not a whole multiple of the finest,
+    raises ValueError before anything is solved.  Any run that dies with
+    a non-finite node raises ArithmeticError.
     """
     steps = sorted({float(s) for s in steps}, reverse=True)
     if len(steps) < 2:
@@ -270,11 +272,15 @@ def convergence_study(problem: ProblemSpec, steps, t_end: float,
     if oracle not in ("self", "gl"):
         raise ValueError(f"oracle must be 'self' or 'gl', got {oracle!r}")
     h_ref = steps[-1]
+    # Every grid is checked, and every step against the reference, before
+    # anything is solved.
+    configs = {h: SolverConfig(h=h, t_end=t_end, inversion=DirectVolterra()
+                               if inversion is None else inversion)
+               for h in steps}
+    strides = {h: _common_stride(h, h_ref) for h in steps}
 
     def _run(h):
-        traj = solve(problem, SolverConfig(
-            h=h, t_end=t_end,
-            inversion=DirectVolterra() if inversion is None else inversion))
+        traj = solve(problem, configs[h])
         if traj.diagnostics.nan_node is not None:
             raise ArithmeticError(
                 f"run at step {h:g} stopped at node"
@@ -283,8 +289,7 @@ def convergence_study(problem: ProblemSpec, steps, t_end: float,
         return traj
 
     if oracle == "gl":
-        ref_cfg = SolverConfig(h=h_ref, t_end=t_end)
-        ref = gl_direct_solve(problem, ref_cfg)
+        ref = gl_direct_solve(problem, configs[h_ref])
         if ref.diagnostics.nan_node is not None:
             raise ArithmeticError(
                 f"reference run stopped at node {ref.diagnostics.nan_node}"
@@ -299,7 +304,7 @@ def convergence_study(problem: ProblemSpec, steps, t_end: float,
     prev = None
     for h in measured_steps:
         traj = _run(h)
-        stride = _common_stride(h, h_ref)
+        stride = strides[h]
         vals = traj.y.values
         k = (len(vals) - 1) * stride
         common_ref = ref_values[:k + 1:stride]

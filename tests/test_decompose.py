@@ -610,8 +610,7 @@ class TestBabenkoInvert:
                                                     abs=0.0)
         if terms == 171:
             with np.errstate(over="ignore", invalid="ignore"):
-                plain = last.centre * _weights.__wrapped__("integral", order,
-                                                           n)
+                plain = last.centre * _weights("integral", order, n)
             assert last.lag[:66].tobytes() == plain[:66].tobytes()
             assert not np.isfinite(plain[66])
 
@@ -690,8 +689,9 @@ class TestBabenkoInvert:
 
     def test_fold_leaves_shared_weight_cache_alone(self):
         # The K order-k*delta tables serve only the fold; caching them
-        # would leave K never-reused tables behind.
+        # would leave K never-reused tables behind.  The fold takes no
+        # quadrature from the package's one process cache.
         w = SampleSeries(0.01, np.cos(0.01 * np.arange(501)))
-        before = _weights.cache_info()
+        before = _kernel_quad.cache_info()
         babenko_invert(w, 0.5, 0.5, terms=100)
-        assert _weights.cache_info() == before
+        assert _kernel_quad.cache_info() == before

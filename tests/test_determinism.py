@@ -24,7 +24,8 @@ path, operators._close_blocks, and walk their leaves through one
 driver, operators._leaf_run.  The subprocess tests check the promise
 end to end through the CLI; the source scans keep a thread-dependent
 reduction, a node-by-node history evaluator or a second far-field path
-from coming back in some other function.
+from coming back in some other function, and one more keeps a second
+process cache out.
 """
 
 import ast
@@ -311,3 +312,14 @@ def test_one_direct_inverter_owns_the_pivot():
     prefs = {func for func, _ in _walk(PACKAGE / "decompose.py",
                                        _call_of("_integral_pref"))}
     assert prefs == {"_babenko_kernels"}
+
+
+def test_one_process_cache():
+    # The quadrature cache, operators._kernel_quad, is the one table a
+    # process keeps: weight tables and every other build leave with the
+    # call that made them.  functools' memoizers are named nowhere else.
+    caches = [(path.name, func)
+              for path in sorted(PACKAGE.glob("*.py"))
+              for func, _ in _walk(path, _named({"lru_cache", "cache",
+                                                 "cached_property"}))]
+    assert caches == [("operators.py", "_kernel_quad")]

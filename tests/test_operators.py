@@ -131,10 +131,15 @@ class TestWeightTables:
         w = weight_table("binomial", 2.0, 6)
         assert np.array_equal(w, [1.0, -2.0, 1.0, 0.0, 0.0, 0.0])
 
-    def test_tables_are_cached(self):
-        a = weight_table("integral", 0.5, 100)
-        b = weight_table("integral", 0.5, 100)
-        assert a is b
+    def test_each_call_builds_a_fresh_read_only_table(self):
+        # No table is kept between calls.
+        for kind, order in (("integral", 0.5), ("derivative01", 0.5),
+                            ("binomial", 1.5)):
+            a = weight_table(kind, order, 100)
+            b = weight_table(kind, order, 100)
+            assert a is not b
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and not b.flags.writeable
 
     def test_kind_and_range_gating(self):
         with pytest.raises(ValueError):
@@ -145,9 +150,6 @@ class TestWeightTables:
             weight_table("binomial", 0.5, 4)
         with pytest.raises(ValueError):
             weight_table("nope", 0.5, 4)
-        # A non-finite order is refused before it reaches the cache,
-        # where a nan key would never hit again.
-        before = _weights.cache_info().currsize
         for kind in ("integral", "derivative01", "binomial"):
             for order in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match="must be finite"):
@@ -161,7 +163,6 @@ class TestWeightTables:
                                 ("binomial", DEFAULT_ORDER_CAP)):
                 with pytest.raises(ValueError, match="exceeds the cap"):
                     weight_table(kind, order, 10000)
-        assert _weights.cache_info().currsize == before
 
     @pytest.mark.parametrize("n", [0, 2.5, math.nan, math.inf])
     def test_length_must_be_whole_and_positive(self, n):
@@ -170,9 +171,9 @@ class TestWeightTables:
             weight_table("integral", 0.5, n)
 
     def test_whole_valued_lengths_accepted(self):
-        a = weight_table("integral", 0.5, 4)
-        assert weight_table("integral", 0.5, 4.0) is a
-        assert weight_table("integral", 0.5, np.int64(4)) is a
+        a = weight_table("integral", 0.5, 4).tobytes()
+        assert weight_table("integral", 0.5, 4.0).tobytes() == a
+        assert weight_table("integral", 0.5, np.int64(4)).tobytes() == a
 
     @pytest.mark.parametrize("order", [0.5, 1.0, 0.123, 2.75, 170.28])
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])

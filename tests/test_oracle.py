@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,6 +126,15 @@ class TestPowerRule:
         assert (power_rule(0.5, 3.0, 1.0, "integral")
                 == power_rule(0.5, np.int64(3), 1.0, "integral")
                 == power_rule(0.5, 3, 1.0, "integral"))
+
+    @pytest.mark.parametrize("kind", ["integral", "derivative"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_raises(self, t, kind):
+        # nan fails every comparison, so a sign check alone would let it
+        # through to a nan result; an infinite time gives no value.
+        with pytest.raises(ValueError, match="t must be nonnegative and"
+                           " finite"):
+            power_rule(0.5, 2, t, kind)
 
 
 class TestManufacture:
@@ -371,6 +382,26 @@ class TestConvergenceStudy:
     def test_non_nested_steps_rejected(self, plate):
         with pytest.raises(ValueError):
             convergence_study(plate, [0.01, 0.003], 2.0)
+
+    @pytest.mark.parametrize("oracle", ["self", "gl"])
+    @pytest.mark.parametrize("steps,t_end,message", [
+        ([0.0015, 0.001], 30.0,
+         "step 0.0015 does not nest with the reference step 0.001"),
+        ([0.02, 0.0], 30.0, "step must be positive and finite"),
+        ([math.nan, 0.01], 30.0, "step must be positive and finite"),
+        ([0.02, 0.01], math.inf, "t_end must be positive and finite"),
+    ])
+    def test_bad_steps_rejected_before_any_solve(self, plate, oracle, steps,
+                                                 t_end, message):
+        # Every grid, and every step against the reference, is checked
+        # before the reference or any measured run is solved: both
+        # solvers are counted, not replaced.
+        with mock.patch("fodesolve.oracle.solve", wraps=solve) as run, \
+                mock.patch("fodesolve.oracle.gl_direct_solve",
+                           wraps=gl_direct_solve) as ref:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                convergence_study(plate, steps, t_end, oracle=oracle)
+        assert run.call_count == ref.call_count == 0
 
     def test_bad_oracle_name(self, plate):
         with pytest.raises(ValueError):
