@@ -15,7 +15,7 @@ a meaningful cross-check rather than a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,9 +119,7 @@ def manufacture(base: ProblemSpec, p: int) -> ManufacturedCase:
     for c, q in base.nonlinearity.monomials():
         terms.append((c, float(p * q)))
     forcing = PowerSumForcing(tuple(terms))
-    problem = replace(
-        base, forcing=forcing, initial_conditions=(0.0,) * m1
-    )
+    problem = base._replace(forcing=forcing, initial_conditions=(0.0,) * m1)
     return ManufacturedCase(problem=problem, power=p)
 
 

@@ -6,17 +6,19 @@ nonlinearity, driven by forcing on the grid:
     sum_i  a_i D^(alpha_i) y  +  g(y)  =  f(t),   orders strictly decreasing,
 
 with the integer derivatives y^(k)(0), k = 0..m1-1, as initial
-conditions.  The types here hold it as plain data; only the forcing's
-sample methods load numpy, inside the call, so reading a problem file
-never does.  fodesolve.decompose reduces a problem to the
-equations the stepper runs.
+conditions.  The types here are immutable namedtuples, validated when
+built and by _replace; only the forcing's sample methods load numpy,
+inside the call, so reading a problem file loads neither numpy nor
+dataclasses.  fodesolve.decompose reduces a problem to the equations
+the stepper runs.
 
 A problem file holds one directive per line; `#` starts a comment and
 blank lines are ignored:
 
     term <coefficient> <order>          one fractional term (orders must
                                         appear strictly decreasing)
-    nonlinear <power> <coefficient>     adds coefficient * y^power
+    nonlinear <power> <coefficient>     adds coefficient * y^power,
+                                        power at most 1024
     forcing <t_from> <t_to|inf> <c0> [c1 ...]
                                         polynomial forcing on [t_from, t_to)
     init <k> <value>                    y^(k)(0); every k = 0..m1-1 must
@@ -26,11 +28,9 @@ A file with no forcing lines gets zero forcing on [0, inf).  Errors are
 reported with 1-based line and column numbers.
 """
 
-from __future__ import annotations
-
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DEFAULT_ORDER_CAP, ParseError
 
@@ -47,21 +47,32 @@ __all__ = [
 ]
 
 
+# Polynomial holds one coefficient per power, and 2.0**1024 overflows
+# a double: a file's nonlinear power stops here.
+_MAX_POWER = 1024
+
+
 def integer_order(alpha: float) -> int:
     """Smallest integer m with m >= alpha (an integer order is its own m)."""
     return int(math.ceil(alpha))
 
 
-@dataclass(frozen=True)
-class FracTerm:
+def _record(fields: str):
+    """A namedtuple base whose _make, and so _replace, builds through
+    the subclass's validating __new__."""
+    base = namedtuple("Record", fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class FracTerm(_record("coefficient order")):
     """One term a * D^order applied to the unknown."""
 
-    coefficient: float
-    order: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = float(self.coefficient)
-        a = float(self.order)
+    def __new__(cls, coefficient, order):
+        c = float(coefficient)
+        a = float(order)
         if not math.isfinite(c):
             raise ValueError("term coefficient must be finite")
         if not math.isfinite(a) or a < 0.0:
@@ -70,25 +81,23 @@ class FracTerm:
             raise ValueError(
                 f"term order {a!r} exceeds the supported cap {DEFAULT_ORDER_CAP}"
             )
-        object.__setattr__(self, "coefficient", c)
-        object.__setattr__(self, "order", a)
+        return super().__new__(cls, c, a)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_record("coefficients")):
     """Polynomial with coefficients indexed by power: p(y) = sum c_k y^k."""
 
-    coefficients: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+    def __new__(cls, coefficients=()):
+        coeffs = tuple(float(c) for c in coefficients)
         if any(not math.isfinite(c) for c in coeffs):
             raise ValueError("polynomial coefficients must be finite")
         # Trailing zero coefficients carry no information; strip them so
         # equal polynomials compare equal.
         while coeffs and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        return super().__new__(cls, coeffs)
 
     def monomials(self):
         """Nonzero (coefficient, power) pairs, ascending in power."""
@@ -97,27 +106,22 @@ class Polynomial:
         )
 
 
-@dataclass(frozen=True)
-class ForcingSegment:
+class ForcingSegment(_record("t_from t_to coefficients")):
     """Polynomial forcing on the half-open window [t_from, t_to)."""
 
-    t_from: float
-    t_to: float
-    coefficients: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        t0 = float(self.t_from)
-        t1 = float(self.t_to)
-        coeffs = tuple(float(c) for c in self.coefficients)
+    def __new__(cls, t_from, t_to, coefficients):
+        t0 = float(t_from)
+        t1 = float(t_to)
+        coeffs = tuple(float(c) for c in coefficients)
         if not math.isfinite(t0) or t0 < 0.0:
             raise ValueError("segment start must be finite and nonnegative")
         if math.isnan(t1) or t1 <= t0:
             raise ValueError("segment end must exceed its start")
         if not coeffs or any(not math.isfinite(c) for c in coeffs):
             raise ValueError("segment needs at least one finite coefficient")
-        object.__setattr__(self, "t_from", t0)
-        object.__setattr__(self, "t_to", t1)
-        object.__setattr__(self, "coefficients", coeffs)
+        return super().__new__(cls, t0, t1, coeffs)
 
 
 # Nodes this close to a segment boundary (relative to the step) are taken
@@ -135,8 +139,7 @@ def _horner(coefficients: tuple, t):
     return out
 
 
-@dataclass(frozen=True)
-class PiecewiseForcing:
+class PiecewiseForcing(_record("segments")):
     """Forcing assembled from contiguous polynomial segments starting at 0.
 
     The forcing is evaluated on the grid only, through sample(h, n).
@@ -146,10 +149,10 @@ class PiecewiseForcing:
     t = 0.32999999999999996 and takes a segment starting at 0.33).
     """
 
-    segments: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        segs = tuple(self.segments)
+    def __new__(cls, segments):
+        segs = tuple(segments)
         if not segs:
             raise ValueError("forcing needs at least one segment")
         if segs[0].t_from != 0.0:
@@ -159,7 +162,7 @@ class PiecewiseForcing:
                 raise ValueError(
                     "forcing segments must be contiguous and ordered"
                 )
-        object.__setattr__(self, "segments", segs)
+        return super().__new__(cls, segs)
 
     @classmethod
     def zero(cls) -> "PiecewiseForcing":
@@ -190,8 +193,7 @@ class PiecewiseForcing:
         return out
 
 
-@dataclass(frozen=True)
-class PowerSumForcing:
+class PowerSumForcing(_record("terms")):
     """Forcing of the form sum_k c_k t^(e_k) with real exponents e_k >= 0.
 
     Fractional powers of t fall outside polynomial segments, so forcing
@@ -199,14 +201,14 @@ class PowerSumForcing:
     closed form and evaluated directly at whatever grid is requested.
     """
 
-    terms: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        terms = tuple((float(c), float(e)) for c, e in self.terms)
+    def __new__(cls, terms):
+        terms = tuple((float(c), float(e)) for c, e in terms)
         for c, e in terms:
             if not math.isfinite(c) or not math.isfinite(e) or e < 0.0:
                 raise ValueError("power-sum terms need finite c and e >= 0")
-        object.__setattr__(self, "terms", terms)
+        return super().__new__(cls, terms)
 
     def sample(self, h: float, n: int):
         import numpy as np
@@ -218,35 +220,30 @@ class PowerSumForcing:
         return out
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(_record("terms nonlinearity forcing initial_conditions")):
     """Full initial-value problem statement.
 
     The lower terminal of every fractional operator is t = 0.  The
     initial conditions are the integer derivatives y^(k)(0) for
     k = 0..m1-1 where m1 is the integer order of the leading term.
+    With no forcing given, the forcing is zero on [0, inf).
     """
 
-    terms: tuple
-    nonlinearity: Polynomial = Polynomial()
-    forcing: object = field(default_factory=PiecewiseForcing.zero)
-    initial_conditions: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    def __new__(cls, terms, nonlinearity=Polynomial(), forcing=None,
+                initial_conditions=()):
+        forcing = PiecewiseForcing.zero() if forcing is None else forcing
+        terms = tuple(tm if isinstance(tm, FracTerm) else FracTerm(*tm)
+                      for tm in terms)
         if not terms:
             raise ValueError("problem needs at least one term")
-        if any(not isinstance(tm, FracTerm) for tm in terms):
-            terms = tuple(
-                tm if isinstance(tm, FracTerm) else FracTerm(*tm)
-                for tm in terms
-            )
         orders = [tm.order for tm in terms]
         if any(b >= a for a, b in zip(orders, orders[1:])):
             raise ValueError("orders must be strictly decreasing")
         if terms[0].coefficient == 0.0:
             raise ValueError("leading coefficient must be nonzero")
-        ics = tuple(float(v) for v in self.initial_conditions)
+        ics = tuple(float(v) for v in initial_conditions)
         if any(not math.isfinite(v) for v in ics):
             raise ValueError("initial conditions must be finite")
         m1 = integer_order(terms[0].order)
@@ -255,10 +252,9 @@ class ProblemSpec:
                 f"need exactly {m1} initial conditions for leading order"
                 f" {terms[0].order:g}, got {len(ics)}"
             )
-        if not hasattr(self.forcing, "sample"):
+        if not hasattr(forcing, "sample"):
             raise ValueError("forcing must provide sample(h, n)")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "initial_conditions", ics)
+        return super().__new__(cls, terms, nonlinearity, forcing, ics)
 
     @property
     def leading_order(self) -> float:
@@ -331,6 +327,9 @@ def parse_problem(text: str) -> ProblemSpec:
             if power < 0:
                 raise ParseError(lineno, args[0][1],
                                  "power must be nonnegative")
+            if power > _MAX_POWER:
+                raise ParseError(lineno, args[0][1],
+                                 f"power must be at most {_MAX_POWER}")
             coef = _number(args[1], lineno, "coefficient")
             nonlinear[power] = nonlinear.get(power, 0.0) + coef
 

@@ -84,6 +84,9 @@ def _num_steps(h: float, t_end: float) -> int:
     fewer than two steps, or one whose float64 array of N + 1 nodes
     exceeds physical memory where the platform reports it, raises
     ValueError before anything is allocated."""
+    if math.isinf(t_end / h):
+        raise ValueError(f"grid too large: step {h!r} leaves more steps"
+                         f" before t = {t_end:g} than a float can count")
     n = math.floor(t_end / h + 1e-9)
     while n * h > t_end * (1.0 + 1e-12):
         n -= 1
@@ -94,9 +97,19 @@ def _num_steps(h: float, t_end: float) -> int:
     need, have = 8 * (n + 1), _physical_memory()
     if have is not None and need > have:
         raise ValueError(
-            f"grid too large: {n + 1} nodes need {need} bytes per array,"
-            f" more than the {have} bytes of physical memory")
+            f"grid too large: {_count(n + 1)} nodes need {_count(need)}"
+            f" bytes per array, more than the {_count(have)} bytes of"
+            " physical memory")
     return n
+
+
+def _count(k: int) -> str:
+    """k in full below 10^15, past that rounded to three digits, as
+    1.23e+45; k may pass the float range, so no float formatting."""
+    if k < 10 ** 15:
+        return str(k)
+    digits = str(round(k, 3 - len(str(k))))
+    return f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
 
 
 def _physical_memory() -> int | None:

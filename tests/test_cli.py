@@ -371,6 +371,24 @@ class TestInputErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("step,reason", [
+        ("1e-300", "1.00e+300 nodes need 8.00e+300 bytes per array"),
+        ("1e-320", "leaves more steps before t = 1 than a float can count")])
+    def test_grid_too_large_in_one_short_line(self, plate_file, step, reason,
+                                              tmp_path, capsys, monkeypatch):
+        # 1e300 nodes, or more than a float counts: exit 2 and one short
+        # stderr line, no 301-digit count.
+        from fodesolve import stepper
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 2 ** 34)
+        out = tmp_path / "huge.csv"
+        assert main(["solve", "--problem", plate_file, "--step", step,
+                     "--t-end", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: grid too large: ")
+        assert reason in err
+        assert err.count("\n") == 1 and len(err) < 160
+        assert not out.exists()
+
     def test_unwritable_output(self, plate_file, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "out.csv"
         assert main(["solve", "--problem", plate_file, "--step", "0.1",

@@ -1,7 +1,7 @@
 """The package namespace resolves its names on first use, each
 command-line subcommand loads only the modules it runs, reading a
-problem file loads no numpy, and only the command line's process entry
-sets the BLAS thread count.
+problem file loads neither numpy nor dataclasses, and only the command
+line's process entry sets the BLAS thread count.
 
 Each import check runs in a fresh interpreter, so modules that other
 tests imported do not leak in.
@@ -68,11 +68,12 @@ class TestSubcommandImports:
         assert _loaded("import fodesolve") == {"fodesolve"}
 
     def test_problem_file_loads_no_numpy(self):
+        # nor dataclasses, which imports inspect
         code = ("import fodesolve\n"
                 f"with open({PLATE!r}) as fh:\n"
                 "    problem = fodesolve.parse_problem(fh.read())\n"
                 "assert problem.terms[0] == fodesolve.FracTerm(1.0, 2.0)\n")
-        assert _loaded(code, absent=["numpy"]) == {
+        assert _loaded(code, absent=["numpy", "dataclasses"]) == {
             "fodesolve", "errors", "problemfile"}
 
     def test_apply(self, signal_csv, tmp_path):

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -237,7 +236,7 @@ class TestGlDirectSolve:
         traj = gl_direct_solve(RUNAWAY, cfg)
         assert traj.diagnostics.nan_node == 694
         assert len(traj.y) == 694 and np.all(np.isfinite(traj.y.values))
-        tiny = replace(RUNAWAY, forcing=PiecewiseForcing((ForcingSegment(
+        tiny = RUNAWAY._replace(forcing=PiecewiseForcing((ForcingSegment(
             0.0, math.inf, (2.0 ** -1000,)),)))
         ref = _loop_solve(tiny, cfg)[:694] * 2.0 ** 1000
         assert np.all(np.abs(traj.y.values - ref) <= 1e-12 * np.abs(ref))
@@ -288,7 +287,7 @@ class TestGlDirectSolve:
                              ids=["first_leaf", "partial_last_leaf"])
     def test_stops_inside_a_leaf_and_keeps_the_nodes_before(self, start,
                                                             nan_node):
-        p = replace(INDEPENDENT, forcing=PiecewiseForcing((
+        p = INDEPENDENT._replace(forcing=PiecewiseForcing((
             ForcingSegment(0.0, start, (1.0, -0.05)),
             ForcingSegment(start, math.inf, (0.0, 1e308)))))
         cfg = SolverConfig(h=0.1, t_end=20.0)

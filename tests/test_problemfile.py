@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import time
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +175,19 @@ class TestDiagnostics:
         err = _err("term 1 -0.5\ninit 0 0\n")
         assert "nonnegative" in str(err)
 
+    def test_power_past_the_cap_points_at_the_power(self):
+        # Refused at once: the polynomial keeps one coefficient per power,
+        # so a power of 1e12 would ask for a tuple of 1e12 floats.
+        start = time.perf_counter()
+        err = _err("term 1 0.5\nnonlinear 1000000000000 1\ninit 0 0\n")
+        assert time.perf_counter() - start < 1.0
+        assert (err.line, err.column) == (2, 11)
+        assert "power must be at most 1024" in str(err)
+        assert "power must be at most" in str(
+            _err("term 1 0.5\nnonlinear 1025 1\ninit 0 0\n"))
+        top = parse_problem("term 1 0.5\nnonlinear 1024 1\ninit 0 0\n")
+        assert top.nonlinearity.monomials() == ((1.0, 1024),)
+
     @pytest.mark.parametrize("line,reason", [
         ("nonlinear -1 2", "power must be nonnegative"),
         ("forcing -1 1 2", "t_from must be nonnegative"),
@@ -180,6 +196,78 @@ class TestDiagnostics:
         err = _err(f"term 1 0.5\n{line}\ninit 0 0\n")
         assert err.line == 2 and err.column == len(line.split()[0]) + 2
         assert reason in str(err)
+
+
+# Each problem type with the keyword arguments of one instance.
+RECORDS = [
+    (FracTerm, {"coefficient": 0.5, "order": 1.5}),
+    (Polynomial, {"coefficients": (0.0, 0.5)}),
+    (ForcingSegment, {"t_from": 0.0, "t_to": 1.0, "coefficients": (8.0,)}),
+    (PiecewiseForcing, {"segments": (
+        ForcingSegment(0.0, 1.0, (8.0,)),
+        ForcingSegment(1.0, math.inf, (0.0,)))}),
+    (PowerSumForcing, {"terms": ((2.0, 1.5), (1.0, 0.0))}),
+    (ProblemSpec, {"terms": (FracTerm(1.0, 2.0), FracTerm(0.5, 1.5)),
+                   "nonlinearity": Polynomial((0.0, 0.5)),
+                   "forcing": PiecewiseForcing.zero(),
+                   "initial_conditions": (0.0, 0.0)}),
+]
+EACH_TYPE = pytest.mark.parametrize("cls,kwargs", RECORDS,
+                                    ids=[cls.__name__ for cls, _ in RECORDS])
+
+
+class TestTypes:
+    """The six problem types are immutable namedtuples, validated when
+    built, by _replace, and when pickled or copied."""
+
+    @EACH_TYPE
+    def test_keyword_construction(self, cls, kwargs):
+        rec = cls(**kwargs)
+        assert rec._fields == tuple(kwargs)
+        assert rec == cls(*kwargs.values())
+        assert all(getattr(rec, name) == v for name, v in kwargs.items())
+
+    @EACH_TYPE
+    def test_assignment_raises(self, cls, kwargs):
+        rec = cls(**kwargs)
+        for name, value in kwargs.items():
+            with pytest.raises(AttributeError):
+                setattr(rec, name, value)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+    @EACH_TYPE
+    def test_pickle_and_deepcopy_round_trip(self, cls, kwargs):
+        rec = cls(**kwargs)
+        copies = [pickle.loads(pickle.dumps(rec, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies.append(copy.deepcopy(rec))
+        for back in copies:
+            assert back == rec and type(back) is cls
+            assert hash(back) == hash(rec)
+
+    def test_replace_validates(self):
+        spec = parse_problem(BENCHMARK_TEXT)
+        with pytest.raises(ValueError, match="at least one term"):
+            spec._replace(terms=())
+        zero = spec._replace(terms=((1.0, 2.0), (0.0, 1.5)))
+        assert zero.terms == (FracTerm(1.0, 2.0), FracTerm(0.0, 1.5))
+        assert all(type(tm) is FracTerm for tm in zero.terms)
+        assert zero.forcing == spec.forcing
+        with pytest.raises(ValueError, match="nonnegative"):
+            FracTerm(1.0, 2.0)._replace(order=-1.0)
+        with pytest.raises(ValueError, match="unexpected field"):
+            spec._replace(order=2.0)
+        # normalised as on construction: trailing zeros are stripped
+        assert (Polynomial((1.0,))._replace(coefficients=(2, 0))
+                == Polynomial((2.0,)))
+
+    def test_forcing_defaults_to_zero(self):
+        spec = ProblemSpec(terms=((1.0, 0.5),), initial_conditions=(0.0,))
+        assert spec.forcing == PiecewiseForcing.zero()
+        assert spec.nonlinearity == Polynomial()
+        with pytest.raises(ValueError, match="sample"):
+            spec._replace(forcing=(1.0,))
 
 
 def _problem_text(problem):

@@ -70,6 +70,25 @@ class TestSolverConfig:
                            r" nodes need 240000000008 bytes"):
             SolverConfig(h=1e-9, t_end=30.0)
 
+    def test_counts_past_fifteen_digits_are_shortened(self, monkeypatch):
+        # 1e300 nodes: the counts keep three digits, not 301.
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 2 ** 34)
+        with pytest.raises(ValueError) as info:
+            SolverConfig(h=1e-300, t_end=1.0)
+        assert str(info.value) == (
+            "grid too large: 1.00e+300 nodes need 8.00e+300 bytes per"
+            " array, more than the 17179869184 bytes of physical memory")
+
+    @pytest.mark.parametrize("memory", [2 ** 34, None])
+    def test_step_count_past_the_float_range_is_refused(self, monkeypatch,
+                                                         memory):
+        # t_end / h overflows to inf: refused whether or not the memory
+        # size is known.
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: memory)
+        with pytest.raises(ValueError, match=r"^grid too large: step 1e-320"
+                           " leaves more steps before t = 1 than a float"):
+            SolverConfig(h=1e-320, t_end=1.0)
+
     def test_grid_check_skipped_where_memory_is_not_reported(
             self, monkeypatch):
         # Without a reported memory size only the node count is checked;
@@ -316,7 +335,7 @@ class TestInversionRoutes:
         # A folded term with coefficient 0 gives ratio 0: the a-priori
         # factor and the last retained power are both 0, no warning is
         # raised, and the series route gives the direct route's bits.
-        zero = replace(plate, terms=((1.0, 2.0), (0.0, 1.5)))
+        zero = plate._replace(terms=((1.0, 2.0), (0.0, 1.5)))
         cfg = SolverConfig(h=0.01, t_end=5.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
